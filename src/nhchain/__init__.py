@@ -2,9 +2,10 @@
 
 The package builds the chain generator (nearest-neighbor pair creation with
 on-site loss and a transverse field on site 1), extracts its slowest-decaying
-eigenstate, and computes spectra, imaginary-part gaps, exceptional points,
-steady-state observables, quantum Fisher information and finite-size scaling
-fits.  A CLI (``nhchain``) persists parameter sweeps as CSV.
+eigenstate, and computes spectra, imaginary-part gaps (from the free-fermion
+single-particle modes at any chain size), exceptional points, steady-state
+observables, quantum Fisher information and finite-size scaling fits.  A CLI
+(``nhchain``) persists parameter sweeps as CSV.
 """
 
 __version__ = "0.1.0"
@@ -25,6 +26,7 @@ from .errors import (
     EPProximityError,
 )
 from .hamiltonian import ChainParams, build_h0, build_h1, build_total
+from .majorana import majorana_gap, majorana_modes
 from .observables import (
     ObservableRecord,
     correlation_profile,
@@ -107,6 +109,8 @@ __all__ = [
     "gap_at",
     "identity_op",
     "magnetizations_two_site",
+    "majorana_gap",
+    "majorana_modes",
     "op_add",
     "op_matvec",
     "op_scale",

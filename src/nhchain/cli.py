@@ -395,21 +395,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        count = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return _finite(parts[0]), _finite(parts[1]), count
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0]), _finite(parts[1])
+
+
+_GAP_METHOD_HELP = (
+    "gap solver (auto: free-fermion, any N; dense and krylov build the 2^N "
+    "generator as cross-checks)"
+)
+_METHOD_HELP = {
+    "spectrum": "ignored: full spectra are always dense (N <= 12)",
+    "gap": _GAP_METHOD_HELP,
+    "ep": _GAP_METHOD_HELP,
+    "scaling": _GAP_METHOD_HELP,
+}
+_STEADY_STATE_METHOD_HELP = "steady-state solver (auto: dense up to N=12, Krylov above)"
 
 
 def _build_parser() -> _Parser:
@@ -418,10 +442,10 @@ def _build_parser() -> _Parser:
     for name, runner in RUNNERS.items():
         sp = sub.add_parser(name, help=runner.__doc__.split("\n")[0])
         sp.add_argument("--n", type=int, default=2, help="number of sites")
-        sp.add_argument("--j", type=float, default=0.0, help="pair coupling J")
-        sp.add_argument("--gamma", type=float, default=1.0, help="loss rate")
-        sp.add_argument("--h", type=float, default=0.0, help="field amplitude")
-        sp.add_argument("--theta", type=float, default=0.0, help="field angle (rad)")
+        sp.add_argument("--j", type=_finite, default=0.0, help="pair coupling J")
+        sp.add_argument("--gamma", type=_finite, default=1.0, help="loss rate")
+        sp.add_argument("--h", type=_finite, default=0.0, help="field amplitude")
+        sp.add_argument("--theta", type=_finite, default=0.0, help="field angle (rad)")
         sp.add_argument(
             "--target", choices=("h", "theta"), default="h", help="QFI target"
         )
@@ -432,14 +456,14 @@ def _build_parser() -> _Parser:
             "--method",
             choices=("auto", "dense", "krylov", "analytic2"),
             default="auto",
-            help="solver (auto: dense up to N=12, Krylov above)",
+            help=_METHOD_HELP.get(name, _STEADY_STATE_METHOD_HELP),
         )
-        sp.add_argument("--delta", type=float, default=1e-3, help="QFI step size")
-        sp.add_argument("--tau", type=float, default=None, help="propagator period")
-        sp.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+        sp.add_argument("--delta", type=_finite, default=1e-3, help="QFI step size")
+        sp.add_argument("--tau", type=_finite, default=None, help="propagator period")
+        sp.add_argument("--tol", type=_finite, default=1e-9, help="solver tolerance")
         sp.add_argument("--max-iters", type=int, default=500)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--tol-j", type=float, default=1e-4, help="bisection width")
+        sp.add_argument("--tol-j", type=_finite, default=1e-4, help="bisection width")
         sp.add_argument(
             "--bracket", type=_parse_pair, default=(0.0, 0.6), help="J bracket lo:hi"
         )

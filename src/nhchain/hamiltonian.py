@@ -13,6 +13,7 @@ the default gamma is 1.  The anti-Hermitian part of H0 + H1 is the loss term
 alone, so every eigenvalue has non-positive imaginary part.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ class ChainParams:
 
     N is the number of sites (>= 2), J >= 0 the pair coupling, gamma >= 0 the
     loss rate, h >= 0 the field amplitude and theta its azimuthal angle in
-    radians (stored as given, not reduced mod 2*pi).
+    radians (stored as given, not reduced mod 2*pi).  All four real
+    parameters must be finite.
     """
 
     N: int
@@ -38,6 +40,9 @@ class ChainParams:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
             raise ValueError("N must be an integer >= 2")
+        for name in ("J", "gamma", "h", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.J < 0:
             raise ValueError("J must be >= 0")
         if self.gamma < 0:

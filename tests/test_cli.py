@@ -309,6 +309,14 @@ def test_main_usage_error_exit_code(capsys):
     assert main(["gap", "--j-range", "bad"]) == 1
 
 
+def test_main_rejects_non_finite_parameters(capsys):
+    assert main(["qfi", "--n", "2", "--j", "nan", "--h", "0.1"]) == 1
+    assert main(["gap", "--n", "2", "--h", "inf"]) == 1
+    assert main(["gap", "--n", "2", "--j-range", "0:inf:3"]) == 1
+    assert main(["ep", "--n", "2", "--bracket", "0:nan"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_main_numerical_failure_exit_code(capsys):
     # evolve refuses on the gap closure (no isolated steady state)
     code = main(["evolve", "--n", "2", "--j", "0.3", "--h", "0.2"])

@@ -30,6 +30,14 @@ def test_chain_params_validation():
         ChainParams(N=2, J=0.1, h=-0.2)
 
 
+@pytest.mark.parametrize("name", ["J", "gamma", "h", "theta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_chain_params_rejects_non_finite(name, value):
+    kw = {"N": 3, "J": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ChainParams(**kw)
+
+
 def test_h0_two_site_fixture():
     got = build_h0(ChainParams(N=2, J=0.3, gamma=1.0)).dense()
     assert np.allclose(got, two_site_matrix(0.3, 1.0, 0.0, 0.0), atol=1e-15)

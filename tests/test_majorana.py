@@ -1,0 +1,99 @@
+"""Free-fermion modes and gap against dense diagonalization and closed forms."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import nhchain.critical as critical
+from nhchain.critical import find_ep_J, gap_at
+from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.majorana import majorana_gap, majorana_modes
+from nhchain.spectral import dense_eigenvalues
+
+
+def size_boundary(n: int, gamma: float = 1.0) -> float:
+    """Exact h = 0 gap closure J_c(N) = gamma / (4 cos(pi / (N + 1)))."""
+    return gamma / (4.0 * math.cos(math.pi / (n + 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    j=st.floats(0.0, 0.6),
+    h=st.floats(0.0, 0.4),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_gap_matches_dense(n, j, h, theta):
+    p = ChainParams(N=n, J=j, h=h, theta=theta)
+    eps = majorana_modes(p)
+    # a mode near zero is an exceptional point, where the dense eigenvalues
+    # themselves lose half their digits
+    assume(np.abs(eps).min() > 1e-2)
+    assert majorana_gap(p) == pytest.approx(gap_at(p, method="dense"), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, j, h, theta, gamma",
+    [
+        (2, 0.3, 0.1, 0.0, 1.0),
+        (3, 0.2, 0.15, 0.7, 1.0),
+        (3, 0.1, 0.0, 0.0, 1.0),
+        (4, 0.4, 0.05, 2.0, 1.0),
+        (4, 0.3, 0.2, 0.5, 2.0),
+        (5, 0.23, 0.2, 1.1, 1.0),
+    ],
+)
+def test_many_body_spectrum_from_modes(n, j, h, theta, gamma, multiset_distance):
+    p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
+    eps = majorana_modes(p)
+    assert eps.shape == (n,)
+    assert np.all(eps.imag >= 0) and np.all(np.diff(eps.imag) >= 0)
+    offset = -0.25j * gamma * n
+    rebuilt = [
+        offset + 0.5 * np.dot(signs, eps)
+        for signs in itertools.product((1.0, -1.0), repeat=n)
+    ]
+    dense = dense_eigenvalues(build_total(p))
+    assert multiset_distance(rebuilt, dense) < 1e-12
+    # the steady state takes every mode with its upper-half-plane sign
+    assert (offset + 0.5 * eps.sum()).imag == pytest.approx(dense[0].imag, abs=1e-12)
+
+
+@pytest.mark.parametrize("j", [0.1, 0.2, 0.3, 0.4, 0.45])
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.1, 4.0])
+def test_gap_at_exact_two_site_exceptional_points(j, theta):
+    # h = sqrt(gamma^2 - 4 J^2) / 4 is an exact EP: one pair merges with the
+    # structural zero into a 3x3 Jordan block.  Scoring the pair by the sum
+    # of squares of the three leaves ~1e-8 (the rounding floor); reading
+    # |Im| off the split eigenvalues directly gives 2e-7 to 3e-6.
+    h = math.sqrt(1.0 - 4.0 * j * j) / 4.0
+    assert majorana_gap(ChainParams(N=2, J=j, h=h, theta=theta)) < 5e-8
+
+
+def test_auto_gap_builds_no_many_body_operator(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"2^N operator built for {p}")
+
+    monkeypatch.setattr(critical, "build_total", refuse)
+    # at J = 0 the sites decouple; the driven first site has the smallest
+    # gap, sqrt(gamma^2 / 4 - 4 h^2)
+    p = ChainParams(N=200, J=0.0, h=0.1, theta=0.4)
+    assert gap_at(p) == pytest.approx(math.sqrt(0.25 - 4 * 0.1**2), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, gamma", [(20, 1.0), (50, 1.0), (100, 1.0), (20, 2.0)])
+def test_zero_field_boundary_at_large_size(n, gamma):
+    tol_J = 1e-4
+    j_c = find_ep_J(n, 0.0, gamma=gamma, bracket=(0.0, 0.6 * gamma), tol_J=tol_J)
+    assert abs(j_c - size_boundary(n, gamma)) <= tol_J
+
+
+def test_dense_bisection_matches_boundary():
+    tol_J = 1e-4
+    j_dense = find_ep_J(6, 0.0, tol_J=tol_J, method="dense")
+    assert abs(j_dense - size_boundary(6)) <= tol_J
+    assert abs(j_dense - find_ep_J(6, 0.0, tol_J=tol_J)) <= tol_J

@@ -1,8 +1,11 @@
 """Spectra, steady states and Krylov propagation against closed-form oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
+import nhchain.spectral as spectral
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.operators import embed, op_add, op_scale, op_sum, pauli
@@ -330,6 +333,25 @@ def test_krylov_quasi_degenerate_subdominant_pair():
     assert abs(dense.eigenvalue - kry.eigenvalue) < 1e-9
     assert 1.0 - fidelity(dense.vector, kry.vector) < 1e-9
     assert kry.gap == pytest.approx(dense.gap, abs=1e-3)
+
+
+def test_krylov_ritz_cap_is_logged(monkeypatch, caplog):
+    p = ChainParams(N=3, J=0.1, h=0.0)
+    H = build_total(p)
+    with caplog.at_level("WARNING", logger="nhchain"):
+        steady_state_krylov(H, p)
+    assert not caplog.records
+    monkeypatch.setattr(spectral, "_RITZ_REFINE_CAP", 2)
+    with caplog.at_level("WARNING", logger="nhchain"):
+        capped = steady_state_krylov(H, p)
+    (record,) = caplog.records
+    assert record.name == "nhchain" and record.levelname == "WARNING"
+    message = record.getMessage()
+    assert "refinement cap of 2 sweeps" in message
+    drift = float(re.search(r"last drift ([0-9.e+-]+)", message).group(1))
+    assert 1e-9 < drift < 1e-2
+    # the capped solve still returns its converged steady state
+    assert capped.eigenvalue == pytest.approx(steady_state_dense(H, p).eigenvalue, abs=1e-9)
 
 
 def test_krylov_ep_warning_flag():
