@@ -24,6 +24,7 @@ from .errors import (
     DegeneracyError,
     DenseSizeError,
     EPProximityError,
+    MemoryLimitError,
 )
 from .hamiltonian import ChainParams, build_h0, build_h1, build_total
 from .majorana import majorana_gap, majorana_modes
@@ -81,6 +82,7 @@ __all__ = [
     "EPProximityError",
     "EpCurve",
     "EpPoint",
+    "MemoryLimitError",
     "ObservableRecord",
     "QfiEstimate",
     "ScalingFit",

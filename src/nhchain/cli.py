@@ -9,7 +9,8 @@ re-parsing reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
 
-Exit codes: 0 success, 1 usage error, 2 numerical/solver failure.
+Exit codes: 0 success, 1 usage error (a chain too large for physical memory
+included), 2 numerical/solver failure.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .errors import (
     DegeneracyError,
     DenseSizeError,
     EPProximityError,
+    MemoryLimitError,
 )
 from .hamiltonian import ChainParams, build_total
 from .observables import correlation_profile
@@ -90,7 +92,6 @@ class SweepSpec:
     axis: str = "y"
     method: str = "auto"
     delta: float = 1e-3
-    tau: float | None = None
     tol: float = 1e-9
     max_iters: int = 500
     seed: int = DEFAULT_SEED
@@ -110,7 +111,6 @@ class SweepSpec:
 
     def solver_kw(self) -> dict:
         return {
-            "tau": self.tau,
             "tol": self.tol,
             "max_iters": self.max_iters,
             "seed": self.seed,
@@ -161,7 +161,6 @@ def _provenance(spec: SweepSpec) -> list[str]:
         f"axis={spec.axis}",
         f"method={spec.method}",
         f"delta={fmt(spec.delta)}",
-        f"tau={'auto' if spec.tau is None else fmt(spec.tau)}",
         f"tol={fmt(spec.tol)}",
         f"max_iters={spec.max_iters}",
         f"seed={spec.seed}",
@@ -201,6 +200,11 @@ def _check_dense_size(n: int) -> None:
 
 def run_spectrum(spec: SweepSpec) -> CsvTable:
     """Full sorted spectrum of one chain instance."""
+    if spec.method not in ("auto", "dense"):
+        raise CliUsageError(
+            f"full spectra are always dense; --method {spec.method} is not "
+            "supported by the spectrum subcommand (use auto or dense)"
+        )
     _check_dense_size(spec.n)
     w = dense_eigenvalues(build_total(_chain_params(spec)))
     rows = [(i, lam.real, lam.imag) for i, lam in enumerate(w)]
@@ -428,7 +432,7 @@ _GAP_METHOD_HELP = (
     "generator as cross-checks)"
 )
 _METHOD_HELP = {
-    "spectrum": "ignored: full spectra are always dense (N <= 12)",
+    "spectrum": "full spectra are always dense (N <= 12): auto or dense only",
     "gap": _GAP_METHOD_HELP,
     "ep": _GAP_METHOD_HELP,
     "scaling": _GAP_METHOD_HELP,
@@ -459,9 +463,10 @@ def _build_parser() -> _Parser:
             help=_METHOD_HELP.get(name, _STEADY_STATE_METHOD_HELP),
         )
         sp.add_argument("--delta", type=_finite, default=1e-3, help="QFI step size")
-        sp.add_argument("--tau", type=_finite, default=None, help="propagator period")
         sp.add_argument("--tol", type=_finite, default=1e-9, help="solver tolerance")
-        sp.add_argument("--max-iters", type=int, default=500)
+        sp.add_argument(
+            "--max-iters", type=int, default=500, help="ARPACK restart budget"
+        )
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--tol-j", type=_finite, default=1e-4, help="bisection width")
         sp.add_argument(
@@ -504,7 +509,6 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         axis=args.axis,
         method=args.method,
         delta=args.delta,
-        tau=args.tau,
         tol=args.tol,
         max_iters=args.max_iters,
         seed=args.seed,
@@ -525,7 +529,7 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         table = RUNNERS[spec.subcommand](spec)
-    except CliUsageError as exc:
+    except (CliUsageError, MemoryLimitError) as exc:
         print(f"nhchain: error: {exc}", file=sys.stderr)
         return 1
     except (

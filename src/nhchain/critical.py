@@ -68,9 +68,9 @@ def gap_at(p: ChainParams, method: str = "auto", **solver_kw) -> float:
     ``auto`` takes it from the free-fermion modes (:func:`majorana_gap`), at
     any N and without building the 2^N-dimensional generator.  The explicit
     methods remain as cross-checks: ``dense`` diagonalizes the full matrix
-    (N <= 12); ``krylov`` uses the deflated two-vector subspace estimate,
-    which is only reliable where the power iteration converges (away from
-    the closure itself) and is the only method that reads ``solver_kw``.
+    (N <= 12); ``krylov`` takes the top two imaginary parts from ARPACK
+    (:func:`steady_state_krylov`), which converges only away from the
+    closure itself, and is the only method that reads ``solver_kw``.
     """
     if method == "auto":
         return majorana_gap(p)

@@ -30,3 +30,20 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         self.residual = float(residual)
         super().__init__(f"{message} (last residual {residual:.3e})")
+
+
+class MemoryLimitError(MemoryError):
+    """A requested chain size cannot fit in physical memory.
+
+    Raised before anything is allocated; ``required`` is the estimated peak
+    in bytes and ``available`` the machine's physical memory.
+    """
+
+    def __init__(self, N: int, required: int, available: int):
+        self.N = int(N)
+        self.required = int(required)
+        self.available = int(available)
+        super().__init__(
+            f"N = {N} needs about {required / 2**30:.3g} GiB "
+            f"but the machine has {available / 2**30:.3g} GiB of physical memory"
+        )

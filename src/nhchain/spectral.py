@@ -1,10 +1,11 @@
 """Eigen-analysis of the non-Hermitian chain generator.
 
 Dense full spectra with biorthogonal left/right eigenvectors are available
-up to dimension 4096 (N <= 12).  Beyond that the slowest-decaying eigenpair
-is obtained matrix-free: the state is propagated with a Krylov approximation
-of ``exp(-i H tau)`` and power-iterated, with a deflated second vector
-supplying the imaginary-part gap.
+up to dimension 4096 (N <= 12).  The matrix-free path takes the few
+eigenvalues of largest imaginary part from ARPACK (implicitly restarted
+Arnoldi, ``scipy.sparse.linalg.eigs(which="LI")``): the first is the steady
+state, the next one fixes the imaginary-part gap.  ``evolve`` propagates a
+state with a Krylov approximation of ``exp(-i H t)``.
 
 Eigenvalue ordering everywhere: descending imaginary part, ties broken by
 ascending real part.  The steady state is the first eigenvalue in this
@@ -18,7 +19,6 @@ Random starting vectors are drawn from ``numpy.random.default_rng`` with the
 fixed seed ``DEFAULT_SEED = 7`` unless a seed is passed explicitly.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +32,9 @@ DEFAULT_SEED = 7
 TOL_GAP_FACTOR = 1e-6
 DENSE_MAX_DIM = 4096
 KRYLOV_DIM = 30
-_RITZ_REFINE_CAP = 200
-
-_log = logging.getLogger("nhchain")
+# ARPACK stops on its own Ritz estimate; asking it for three more digits than
+# the caller leaves headroom for the independent residual gate at ``tol``
+ARPACK_TOL_FACTOR = 1e-3
 
 
 def default_tol_gap(gamma: float) -> float:
@@ -328,107 +328,68 @@ def evolve(
 def steady_state_krylov(
     H: SparseOperator,
     p: ChainParams,
-    tau: float | None = None,
     tol: float = 1e-9,
     max_iters: int = 500,
     seed: int = DEFAULT_SEED,
     tol_gap: float | None = None,
 ) -> SteadyState:
-    """Steady state by power iteration on the propagator exp(-i H tau).
+    """Steady state and gap from ARPACK's implicitly restarted Arnoldi.
 
-    The dominant vector is renormalized each sweep until phase-aligned
-    successive iterates differ by less than ``tol``; its eigenvalue is the
-    Rayleigh quotient.  A second vector, deflated against the first every
-    sweep, spans a 2-dimensional subspace whose Ritz values estimate the
-    imaginary-part gap; sweeps continue until the second Ritz value has
-    stabilized as well (the value converges even when the deflated vector
-    direction keeps rotating inside an imaginary-degenerate pair).  A gap
-    estimate at or below ``tol_gap`` sets ``ep_warning`` on the result
-    instead of raising.
-
-    The convergence factor per sweep is exp(-gap * tau); the default period
-    ``tau = 5 / gamma`` trades matvec count against sweep count.
+    ``scipy.sparse.linalg.eigs(which="LI")`` computes the ``min(4, dim - 2)``
+    eigenvalues of largest imaginary part matrix-free through ``H.matvec``,
+    from a start vector drawn from ``default_rng(seed)``, within at most
+    ``max_iters`` implicit restarts.  The first pair in spectral order is the
+    steady state and the gap is the difference of the top two imaginary
+    parts.  The pair is accepted only if its eigen-residual
+    ``||H v - lambda v||`` is at most ``tol * max(1, |lambda|)``; otherwise,
+    or when the restart budget runs out, ``ConvergenceError`` carries that
+    residual (``inf`` when no pair converged at all).  A gap at or below
+    ``tol_gap`` sets ``ep_warning`` on the result instead of raising.
     """
-    if tau is None:
-        tau = 5.0 / p.gamma if p.gamma > 0 else 5.0
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
     if tol_gap is None:
         tol_gap = default_tol_gap(p.gamma)
     dim = H.dim
     rng = np.random.default_rng(seed)
-    q1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    q1 /= np.linalg.norm(q1)
-    q2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    q2 -= np.vdot(q1, q2) * q1
-    q2 /= np.linalg.norm(q2)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    A = LinearOperator((dim, dim), matvec=H.matvec, dtype=np.complex128)
 
-    inner_tol = min(tol * 0.1, 1e-10)
-    ritz_tol = max(tol, 1e-10) * max(p.gamma, 1.0)
+    def residual(lam, vec):
+        vec = vec / np.linalg.norm(vec)
+        return float(np.linalg.norm(H.matvec(vec) - lam * vec))
 
-    def two_vector_ritz(a, b):
-        ha, hb = H.matvec(a), H.matvec(b)
-        lam1 = np.vdot(a, ha)
-        small = np.array(
-            [[lam1, np.vdot(a, hb)], [np.vdot(b, ha), np.vdot(b, hb)]]
+    try:
+        w, v = eigs(
+            A,
+            k=min(4, dim - 2),
+            which="LI",
+            v0=v0,
+            tol=ARPACK_TOL_FACTOR * tol,
+            maxiter=max_iters,
         )
-        ritz = np.linalg.eigvals(small)
-        return lam1, ritz[int(np.argmax(np.abs(ritz - lam1)))]
-
-    diff = np.inf
-    lam2_prev = None
-    refined = 0
-    drift = np.inf
-    for _ in range(max_iters):
-        y1 = evolve(H, q1, tau, tol=inner_tol)
-        n1 = np.linalg.norm(y1)
-        if n1 == 0:
-            raise ConvergenceError("propagated vector vanished", residual=0.0)
-        q1_new = y1 / n1
-        s = np.vdot(q1, q1_new)
-        if s != 0:
-            diff = float(np.linalg.norm(q1_new * (np.conj(s) / abs(s)) - q1))
-        y2 = evolve(H, q2, tau, tol=inner_tol)
-        y2 -= np.vdot(q1_new, y2) * q1_new
-        n2 = np.linalg.norm(y2)
-        if n2 < 1e-14:
-            y2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            y2 -= np.vdot(q1_new, y2) * q1_new
-            n2 = np.linalg.norm(y2)
-        q1 = q1_new
-        q2 = y2 / n2
-        if diff < tol:
-            lam1, lam2 = two_vector_ritz(q1, q2)
-            refined += 1
-            if lam2_prev is not None:
-                drift = abs(lam2 - lam2_prev)
-            if drift < ritz_tol:
-                break
-            # quasi-degenerate subdominant pairs keep the second Ritz value
-            # drifting at their splitting scale; cap the refinement rather
-            # than fail a fully converged steady state
-            if refined >= _RITZ_REFINE_CAP:
-                _log.warning(
-                    "steady_state_krylov: second Ritz value still drifting after "
-                    "the refinement cap of %d sweeps (last drift %.3e, tolerance "
-                    "%.3e) at %s; the gap estimate keeps that uncertainty",
-                    _RITZ_REFINE_CAP,
-                    drift,
-                    ritz_tol,
-                    p,
-                )
-                break
-            lam2_prev = lam2
-    else:
-        if not refined:
-            raise ConvergenceError(
-                f"power iteration did not converge in {max_iters} sweeps",
-                residual=diff,
-            )
-
-    gap = float(lam1.imag - lam2.imag)
+    except ArpackNoConvergence as exc:
+        partial = [
+            residual(lam, exc.eigenvectors[:, j])
+            for j, lam in enumerate(exc.eigenvalues)
+        ]
+        raise ConvergenceError(
+            f"ARPACK did not converge in {max_iters} restarts",
+            residual=min(partial, default=np.inf),
+        ) from None
+    order = spectral_order(w)
+    lam, vec = complex(w[order[0]]), v[:, order[0]]
+    r = residual(lam, vec)
+    if not r <= tol * max(1.0, abs(lam)):
+        raise ConvergenceError(
+            f"ARPACK steady state fails the residual gate at tol={tol:.1e}",
+            residual=r,
+        )
+    gap = float(w.imag[order[0]] - w.imag[order[1]])
     return SteadyState(
         params=p,
-        eigenvalue=complex(lam1),
-        vector=phase_gauge(q1),
+        eigenvalue=lam,
+        vector=phase_gauge(vec),
         gap=max(gap, 0.0),
         method="krylov",
         ep_warning=gap <= tol_gap,
@@ -439,7 +400,6 @@ def solve_steady_state(
     p: ChainParams,
     method: str = "auto",
     H: SparseOperator | None = None,
-    tau: float | None = None,
     tol: float = 1e-9,
     max_iters: int = 500,
     seed: int = DEFAULT_SEED,
@@ -448,7 +408,9 @@ def solve_steady_state(
     """Build the chain Hamiltonian and extract its steady state.
 
     ``method='auto'`` picks the dense path for N <= 12 and the Krylov path
-    above; pass ``method`` explicitly to override.
+    (ARPACK, :func:`steady_state_krylov`) above; pass ``method`` explicitly
+    to override.  ``tol``, ``max_iters`` (the ARPACK restart budget) and
+    ``seed`` reach only the Krylov path; ``tol_gap`` reaches both.
     """
     if H is None:
         H = build_total(p)
@@ -458,6 +420,6 @@ def solve_steady_state(
         return steady_state_dense(H, p, tol_gap=tol_gap)
     if method == "krylov":
         return steady_state_krylov(
-            H, p, tau=tau, tol=tol, max_iters=max_iters, seed=seed, tol_gap=tol_gap
+            H, p, tol=tol, max_iters=max_iters, seed=seed, tol_gap=tol_gap
         )
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")

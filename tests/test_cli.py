@@ -309,6 +309,26 @@ def test_main_usage_error_exit_code(capsys):
     assert main(["gap", "--j-range", "bad"]) == 1
 
 
+def test_main_spectrum_accepts_only_dense_methods(capsys):
+    # full spectra are always dense; a Krylov or closed-form request must not
+    # silently run the dense solver
+    assert main(["spectrum", "--n", "2", "--method", "krylov"]) == 1
+    assert main(["spectrum", "--n", "2", "--method", "analytic2"]) == 1
+    assert "spectrum" in capsys.readouterr().err
+    for method in ("auto", "dense"):
+        assert main(["spectrum", "--n", "2", "--j", "0.3", "--method", method]) == 0
+
+
+def test_main_refuses_a_chain_beyond_physical_memory(capsys):
+    import time
+
+    start = time.perf_counter()
+    code = main(["correlations", "--n", "40", "--method", "krylov"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_main_rejects_non_finite_parameters(capsys):
     assert main(["qfi", "--n", "2", "--j", "nan", "--h", "0.1"]) == 1
     assert main(["gap", "--n", "2", "--h", "inf"]) == 1
