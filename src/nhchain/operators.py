@@ -5,22 +5,25 @@ Basis convention
 Basis index ``i`` carries bits ``b_{N-1} ... b_0``; chain site ``n``
 (1-based) maps to bit position ``N - n``, so site 1 is the most significant
 bit.  Spin up is bit value 0 and spin down is bit value 1.  For N = 2 the
-ordering is therefore ``(uu, ud, du, dd)``.
+ordering is therefore ``(uu, ud, du, dd)``.  This module is the only one
+that knows the convention: other modules describe operators through sites
+and spins (:func:`embed`, :func:`spins_up`, :func:`flip_sum`).
 
 The raising/lowering operators carry the conventional 1/2 normalization,
 ``plus = (x + i y) / 2``, so that a pair coupling of strength J contributes
 matrix elements equal to J.
 
 State vectors are plain 1-D complex numpy arrays of length ``2**N``.
-All operators are immutable after construction and safe to share.
+Operators wrap a canonical ``scipy.sparse.csr_array`` and are immutable
+after construction and safe to share.  ``scipy.sparse`` is imported on the
+first operator built, so importing the package does not load it.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-
-from .kernels import coo_matvec
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -45,76 +48,65 @@ def pauli(label: str) -> np.ndarray:
         ) from None
 
 
-def _canonical(dim, rows, cols, vals):
-    """Sort by (row, col), merge duplicates, drop exact zeros, freeze arrays."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    vals = np.ascontiguousarray(vals, dtype=np.complex128)
-    if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
-        raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim:
-            raise ValueError(f"index out of range for dimension {dim}")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        fresh = np.concatenate(
-            ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))
-        )
-        starts = np.flatnonzero(fresh)
-        if starts.size != rows.size:
-            vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-        keep = vals != 0
-        if not keep.all():
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    for arr in (rows, cols, vals):
-        arr.setflags(write=False)
-    return rows, cols, vals
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """Complex sparse matrix in canonical COO form.
+    """Complex square matrix held as a canonical scipy CSR array.
 
-    Entries are sorted by (row, col) with unique index pairs and no stored
-    zeros, which makes equality of equal operators an array comparison.
+    Column indices are sorted within each row, entries are unique, no zero
+    is stored, and the data, index and pointer arrays are read-only.
     """
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    csr: "scipy.sparse.csr_array"
 
     @classmethod
     def from_entries(cls, dim: int, rows, cols, vals) -> "SparseOperator":
+        """Operator from (row, col, value) triples; duplicates are summed."""
+        from scipy.sparse import csr_array
+
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        return cls(dim, *_canonical(dim, rows, cols, vals))
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.complex128)
+        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
+            raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim
+        ):
+            raise ValueError(f"index out of range for dimension {dim}")
+        csr = csr_array((vals, (rows, cols)), shape=(dim, dim))
+        csr.eliminate_zeros()
+        return _frozen(csr)
+
+    @property
+    def dim(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return self.rows.size
+        return self.csr.nnz
+
+    @property
+    def vals(self) -> np.ndarray:
+        """Stored values in row-major order (read-only)."""
+        return self.csr.data
 
     @property
     def entries(self) -> list[tuple[int, int, complex]]:
-        """Canonical (row, col, value) triples."""
+        """Canonical (row, col, value) triples, sorted by row then column."""
+        coo = self.csr.tocoo()
         return [
-            (int(r), int(c), complex(v))
-            for r, c, v in zip(self.rows, self.cols, self.vals)
+            (int(r), int(c), complex(v)) for r, c, v in zip(coo.row, coo.col, coo.data)
         ]
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        out[self.rows, self.cols] = self.vals
-        return out
+        return self.csr.toarray()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return op_matvec(self, v)
 
     def conj_transpose(self) -> "SparseOperator":
-        return SparseOperator.from_entries(
-            self.dim, self.cols, self.rows, self.vals.conj()
-        )
+        return _frozen(self.csr.conj().T.tocsr())
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         return op_add(self, other)
@@ -126,19 +118,60 @@ class SparseOperator:
         return op_matvec(self, v)
 
 
+def _frozen(csr) -> SparseOperator:
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.setflags(write=False)
+    return SparseOperator(csr)
+
+
+def _index_dtype(n: int) -> type:
+    """The CSR index type scipy keeps for arrays of up to ``n`` entries."""
+    return np.int32 if n < 1 << 31 else np.int64
+
+
+def _from_rows(vals: np.ndarray, cols: np.ndarray) -> SparseOperator:
+    """Operator whose row i holds ``vals[i]`` at the ascending columns
+    ``cols[i]`` (both of shape (dim, k)); zero values are dropped."""
+    from scipy.sparse import csr_array
+
+    dim, k = vals.shape
+    kept = np.flatnonzero(vals != 0)
+    indptr = np.zeros(dim + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(kept // k, minlength=dim), out=indptr[1:])
+    return _frozen(
+        csr_array((vals.take(kept), cols.take(kept), indptr), shape=(dim, dim))
+    )
+
+
 def identity_op(dim: int) -> SparseOperator:
-    idx = np.arange(dim, dtype=np.int64)
-    return SparseOperator.from_entries(dim, idx, idx, np.ones(dim, dtype=np.complex128))
-
-
-def zero_op(dim: int) -> SparseOperator:
-    empty = np.zeros(0)
-    return SparseOperator.from_entries(dim, empty, empty, empty)
+    idx = np.arange(dim, dtype=_index_dtype(dim))[:, None]
+    return _from_rows(np.ones(idx.shape, dtype=np.complex128), idx)
 
 
 def _check_site(site: int, N: int) -> None:
     if not 1 <= site <= N:
         raise ValueError(f"site {site} outside chain of {N} sites")
+
+
+def _on_sites(op: np.ndarray, sites: tuple[int, ...], N: int) -> SparseOperator:
+    """``op`` (2^k x 2^k, first site on the highest local bit) acting on
+    ``sites`` (ascending) and the identity elsewhere.
+
+    Row i, whose spins at ``sites`` form local state a, holds ``op[a, b]``
+    at column i with those spins set to b.  b ascending gives ascending
+    columns, so the rows need no sorting.
+    """
+    dim = 1 << N
+    k = len(sites)
+    i = np.arange(dim, dtype=_index_dtype(dim << k))
+    b = np.arange(1 << k, dtype=i.dtype)
+    a, spread, rest = 0, 0, i
+    for j, site in enumerate(sites):
+        bit, shift = N - site, k - 1 - j  # the site's place in i and in a, b
+        a = a | ((i >> bit) & 1) << shift
+        spread = spread | ((b >> shift) & 1) << bit
+        rest = rest & ~(1 << bit)
+    return _from_rows(op.take(a, axis=0), rest[:, None] | spread)
 
 
 def embed(op: np.ndarray, site: int, N: int) -> SparseOperator:
@@ -151,26 +184,7 @@ def embed(op: np.ndarray, site: int, N: int) -> SparseOperator:
     if op.shape != (2, 2):
         raise ValueError("embed expects a 2x2 matrix")
     _check_site(site, N)
-    dim = 1 << N
-    pos = N - site
-    half = np.arange(dim >> 1, dtype=np.int64)
-    low = half & ((1 << pos) - 1)
-    high = half >> pos
-    rows, cols, vals = [], [], []
-    for a in range(2):
-        for b in range(2):
-            if op[a, b] == 0:
-                continue
-            col = (high << (pos + 1)) | (b << pos) | low
-            row = col ^ ((a ^ b) << pos)
-            rows.append(row)
-            cols.append(col)
-            vals.append(np.full(col.shape, op[a, b], dtype=np.complex128))
-    if not rows:
-        return zero_op(dim)
-    return SparseOperator.from_entries(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    return _on_sites(op, (site,), N)
 
 
 def embed_pair(op4: np.ndarray, site_a: int, site_b: int, N: int) -> SparseOperator:
@@ -186,29 +200,40 @@ def embed_pair(op4: np.ndarray, site_a: int, site_b: int, N: int) -> SparseOpera
     _check_site(site_b, N)
     if site_a >= site_b:
         raise ValueError("embed_pair requires site_a < site_b")
+    return _on_sites(op4, (site_a, site_b), N)
+
+
+def spins_up(N: int) -> np.ndarray:
+    """Boolean (2^N, N) table: ``[i, n - 1]`` is True when site n of basis
+    state i is spin up."""
+    i = np.arange(1 << N)[:, None]
+    return (i >> np.arange(N - 1, -1, -1)) & 1 == 0
+
+
+def flip_sum(N: int, terms: list[tuple[tuple[int, ...], np.ndarray]]) -> SparseOperator:
+    """Operator given row by row through spin flips.
+
+    For each ``(sites, values)`` in ``terms``, row i holds ``values[i]`` at
+    the column of basis state i with the spins at ``sites`` flipped (no flip
+    for ``()``: the diagonal).  The site sets must be distinct, so no two
+    terms share a column; zero values are dropped.
+    """
     dim = 1 << N
-    p_hi = N - site_a
-    p_lo = N - site_b
-    quarter = np.arange(dim >> 2, dtype=np.int64)
-    low = quarter & ((1 << p_lo) - 1)
-    mid = (quarter >> p_lo) & ((1 << (p_hi - 1 - p_lo)) - 1)
-    high = quarter >> (p_hi - 1)
-    base = (high << (p_hi + 1)) | (mid << (p_lo + 1)) | low
-    rows, cols, vals = [], [], []
-    for a in range(4):
-        for b in range(4):
-            if op4[a, b] == 0:
-                continue
-            col = base | ((b >> 1) << p_hi) | ((b & 1) << p_lo)
-            row = col ^ ((((a ^ b) >> 1) << p_hi) | (((a ^ b) & 1) << p_lo))
-            rows.append(row)
-            cols.append(col)
-            vals.append(np.full(col.shape, op4[a, b], dtype=np.complex128))
-    if not rows:
-        return zero_op(dim)
-    return SparseOperator.from_entries(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    idx = _index_dtype(dim * len(terms))
+    masks = np.array(
+        [sum(1 << (N - s) for s in sites) for sites, _ in terms], dtype=idx
     )
+    cols = np.arange(dim, dtype=idx)[:, None] ^ masks
+    vals = np.empty(cols.shape, dtype=np.complex128)
+    for k, (_, values) in enumerate(terms):
+        vals[:, k] = values
+    # sort each row by column; take() reads the flattened arrays
+    order = np.argsort(cols, axis=1)
+    order += np.arange(0, cols.size, len(terms), dtype=order.dtype)[:, None]
+    vals = vals.take(order)
+    cols = cols.take(order)
+    del order  # not held while _from_rows compacts; lowers the peak memory
+    return _from_rows(vals, cols)
 
 
 def _check_same_dim(a: SparseOperator, b: SparseOperator) -> None:
@@ -217,40 +242,33 @@ def _check_same_dim(a: SparseOperator, b: SparseOperator) -> None:
 
 
 def op_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """``a + b`` by scipy's canonical CSR addition."""
     _check_same_dim(a, b)
-    return SparseOperator.from_entries(
-        a.dim,
-        np.concatenate((a.rows, b.rows)),
-        np.concatenate((a.cols, b.cols)),
-        np.concatenate((a.vals, b.vals)),
-    )
+    return _frozen(a.csr + b.csr)
 
 
 def op_sum(ops: list[SparseOperator]) -> SparseOperator:
-    """Sum a list of operators with a single canonicalization pass."""
+    """Sum of a non-empty list of operators by repeated CSR addition."""
     if not ops:
         raise ValueError("op_sum of an empty list")
-    dim = ops[0].dim
     for o in ops[1:]:
-        if o.dim != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {o.dim}")
-    return SparseOperator.from_entries(
-        dim,
-        np.concatenate([o.rows for o in ops]),
-        np.concatenate([o.cols for o in ops]),
-        np.concatenate([o.vals for o in ops]),
-    )
+        _check_same_dim(ops[0], o)
+    return _frozen(reduce(operator.add, (o.csr for o in ops)))
 
 
 def op_scale(c: complex, a: SparseOperator) -> SparseOperator:
-    return SparseOperator.from_entries(a.dim, a.rows, a.cols, complex(c) * a.vals)
+    """``c * a``; entries that become zero are dropped."""
+    csr = a.csr * complex(c)
+    csr.eliminate_zeros()
+    return _frozen(csr)
 
 
 def op_matvec(a: SparseOperator, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` by scipy's CSR matvec."""
     v = np.ascontiguousarray(v, dtype=np.complex128)
     if v.shape != (a.dim,):
         raise ValueError(f"vector shape {v.shape} does not match dimension {a.dim}")
-    return coo_matvec(a.rows, a.cols, a.vals, v)
+    return a.csr @ v
 
 
 def kron_chain(mats: list[np.ndarray]) -> np.ndarray:

@@ -45,18 +45,19 @@ def test_build_total_refuses_a_size_beyond_physical_memory():
     from nhchain.errors import MemoryLimitError
 
     p = ChainParams(N=40, J=0.23, h=0.2)
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        with pytest.raises(MemoryLimitError) as err:
-            build_total(p)
-        elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1.0
-    assert peak < 1 << 20  # refused before any 2^N array exists
-    assert err.value.N == 40 and err.value.required > err.value.available
+    for build in (build_total, build_h0, build_h1):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(MemoryLimitError) as err:
+                build(p)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20  # refused before any 2^N array exists
+        assert err.value.N == 40 and err.value.required > err.value.available
 
 
 def test_h0_two_site_fixture():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nhchain.hamiltonian import ChainParams, build_h0, build_h1, build_total
 from nhchain.operators import (
     SparseOperator,
     embed,
@@ -150,6 +153,20 @@ def test_matvec_agrees_with_dense(N):
     assert np.allclose(op_matvec(op, v), op.dense() @ v, atol=1e-12)
 
 
+def test_matvec_empty_operator():
+    op = SparseOperator.from_entries(4, [], [], [])
+    out = op_matvec(op, np.ones(4, dtype=np.complex128))
+    assert op.nnz == 0
+    assert np.array_equal(out, np.zeros(4, dtype=np.complex128))
+
+
+def test_hamiltonian_matvec_matches_dense():
+    H = build_total(ChainParams(N=6, J=0.3, h=0.2, theta=0.4))
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    assert np.allclose(H.matvec(v), H.dense() @ v, rtol=1e-13, atol=1e-13)
+
+
 def test_matvec_linearity():
     rng = np.random.default_rng(11)
     dim = 16
@@ -201,6 +218,18 @@ def test_operators_are_immutable():
         op.vals[0] = 5.0
 
 
+def test_scipy_wrappers_stay_canonical():
+    rng = np.random.default_rng(7)
+    a = SparseOperator.from_entries(
+        8, rng.integers(0, 8, 20), rng.integers(0, 8, 20), rng.standard_normal(20) + 0.5j
+    )
+    minus_a = op_scale(-1.0, a)
+    for op in (a, minus_a, op_add(a, identity_op(8)), op_sum([a, a, a]), a.conj_transpose()):
+        assert_canonical(op)
+    assert op_add(a, minus_a).nnz == 0
+    assert op_scale(0.0, a).nnz == 0
+
+
 def test_conj_transpose():
     rng = np.random.default_rng(5)
     op = SparseOperator.from_entries(
@@ -210,3 +239,88 @@ def test_conj_transpose():
         rng.standard_normal(20) + 1j * rng.standard_normal(20),
     )
     assert np.allclose(op.conj_transpose().dense(), op.dense().conj().T, atol=0)
+
+
+def assert_canonical(op):
+    """Sorted unique columns per row, no stored zeros, read-only arrays."""
+    assert op.csr.has_canonical_format
+    assert np.all(op.vals != 0)
+    for arr in (op.csr.data, op.csr.indices, op.csr.indptr):
+        assert not arr.flags.writeable
+
+
+def chain_oracle(p):
+    """H0 and H1 of the chain as literal Pauli Kronecker chains."""
+    N = p.N
+    eye = np.eye(2, dtype=complex)
+
+    def at(ops):
+        mats = [eye] * N
+        for site, m in ops.items():
+            mats[site - 1] = m
+        return kron_chain(mats)
+
+    sp, sm = pauli("plus"), pauli("minus")
+    h0 = sum(p.J * (at({n: sp, n + 1: sp}) + at({n: sm, n + 1: sm})) for n in range(1, N))
+    h0 = h0 + sum(-0.25j * p.gamma * at({n: pauli("z") + eye}) for n in range(1, N + 1))
+    h1 = p.h * at({1: np.cos(p.theta) * pauli("x") + np.sin(p.theta) * pauli("y")})
+    return h0, h1
+
+
+def zero_or(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+def local_matrix(k):
+    """2^k x 2^k complex matrices with some entries exactly zero."""
+    entry = st.one_of(
+        st.just(0j), st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    )
+    return st.lists(entry, min_size=4**k, max_size=4**k).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(2**k, 2**k)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.integers(2, 6),
+    J=zero_or(st.floats(0.0, 1.0)),
+    gamma=zero_or(st.floats(0.0, 2.0)),
+    h=zero_or(st.floats(0.0, 1.0)),
+    theta=st.floats(-7.0, 7.0),
+)
+def test_builders_match_kron_oracle(N, J, gamma, h, theta):
+    p = ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta)
+    h0, h1 = chain_oracle(p)
+    for op, oracle in ((build_h0(p), h0), (build_h1(p), h1), (build_total(p), h0 + h1)):
+        assert_canonical(op)
+        assert np.allclose(op.dense(), oracle, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 6), data=st.data())
+def test_embed_is_canonical_and_matches_kron_oracle(N, data):
+    op = data.draw(local_matrix(1))
+    site = data.draw(st.integers(1, N))
+    got = embed(op, site, N)
+    assert_canonical(got)
+    assert np.array_equal(got.dense(), dense_embed_oracle(op, site, N))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 6), data=st.data())
+def test_embed_pair_is_canonical_and_matches_kron_oracle(N, data):
+    op4 = data.draw(local_matrix(2))
+    sa = data.draw(st.integers(1, N - 1))
+    sb = data.draw(st.integers(sa + 1, N))
+    got = embed_pair(op4, sa, sb, N)
+    assert_canonical(got)
+    # op4 = sum_{rc} op4[r, c] |r1><c1| (x) |r2><c2|, r = 2 r1 + r2
+    oracle = np.zeros((1 << N, 1 << N), dtype=complex)
+    for r in range(4):
+        for c in range(4):
+            mats = [np.eye(2, dtype=complex)] * N
+            mats[sa - 1] = np.outer(np.eye(2)[r >> 1], np.eye(2)[c >> 1])
+            mats[sb - 1] = np.outer(np.eye(2)[r & 1], np.eye(2)[c & 1])
+            oracle += op4[r, c] * kron_chain(mats)
+    assert np.array_equal(got.dense(), oracle)
