@@ -21,7 +21,6 @@ from .critical import (
 )
 from .errors import (
     ConvergenceError,
-    DegeneracyError,
     DenseSizeError,
     EPProximityError,
     MemoryLimitError,
@@ -61,9 +60,7 @@ from .qfi import (
 from .spectral import (
     DEFAULT_SEED,
     SteadyState,
-    Spectrum,
     dense_eigenvalues,
-    dense_spectrum,
     eigenvalues_two_site,
     evolve,
     phase_gauge,
@@ -77,7 +74,6 @@ __all__ = [
     "ChainParams",
     "ConvergenceError",
     "DEFAULT_SEED",
-    "DegeneracyError",
     "DenseSizeError",
     "EPProximityError",
     "EpCurve",
@@ -87,7 +83,6 @@ __all__ = [
     "QfiEstimate",
     "ScalingFit",
     "SparseOperator",
-    "Spectrum",
     "SteadyState",
     "__version__",
     "build_h0",
@@ -98,7 +93,6 @@ __all__ = [
     "correlations_two_site",
     "cramer_rao",
     "dense_eigenvalues",
-    "dense_spectrum",
     "eigenvalues_two_site",
     "embed",
     "embed_pair",

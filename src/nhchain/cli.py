@@ -23,7 +23,6 @@ from . import __version__
 from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
 from .errors import (
     ConvergenceError,
-    DegeneracyError,
     DenseSizeError,
     EPProximityError,
     MemoryLimitError,
@@ -258,7 +257,6 @@ def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
                     except (
                         EPProximityError,
                         ConvergenceError,
-                        DegeneracyError,
                         ValueError,
                         ArithmeticError,
                     ) as exc:
@@ -285,7 +283,6 @@ def _tag(exc: Exception) -> str:
     names = {
         EPProximityError: "ep_proximity",
         ConvergenceError: "no_convergence",
-        DegeneracyError: "degeneracy",
         DenseSizeError: "dense_size",
         ValueError: "domain",
         ArithmeticError: "arithmetic",
@@ -437,7 +434,7 @@ _METHOD_HELP = {
     "ep": _GAP_METHOD_HELP,
     "scaling": _GAP_METHOD_HELP,
 }
-_STEADY_STATE_METHOD_HELP = "steady-state solver (auto: dense up to N=12, Krylov above)"
+_STEADY_STATE_METHOD_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
 
 
 def _build_parser() -> _Parser:
@@ -535,7 +532,6 @@ def main(argv=None) -> int:
     except (
         EPProximityError,
         ConvergenceError,
-        DegeneracyError,
         DenseSizeError,
         ValueError,
         ArithmeticError,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import EPProximityError
 from .hamiltonian import ChainParams, build_total
 from .majorana import majorana_gap
 from .spectral import default_tol_gap, dense_eigenvalues, steady_state_krylov
@@ -70,7 +71,9 @@ def gap_at(p: ChainParams, method: str = "auto", **solver_kw) -> float:
     methods remain as cross-checks: ``dense`` diagonalizes the full matrix
     (N <= 12); ``krylov`` takes the top two imaginary parts from ARPACK
     (:func:`steady_state_krylov`), which converges only away from the
-    closure itself, and is the only method that reads ``solver_kw``.
+    closure itself, and is the only method that reads ``solver_kw``.  At
+    and past the closure the Krylov solver refuses the steady state, and the
+    gap it measured is returned from the ``EPProximityError``.
     """
     if method == "auto":
         return majorana_gap(p)
@@ -78,7 +81,10 @@ def gap_at(p: ChainParams, method: str = "auto", **solver_kw) -> float:
         w = dense_eigenvalues(build_total(p))
         return float(w[0].imag - w[1].imag)
     if method == "krylov":
-        return steady_state_krylov(build_total(p), p, **solver_kw).gap
+        try:
+            return steady_state_krylov(build_total(p), p, **solver_kw).gap
+        except EPProximityError as exc:
+            return exc.gap
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")
 
 

@@ -5,10 +5,6 @@ class DenseSizeError(ValueError):
     """Dense diagonalization requested above the supported dimension."""
 
 
-class DegeneracyError(RuntimeError):
-    """Left/right eigenvector pairing failed on (near-)degenerate eigenvalues."""
-
-
 class EPProximityError(RuntimeError):
     """Steady state requested too close to an exceptional point.
 

