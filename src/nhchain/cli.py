@@ -1,10 +1,15 @@
 """Command-line front end: sweeps over parameter grids persisted as CSV.
 
 Subcommands: spectrum | gap | qfi | ep | scaling | correlations | evolve.
+Each flag is declared once in ``FLAGS``; each subcommand accepts only the
+flags its runner reads (``SUBCOMMAND_FLAGS``), and any other flag, or an
+abbreviated one, is a usage error.  Defaults live only in ``SweepSpec``;
+``nhchain SUB --help`` shows them.
 
 Output format: UTF-8, comma-separated, ``\\n`` line endings, ``#`` comment
-lines carrying the full sweep specification and package version, then a
-header row and data rows.  Floats are rendered with 17 significant digits so
+lines carrying every ``SweepSpec`` field (a field the subcommand does not
+read shows the default it ran with) and the package version, then a header
+row and data rows.  Floats are rendered with 17 significant digits so
 re-parsing reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
@@ -15,7 +20,7 @@ included), 2 numerical/solver failure.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -117,7 +122,9 @@ class SweepSpec:
 
 
 def fmt(x) -> str:
-    """Render one CSV cell; floats at 17 significant digits."""
+    """Render one CSV cell; floats at 17 significant digits, tuples as a:b."""
+    if isinstance(x, tuple):
+        return ":".join(fmt(v) for v in x)
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
@@ -151,21 +158,9 @@ class CsvTable:
 
 def _provenance(spec: SweepSpec) -> list[str]:
     parts = [
-        f"n={spec.n}",
-        f"j={fmt(spec.j)}",
-        f"gamma={fmt(spec.gamma)}",
-        f"h={fmt(spec.h)}",
-        f"theta={fmt(spec.theta)}",
-        f"target={spec.target}",
-        f"axis={spec.axis}",
-        f"method={spec.method}",
-        f"delta={fmt(spec.delta)}",
-        f"tol={fmt(spec.tol)}",
-        f"max_iters={spec.max_iters}",
-        f"seed={spec.seed}",
-        f"tol_j={fmt(spec.tol_j)}",
-        f"bracket={fmt(spec.bracket[0])}:{fmt(spec.bracket[1])}",
-        f"t_range={fmt(spec.t_range[0])}:{fmt(spec.t_range[1])}:{spec.t_range[2]}",
+        f"{f.name}={fmt(getattr(spec, f.name))}"
+        for f in fields(SweepSpec)
+        if f.name not in ("subcommand", "axes", "out")
     ]
     lines = [
         f"nhchain {__version__}",
@@ -424,97 +419,94 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return _finite(parts[0]), _finite(parts[1])
 
 
-_GAP_METHOD_HELP = (
+_GAP_HELP = (
     "gap solver (auto: free-fermion, any N; dense and krylov build the 2^N "
-    "generator as cross-checks)"
+    "generator as cross-checks, krylov with the default solver settings)"
 )
-_METHOD_HELP = {
-    "spectrum": "full spectra are always dense (N <= 12): auto or dense only",
-    "gap": _GAP_METHOD_HELP,
-    "ep": _GAP_METHOD_HELP,
-    "scaling": _GAP_METHOD_HELP,
+_STEADY_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
+_METHODS = ("auto", "dense", "krylov")
+
+# One declaration per flag: its argparse type (or tuple of choices) and help.
+FLAGS = {
+    "n": (int, "number of sites"),
+    "j": (_finite, "pair coupling J"),
+    "gamma": (_finite, "loss rate"),
+    "h": (_finite, "field amplitude"),
+    "theta": (_finite, "field angle (rad)"),
+    "target": (("h", "theta"), "QFI target"),
+    "axis": (("x", "y", "z"), "correlation axis"),
+    "delta": (_finite, "QFI step size"),
+    "tol": (_finite, "solver tolerance"),
+    "max-iters": (int, "ARPACK restart budget"),
+    "seed": (int, "random seed"),
+    "tol-j": (_finite, "bisection width"),
+    "bracket": (_parse_pair, "J bracket lo:hi"),
+    "t-range": (_parse_range, "time grid lo:hi:count"),
+    "n-range": (_parse_range, "sweep n over lo:hi:count"),
+    "j-range": (_parse_range, "sweep j over lo:hi:count"),
+    "h-range": (_parse_range, "sweep h over lo:hi:count"),
+    "theta-range": (_parse_range, "sweep theta over lo:hi:count"),
+    "out": (str, "output CSV path (default stdout)"),
 }
-_STEADY_STATE_METHOD_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
+
+# The flags each runner reads, its --method choices and their help; every
+# subcommand also takes --method and --out, and rejects any other flag.
+_CHAIN = "n j gamma h theta"
+_SOLVER = "tol max-iters seed"
+SUBCOMMAND_FLAGS = {
+    "spectrum": (_CHAIN, ("auto", "dense"), "full spectra are always dense (N <= 12)"),
+    "gap": (f"{_CHAIN} j-range h-range", _METHODS, _GAP_HELP),
+    "qfi": (
+        f"{_CHAIN} target delta {_SOLVER} n-range j-range h-range theta-range",
+        _METHODS + ("analytic2",),
+        _STEADY_HELP + "; analytic2: two-site closed form",
+    ),
+    "ep": ("n gamma h theta tol-j bracket n-range h-range", _METHODS, _GAP_HELP),
+    "scaling": ("gamma h theta tol-j bracket n-range", _METHODS, _GAP_HELP),
+    "correlations": (f"{_CHAIN} axis {_SOLVER}", _METHODS, _STEADY_HELP),
+    "evolve": (f"{_CHAIN} {_SOLVER} t-range", _METHODS, _STEADY_HELP),
+}
+
+
+def _with_default(name: str, text: str) -> str:
+    defaults = {f.name: f.default for f in fields(SweepSpec)}
+    default = defaults.get(name.replace("-", "_"))
+    if default is None:
+        return text
+    shown = ":".join(map(str, default)) if isinstance(default, tuple) else default
+    return f"{text} (default {shown})"
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nhchain", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, runner in RUNNERS.items():
-        sp = sub.add_parser(name, help=runner.__doc__.split("\n")[0])
-        sp.add_argument("--n", type=int, default=2, help="number of sites")
-        sp.add_argument("--j", type=_finite, default=0.0, help="pair coupling J")
-        sp.add_argument("--gamma", type=_finite, default=1.0, help="loss rate")
-        sp.add_argument("--h", type=_finite, default=0.0, help="field amplitude")
-        sp.add_argument("--theta", type=_finite, default=0.0, help="field angle (rad)")
-        sp.add_argument(
-            "--target", choices=("h", "theta"), default="h", help="QFI target"
+    for name, (flags, methods, method_help) in SUBCOMMAND_FLAGS.items():
+        sp = sub.add_parser(
+            name,
+            help=RUNNERS[name].__doc__.split("\n")[0],
+            argument_default=argparse.SUPPRESS,
+            allow_abbrev=False,
         )
         sp.add_argument(
-            "--axis", choices=("x", "y", "z"), default="y", help="correlation axis"
+            "--method", choices=methods, help=_with_default("method", method_help)
         )
-        sp.add_argument(
-            "--method",
-            choices=("auto", "dense", "krylov", "analytic2"),
-            default="auto",
-            help=_METHOD_HELP.get(name, _STEADY_STATE_METHOD_HELP),
-        )
-        sp.add_argument("--delta", type=_finite, default=1e-3, help="QFI step size")
-        sp.add_argument("--tol", type=_finite, default=1e-9, help="solver tolerance")
-        sp.add_argument(
-            "--max-iters", type=int, default=500, help="ARPACK restart budget"
-        )
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--tol-j", type=_finite, default=1e-4, help="bisection width")
-        sp.add_argument(
-            "--bracket", type=_parse_pair, default=(0.0, 0.6), help="J bracket lo:hi"
-        )
-        sp.add_argument(
-            "--t-range",
-            type=_parse_range,
-            default=(0.0, 50.0, 101),
-            help="time grid lo:hi:count",
-        )
-        for ax in AXIS_NAMES:
-            sp.add_argument(
-                f"--{ax}-range",
-                type=_parse_range,
-                default=None,
-                help=f"sweep {ax} over lo:hi:count",
-            )
-        sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        for flag in flags.split() + ["out"]:
+            kind, text = FLAGS[flag]
+            kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sp.add_argument(f"--{flag}", help=_with_default(flag, text), **kw)
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    axes = []
-    for ax in AXIS_NAMES:
-        rng = getattr(args, f"{ax}_range")
-        if rng is not None:
-            axes.append(SweepAxis(ax, rng[0], rng[1], rng[2]))
-    defaults = {"scaling": SweepAxis("n", 2, 10, 9)}
-    if args.subcommand in defaults and not any(ax.name == "n" for ax in axes):
-        axes.append(defaults[args.subcommand])
-    return SweepSpec(
-        subcommand=args.subcommand,
-        n=args.n,
-        j=args.j,
-        gamma=args.gamma,
-        h=args.h,
-        theta=args.theta,
-        target=args.target,
-        axis=args.axis,
-        method=args.method,
-        delta=args.delta,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        tol_j=args.tol_j,
-        bracket=tuple(args.bracket),
-        t_range=tuple(args.t_range),
-        axes=tuple(axes),
-        out=args.out,
-    )
+    kw = dict(vars(args))
+    axes = [
+        SweepAxis(ax, *kw.pop(f"{ax}_range"))
+        for ax in AXIS_NAMES
+        if f"{ax}_range" in kw
+    ]
+    if kw["subcommand"] == "scaling" and not axes:
+        axes.append(SweepAxis("n", 2, 10, 9))
+    return SweepSpec(axes=tuple(axes), **kw)
 
 
 def main(argv=None) -> int:

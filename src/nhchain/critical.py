@@ -88,14 +88,18 @@ def gap_at(p: ChainParams, method: str = "auto", **solver_kw) -> float:
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")
 
 
-def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method):
+def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method, g_lo=None):
+    """Bisect the gap closure; ``g_lo`` is the gap at ``bracket[0]`` if known."""
+
     def gap(J):
         return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta), method)
 
     lo, hi = bracket
     if not 0 <= lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
-    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo is None:
+        g_lo = gap(lo)
+    g_hi = gap(hi)
     if g_lo <= tol_gap or g_hi > tol_gap:
         raise ValueError(
             f"bracket [{lo}, {hi}] does not enclose the gap closure: "
@@ -165,7 +169,9 @@ def ep_curve(
             points.append(EpPoint(h=h, j_c=bracket[0], bracket=(bracket[0], bracket[0])))
             continue
         try:
-            j_c, final = _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method)
+            j_c, final = _bisect_ep(
+                N, h, gamma, theta, bracket, tol_J, tol_gap, method, g_lo=lo_gap
+            )
         except (ValueError, RuntimeError) as exc:
             failures.append((h, str(exc)))
             continue

@@ -21,7 +21,7 @@ import numpy as np
 
 from .hamiltonian import ChainParams
 from .operators import SparseOperator, embed, embed_pair, op_matvec, pauli
-from .spectral import SteadyState, _two_site_roots, two_site_gapped
+from .spectral import SteadyState, _gapped_two_site_roots
 
 HERMITIAN_IMAG_TOL = 1e-10
 
@@ -54,18 +54,6 @@ def _real_expectation(ss: SteadyState, op: SparseOperator) -> float:
     return val.real
 
 
-def _require_gapped_two_site(p: ChainParams) -> tuple[float, float]:
-    if p.N != 2:
-        raise ValueError("closed forms require N = 2")
-    if not two_site_gapped(p):
-        raise ValueError(
-            "closed forms are defined only in the gapped region "
-            "(gamma^2 - 4 J^2 - 16 h^2 > 0)"
-        )
-    a, b = _two_site_roots(p)
-    return a.real, b.real
-
-
 def magnetizations_two_site(
     p: ChainParams,
 ) -> tuple[float, float, float, float, float, float]:
@@ -74,7 +62,7 @@ def magnetizations_two_site(
     Site 1 responds transversally, perpendicular to the applied field; site 2
     keeps the field-free polarization -a/gamma.
     """
-    a, b = _require_gapped_two_site(p)
+    a, b = _gapped_two_site_roots(p, "magnetizations")
     g = p.gamma
     slope = 4.0 * p.h / g
     return (
@@ -89,7 +77,7 @@ def magnetizations_two_site(
 
 def correlations_two_site(p: ChainParams) -> tuple[float, float, float]:
     """Closed-form (xx, yy, zz) correlations of the two-site steady state."""
-    a, b = _require_gapped_two_site(p)
+    a, b = _gapped_two_site_roots(p, "correlations")
     xx = (p.J * np.sin(2.0 * p.theta) / p.gamma) * (1.0 - b / a)
     return xx, xx, b / a
 

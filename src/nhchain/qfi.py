@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import ChainParams
-from .spectral import _two_site_roots, solve_steady_state
+from .spectral import _gapped_two_site_roots, solve_steady_state
 
 RICHARDSON_LIMIT = 0.05
 NEGATIVE_TOL = 1e-10
@@ -67,15 +67,7 @@ def qfi_two_site_analytic(p: ChainParams, target: str) -> float:
     1 + 4J^2/gamma^2.
     """
     _check_target(target)
-    if p.N != 2:
-        raise ValueError("closed-form QFI requires N = 2")
-    a, b = _two_site_roots(p)
-    if b.real <= 0 or b.imag != 0:
-        raise ValueError(
-            "closed-form QFI is defined only in the gapped region "
-            "(gamma^2 - 4J^2 - 16h^2 > 0)"
-        )
-    a, b = a.real, b.real
+    a, b = _gapped_two_site_roots(p, "QFI")
     g = p.gamma
     if target == "h":
         return 16.0 / (b * b)

@@ -93,6 +93,22 @@ def two_site_gapped(p: ChainParams) -> bool:
     return p.gamma**2 - 4.0 * p.J**2 - 16.0 * p.h**2 > 0
 
 
+def _gapped_two_site_roots(p: ChainParams, what: str) -> tuple[float, float]:
+    """Real roots (a, b) for the closed-form ``what`` of a gapped two-site chain.
+
+    Raises ValueError unless N = 2 and :func:`two_site_gapped` holds.
+    """
+    if p.N != 2:
+        raise ValueError(f"closed-form {what} requires N = 2")
+    if not two_site_gapped(p):
+        raise ValueError(
+            f"closed-form {what} is defined only in the gapped region "
+            "(gamma^2 - 4J^2 - 16h^2 > 0)"
+        )
+    a, b = _two_site_roots(p)
+    return a.real, b.real
+
+
 def eigenvalues_two_site(p: ChainParams) -> np.ndarray:
     """Closed-form spectrum of the two-site chain, in spectral order.
 
@@ -125,12 +141,8 @@ def steady_state_two_site(p: ChainParams) -> np.ndarray:
     g - a = 4 J^2 / (g + a) cancels J so the expression stays regular on
     the whole gapped region.
     """
-    if p.N != 2:
-        raise ValueError("closed-form steady state requires N = 2")
-    if not two_site_gapped(p):
-        raise ValueError("two-site steady state is defined only in the gapped region")
+    a, b = _gapped_two_site_roots(p, "steady state")
     g = p.gamma
-    a, b = (r.real for r in _two_site_roots(p))
     root_ga = np.sqrt(g * a)
     quarter = np.exp(0.25j * np.pi)
     return np.array(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nhchain import __version__
 from nhchain.cli import (
     CliUsageError,
     CsvTable,
@@ -353,3 +354,114 @@ def test_axis_validation():
         SweepAxis("j", 1.0, 0.0, 5)
     with pytest.raises(CliUsageError, match="integer"):
         SweepAxis("n", 2, 5, 3).int_values()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        ("correlations --n-range 2:6:3", "--n-range"),
+        ("evolve --j-range 0:0.3:4", "--j-range"),
+        ("spectrum --delta 5", "--delta"),
+        ("gap --max-iters 1", "--max-iters"),
+        ("ep --j 0.2", "--j"),
+        ("scaling --n 4", "--n"),
+        ("gap --method analytic2", "--method"),
+        ("gap --j-r 0:0.1:2", "--j-r"),  # abbreviation of --j-range
+    ],
+)
+def test_main_rejects_flags_the_subcommand_does_not_read(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err.replace(":", " ").split()
+    assert not out.exists()
+
+
+def test_main_help_shows_spec_defaults(capsys):
+    assert main(["evolve", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in ("(default 2)", "(default 1e-09)", "(default 0.0:50.0:101)"):
+        assert shown in text
+
+
+# The comment block of one invocation per subcommand, as written before the
+# parser and the provenance line were generated from the SweepSpec fields.
+GOLDEN_COMMENTS = [
+    (
+        "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2 --theta 0.7 --method dense",
+        [
+            "# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003 "
+            "theta=0.69999999999999996 target=h axis=y method=dense delta=0.001 "
+            "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.0001 "
+            "bracket=0:0.59999999999999998 t_range=0:50:101",
+        ],
+    ),
+    (
+        "gap --n 2 --j-range 0:0.4:5 --h-range 0:0.2:3",
+        [
+            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y method=auto delta=0.001 "
+            "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.0001 "
+            "bracket=0:0.59999999999999998 t_range=0:50:101",
+            "# sweep j=0:0.40000000000000002:5 h=0:0.20000000000000001:3",
+        ],
+    ),
+    (
+        "qfi --n 2 --j 0.3 --h 0.1 --target theta --delta 2e-4 --tol 1e-10 "
+        "--max-iters 300 --seed 11 --method analytic2 --theta-range 0:1:2",
+        [
+            "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 theta=0 "
+            "target=theta axis=y method=analytic2 delta=0.00020000000000000001 "
+            "tol=1e-10 max_iters=300 seed=11 tol_j=0.0001 "
+            "bracket=0:0.59999999999999998 t_range=0:50:101",
+            "# sweep theta=0:1:2",
+        ],
+    ),
+    (
+        "ep --n 2 --h-range 0:0.2:3 --tol-j 1e-3 --bracket 0:0.55",
+        [
+            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y method=auto delta=0.001 "
+            "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.001 "
+            "bracket=0:0.55000000000000004 t_range=0:50:101",
+            "# sweep h=0:0.20000000000000001:3",
+        ],
+    ),
+    (
+        "scaling --h 0.05 --tol-j 1e-3 --n-range 2:5:4",
+        [
+            "# n=2 j=0 gamma=1 h=0.050000000000000003 theta=0 target=h axis=y "
+            "method=auto delta=0.001 tol=1.0000000000000001e-09 max_iters=500 "
+            "seed=7 tol_j=0.001 bracket=0:0.59999999999999998 t_range=0:50:101",
+            "# sweep n=2:5:4",
+            "# points N=2:0.49013671874999992 N=3:0.35009765625 "
+            "N=4:0.30732421874999999 N=5:0.28740234375000001",
+            "# paper_fit a=0.842 b=0.031 c=0.249",
+        ],
+    ),
+    (
+        "correlations --n 3 --j 0.2 --h 0.1 --axis x --method dense --seed 3 "
+        "--tol 1e-10 --max-iters 100",
+        [
+            "# n=3 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
+            "target=h axis=x method=dense delta=0.001 tol=1e-10 max_iters=100 "
+            "seed=3 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:50:101",
+        ],
+    ),
+    (
+        "evolve --n 2 --j 0.2 --h 0.1 --t-range 0:5:3 --seed 5 --tol 1e-8",
+        [
+            "# n=2 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
+            "target=h axis=y method=auto delta=0.001 tol=1e-08 max_iters=500 "
+            "seed=5 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:5:3",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,block", GOLDEN_COMMENTS, ids=[a.split()[0] for a, _ in GOLDEN_COMMENTS]
+)
+def test_main_comment_block_is_pinned(argv, block, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    comments = [ln for ln in out.read_text().split("\n") if ln.startswith("#")]
+    head = [f"# nhchain {__version__}", f"# subcommand={argv.split()[0]}"]
+    assert comments == head + block

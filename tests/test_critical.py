@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nhchain import critical
 from nhchain.critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
 from nhchain.hamiltonian import ChainParams
 
@@ -70,6 +71,22 @@ def test_ep_curve_gapless_edge_point():
     curve = ep_curve(N=2, h_grid=[0.25], tol_J=1e-4)
     assert not curve.failures
     assert curve.points[0].j_c == pytest.approx(0.0, abs=1e-4)
+
+
+def test_ep_curve_evaluates_each_coupling_once(monkeypatch):
+    seen = []
+    real_gap_at = critical.gap_at
+
+    def spy(p, method="auto", **kw):
+        seen.append(p.J)
+        return real_gap_at(p, method, **kw)
+
+    monkeypatch.setattr(critical, "gap_at", spy)
+    curve = ep_curve(2, [0.1], tol_J=1e-4)
+    assert len(seen) == len(set(seen)) == 15
+    # the same bisection as before the lower-edge gap was reused
+    assert curve.points[0].j_c == 0.45823974609374996
+    assert curve.points[0].j_c == find_ep_J(2, 0.1, tol_J=1e-4)
 
 
 def test_ep_curve_bracket_indicator_consistency():
