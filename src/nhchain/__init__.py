@@ -25,12 +25,11 @@ from .errors import (
     EPProximityError,
     MemoryLimitError,
 )
-from .hamiltonian import ChainParams, build_h0, build_h1, build_total
+from .hamiltonian import ChainParams, build_total
 from .majorana import majorana_gap, majorana_modes
 from .observables import (
     ObservableRecord,
     correlation_profile,
-    correlation_records,
     correlations_two_site,
     expectation,
     magnetizations_two_site,
@@ -41,11 +40,7 @@ from .operators import (
     SparseOperator,
     embed,
     embed_pair,
-    identity_op,
-    op_add,
     op_matvec,
-    op_scale,
-    op_sum,
     pauli,
 )
 from .qfi import (
@@ -85,11 +80,8 @@ __all__ = [
     "SparseOperator",
     "SteadyState",
     "__version__",
-    "build_h0",
-    "build_h1",
     "build_total",
     "correlation_profile",
-    "correlation_records",
     "correlations_two_site",
     "cramer_rao",
     "dense_eigenvalues",
@@ -103,14 +95,10 @@ __all__ = [
     "find_ep_J",
     "fit_inverse_poly",
     "gap_at",
-    "identity_op",
     "magnetizations_two_site",
     "majorana_gap",
     "majorana_modes",
-    "op_add",
     "op_matvec",
-    "op_scale",
-    "op_sum",
     "pair_correlation_op",
     "pauli",
     "phase_gauge",

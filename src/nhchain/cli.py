@@ -356,13 +356,17 @@ def run_evolve(spec: SweepSpec) -> CsvTable:
     Reports the decaying norm of the evolved (never renormalized) state and
     its overlap with the steady state on the requested time grid.
     """
+    t0, t1, count = spec.t_range
+    if count < 1:
+        raise CliUsageError("t-range count must be >= 1")
+    if not 0 <= t0 <= t1:
+        raise CliUsageError("t-range needs 0 <= start <= stop")
     p = _chain_params(spec)
     H = build_total(p)
     ss = solve_steady_state(p, method=spec.method, H=H, **spec.solver_kw())
     rng = np.random.default_rng(spec.seed)
     psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
     psi /= np.linalg.norm(psi)
-    t0, t1, count = spec.t_range
     times = np.linspace(t0, t1, count)
     rows = []
     t_prev = 0.0

@@ -88,6 +88,13 @@ def gap_at(p: ChainParams, method: str = "auto", **solver_kw) -> float:
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")
 
 
+def _check_bracket(bracket) -> None:
+    """Refuse a J bracket unless ``0 <= lo < hi``, before any gap is evaluated."""
+    lo, hi = bracket
+    if not 0 <= lo < hi:
+        raise ValueError(f"invalid bracket {bracket}: need 0 <= lo < hi")
+
+
 def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method, g_lo=None):
     """Bisect the gap closure; ``g_lo`` is the gap at ``bracket[0]`` if known."""
 
@@ -95,8 +102,6 @@ def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method, g_lo=None):
         return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta), method)
 
     lo, hi = bracket
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
     if g_lo is None:
         g_lo = gap(lo)
     g_hi = gap(hi)
@@ -121,19 +126,20 @@ def find_ep_J(
     theta: float = 0.0,
     bracket: tuple[float, float] = (0.0, 0.6),
     tol_J: float = 1e-4,
-    tol_gap: float | None = None,
     method: str = "auto",
 ) -> float:
     """Bisection for the coupling J_c where the imaginary-part gap closes.
 
-    Requires ``gap(bracket[0]) > tol_gap >= gap(bracket[1])``; returns the
+    Requires ``0 <= bracket[0] < bracket[1]`` and
+    ``gap(bracket[0]) > tol_gap >= gap(bracket[1])`` with the threshold
+    ``tol_gap = 1e-6 * gamma`` (:func:`default_tol_gap`); returns the
     midpoint of the final bracket of width <= tol_J.  Each step evaluates
     :func:`gap_at` with ``method``; the default free-fermion gap makes any N
     cheap (about 15 (2N+1)-dimensional eigensolves at the default bracket and
     tol_J).
     """
-    if tol_gap is None:
-        tol_gap = default_tol_gap(gamma)
+    _check_bracket(bracket)
+    tol_gap = default_tol_gap(gamma)
     j_c, _ = _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method)
     return j_c
 
@@ -144,7 +150,6 @@ def ep_curve(
     gamma: float = 1.0,
     theta: float = 0.0,
     tol_J: float = 1e-4,
-    tol_gap: float | None = None,
     bracket: tuple[float, float] = (0.0, 0.6),
     method: str = "auto",
 ) -> EpCurve:
@@ -154,10 +159,13 @@ def ep_curve(
     ``j_c = bracket[0]`` (the gapped region has closed entirely); other
     per-point failures are recorded and leave a hole in the curve.  J_c is
     expected to decrease with h; violations raise a warning, not an error.
-    Gaps come from :func:`gap_at` with ``method`` (free-fermion by default).
+    Gaps come from :func:`gap_at` with ``method`` (free-fermion by default)
+    and are compared with ``default_tol_gap(gamma)``, recorded as the
+    result's ``tol_gap``.  An invalid bracket raises ValueError before any
+    gap is evaluated, as in :func:`find_ep_J`.
     """
-    if tol_gap is None:
-        tol_gap = default_tol_gap(gamma)
+    _check_bracket(bracket)
+    tol_gap = default_tol_gap(gamma)
     points: list[EpPoint] = []
     failures: list[tuple[float, str]] = []
     for h in np.atleast_1d(np.asarray(h_grid, dtype=float)):

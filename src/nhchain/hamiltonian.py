@@ -88,9 +88,10 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _generator(p: ChainParams, h0: bool, h1: bool) -> SparseOperator:
-    """H0 and/or H1 assembled in one pass from their matrix elements.
+def build_total(p: ChainParams) -> SparseOperator:
+    """Chain generator H0 + H1, assembled in one pass from its matrix elements.
 
+    H0 alone is ``build_total`` at h = 0, and H1 alone at J = gamma = 0.
     Raises ``MemoryLimitError`` before allocating anything when
     :func:`memory_estimate` exceeds the machine's physical memory.
     """
@@ -99,31 +100,11 @@ def _generator(p: ChainParams, h0: bool, h1: bool) -> SparseOperator:
     if available is not None and required > available:
         raise MemoryLimitError(p.N, required, available)
     up = spins_up(p.N)
-    terms = []
-    if h0:
-        # -i (gamma/4) (sz_n + 1) is -i gamma/2 on every up spin
-        terms.append(((), -0.5j * p.gamma * np.count_nonzero(up, axis=1)))
-        # sp sp + sm sm flips both spins of a bond when they agree
-        terms += [
-            ((n, n + 1), p.J * (up[:, n - 1] == up[:, n])) for n in range(1, p.N)
-        ]
-    if h1:
-        # h (cos(theta) sx_1 + sin(theta) sy_1) flips site 1; <u|.|d> = h e^{-i theta}
-        phase = np.exp(-1j * p.theta)
-        terms.append(((1,), p.h * np.where(up[:, 0], phase, phase.conjugate())))
+    # -i (gamma/4) (sz_n + 1) is -i gamma/2 on every up spin
+    terms = [((), -0.5j * p.gamma * np.count_nonzero(up, axis=1))]
+    # sp sp + sm sm flips both spins of a bond when they agree
+    terms += [((n, n + 1), p.J * (up[:, n - 1] == up[:, n])) for n in range(1, p.N)]
+    # h (cos(theta) sx_1 + sin(theta) sy_1) flips site 1; <u|.|d> = h e^{-i theta}
+    phase = np.exp(-1j * p.theta)
+    terms.append(((1,), p.h * np.where(up[:, 0], phase, phase.conjugate())))
     return flip_sum(p.N, terms)
-
-
-def build_h0(p: ChainParams) -> SparseOperator:
-    """Pair-coupling plus on-site loss part of the Hamiltonian."""
-    return _generator(p, h0=True, h1=False)
-
-
-def build_h1(p: ChainParams) -> SparseOperator:
-    """Transverse field on site 1, Hermitian."""
-    return _generator(p, h0=False, h1=True)
-
-
-def build_total(p: ChainParams) -> SparseOperator:
-    """Full chain generator H0 + H1."""
-    return _generator(p, h0=True, h1=True)

@@ -118,16 +118,3 @@ def site_magnetizations(ss: SteadyState) -> list[ObservableRecord]:
             )
     return out
 
-
-def correlation_records(ss: SteadyState, axis: str) -> list[ObservableRecord]:
-    """Records s{axis}1_s{axis}n for n = 2..N."""
-    profile = correlation_profile(ss, axis)
-    return [
-        ObservableRecord(
-            params=ss.params,
-            name=f"s{axis}1_s{axis}{n}",
-            sites=(1, n),
-            value=float(val),
-        )
-        for n, val in zip(range(2, ss.params.N + 1), profile)
-    ]

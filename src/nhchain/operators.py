@@ -1,4 +1,4 @@
-"""Pauli algebra and sparse operators on the 2**N spin-1/2 chain space.
+"""Pauli matrices and site-embedded sparse operators on the 2**N chain space.
 
 Basis convention
 ----------------
@@ -14,12 +14,14 @@ The raising/lowering operators carry the conventional 1/2 normalization,
 matrix elements equal to J.
 
 State vectors are plain 1-D complex numpy arrays of length ``2**N``.
-Operators wrap a canonical ``scipy.sparse.csr_array`` and are immutable
-after construction and safe to share.  ``scipy.sparse`` is imported on the
-first operator built, so importing the package does not load it.
+Operators are built only by :func:`embed`, :func:`embed_pair` and
+:func:`flip_sum`.  Each wraps a canonical ``scipy.sparse.csr_array`` and
+exposes ``csr``, ``dim``, ``nnz``, ``dense()`` and ``matvec()``; it is
+immutable after construction and safe to share.  ``scipy.sparse`` is
+imported on the first operator built, so importing the package does not
+load it.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -58,26 +60,6 @@ class SparseOperator:
 
     csr: "scipy.sparse.csr_array"
 
-    @classmethod
-    def from_entries(cls, dim: int, rows, cols, vals) -> "SparseOperator":
-        """Operator from (row, col, value) triples; duplicates are summed."""
-        from scipy.sparse import csr_array
-
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.complex128)
-        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
-        if rows.size and (
-            rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim
-        ):
-            raise ValueError(f"index out of range for dimension {dim}")
-        csr = csr_array((vals, (rows, cols)), shape=(dim, dim))
-        csr.eliminate_zeros()
-        return _frozen(csr)
-
     @property
     def dim(self) -> int:
         return self.csr.shape[0]
@@ -86,35 +68,10 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    @property
-    def vals(self) -> np.ndarray:
-        """Stored values in row-major order (read-only)."""
-        return self.csr.data
-
-    @property
-    def entries(self) -> list[tuple[int, int, complex]]:
-        """Canonical (row, col, value) triples, sorted by row then column."""
-        coo = self.csr.tocoo()
-        return [
-            (int(r), int(c), complex(v)) for r, c, v in zip(coo.row, coo.col, coo.data)
-        ]
-
     def dense(self) -> np.ndarray:
         return self.csr.toarray()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return op_matvec(self, v)
-
-    def conj_transpose(self) -> "SparseOperator":
-        return _frozen(self.csr.conj().T.tocsr())
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return op_add(self, other)
-
-    def __rmul__(self, c: complex) -> "SparseOperator":
-        return op_scale(c, self)
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return op_matvec(self, v)
 
 
@@ -141,11 +98,6 @@ def _from_rows(vals: np.ndarray, cols: np.ndarray) -> SparseOperator:
     return _frozen(
         csr_array((vals.take(kept), cols.take(kept), indptr), shape=(dim, dim))
     )
-
-
-def identity_op(dim: int) -> SparseOperator:
-    idx = np.arange(dim, dtype=_index_dtype(dim))[:, None]
-    return _from_rows(np.ones(idx.shape, dtype=np.complex128), idx)
 
 
 def _check_site(site: int, N: int) -> None:
@@ -234,33 +186,6 @@ def flip_sum(N: int, terms: list[tuple[tuple[int, ...], np.ndarray]]) -> SparseO
     cols = cols.take(order)
     del order  # not held while _from_rows compacts; lowers the peak memory
     return _from_rows(vals, cols)
-
-
-def _check_same_dim(a: SparseOperator, b: SparseOperator) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def op_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """``a + b`` by scipy's canonical CSR addition."""
-    _check_same_dim(a, b)
-    return _frozen(a.csr + b.csr)
-
-
-def op_sum(ops: list[SparseOperator]) -> SparseOperator:
-    """Sum of a non-empty list of operators by repeated CSR addition."""
-    if not ops:
-        raise ValueError("op_sum of an empty list")
-    for o in ops[1:]:
-        _check_same_dim(ops[0], o)
-    return _frozen(reduce(operator.add, (o.csr for o in ops)))
-
-
-def op_scale(c: complex, a: SparseOperator) -> SparseOperator:
-    """``c * a``; entries that become zero are dropped."""
-    csr = a.csr * complex(c)
-    csr.eliminate_zeros()
-    return _frozen(csr)
 
 
 def op_matvec(a: SparseOperator, v: np.ndarray) -> np.ndarray:

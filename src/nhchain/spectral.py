@@ -240,13 +240,12 @@ def evolve(
     psi0: np.ndarray,
     t: float,
     tol: float = 1e-9,
-    m_max: int = KRYLOV_DIM,
 ) -> np.ndarray:
     """Krylov approximation of exp(-i H t) @ psi0 with adaptive substepping.
 
-    The substep is halved whenever the Krylov space of size ``m_max`` cannot
-    meet the local tolerance; successful substeps let it grow back.  The
-    result is not renormalized: the norm decays physically.
+    The substep is halved whenever the Krylov space of size ``KRYLOV_DIM``
+    cannot meet the local tolerance; successful substeps let it grow back.
+    The result is not renormalized: the norm decays physically.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
@@ -258,7 +257,7 @@ def evolve(
     min_dt = t * 1e-12
     while remaining > t * 1e-14:
         dt = min(dt, remaining)
-        ok, result = _arnoldi_step(H, psi, dt, tol, m_max)
+        ok, result = _arnoldi_step(H, psi, dt, tol, KRYLOV_DIM)
         if not ok:
             dt *= 0.5
             if dt < min_dt:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhchain import __version__
+from nhchain import __version__, cli
 from nhchain.cli import (
     CliUsageError,
     CsvTable,
@@ -343,6 +343,29 @@ def test_main_numerical_failure_exit_code(capsys):
     code = main(["evolve", "--n", "2", "--j", "0.3", "--h", "0.2"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["ep", "scaling"])
+@pytest.mark.parametrize("bracket", ["0.6:0", "0.6:0.6"])
+def test_main_refuses_an_invalid_bracket(subcommand, bracket, capsys):
+    # a numerical failure, not a table with J_c = 0.6 on every row
+    assert main([subcommand, "--bracket", bracket]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid bracket" in captured.err
+
+
+@pytest.mark.parametrize("t_range", ["50:0:3", "-5:0:2", "0:5:0", "0:5:-1"])
+def test_main_refuses_an_invalid_time_grid(t_range, monkeypatch, capsys):
+    # a usage error raised before the generator is built
+    def no_build(p):
+        raise AssertionError("generator built for an invalid time grid")
+
+    monkeypatch.setattr(cli, "build_total", no_build)
+    assert main(["evolve", "--n", "2", "--j", "0.3", f"--t-range={t_range}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t-range" in captured.err
 
 
 def test_axis_validation():

@@ -51,6 +51,19 @@ def test_find_ep_invalid_bracket():
         find_ep_J(N=2, h=0.2, bracket=(0.0, 0.1))  # gapped at both ends
 
 
+@pytest.mark.parametrize("bracket", [(0.6, 0.0), (0.6, 0.6), (-0.1, 0.6)])
+def test_invalid_bracket_is_refused_before_any_gap(bracket, monkeypatch):
+    # refused ahead of ep_curve's gapless-edge shortcut, which would report
+    # j_c = bracket[0] at every h
+    calls = []
+    monkeypatch.setattr(critical, "gap_at", lambda p, *a, **kw: calls.append(p))
+    with pytest.raises(ValueError, match="invalid bracket"):
+        find_ep_J(N=2, h=0.0, bracket=bracket)
+    with pytest.raises(ValueError, match="invalid bracket"):
+        ep_curve(2, [0.0, 0.1], bracket=bracket)
+    assert calls == []
+
+
 def test_ep_curve_two_site_matches_analytic_boundary():
     h_grid = np.linspace(0.0, 0.24, 7)
     curve = ep_curve(N=2, h_grid=h_grid, tol_J=1e-4)

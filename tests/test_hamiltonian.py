@@ -1,10 +1,12 @@
 """Hamiltonian assembly against the explicit two-site matrix and dense oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nhchain.hamiltonian import ChainParams, build_h0, build_h1, build_total
-from nhchain.operators import embed, kron_chain, op_sum, pauli
+from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.operators import embed, kron_chain, pauli
 
 
 def two_site_matrix(J, gamma, h, theta):
@@ -44,13 +46,14 @@ def test_build_total_refuses_a_size_beyond_physical_memory():
 
     from nhchain.errors import MemoryLimitError
 
-    p = ChainParams(N=40, J=0.23, h=0.2)
-    for build in (build_total, build_h0, build_h1):
+    full = ChainParams(N=40, J=0.23, h=0.2)
+    # the full generator, H0 alone (h = 0) and H1 alone (J = gamma = 0)
+    for p in (full, replace(full, h=0.0), replace(full, J=0.0, gamma=0.0)):
         tracemalloc.start()
         start = time.perf_counter()
         try:
             with pytest.raises(MemoryLimitError) as err:
-                build(p)
+                build_total(p)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -61,22 +64,22 @@ def test_build_total_refuses_a_size_beyond_physical_memory():
 
 
 def test_h0_two_site_fixture():
-    got = build_h0(ChainParams(N=2, J=0.3, gamma=1.0)).dense()
+    got = build_total(ChainParams(N=2, J=0.3, gamma=1.0)).dense()
     assert np.allclose(got, two_site_matrix(0.3, 1.0, 0.0, 0.0), atol=1e-15)
 
 
 def test_h0_without_coupling_is_diagonal():
-    got = build_h0(ChainParams(N=2, J=0.0, gamma=1.0)).dense()
+    got = build_total(ChainParams(N=2, J=0.0, gamma=1.0)).dense()
     assert np.allclose(got, np.diag([-1j, -0.5j, -0.5j, 0.0]), atol=0)
 
 
 def test_h0_hermitian_when_lossless():
-    got = build_h0(ChainParams(N=3, J=1.0, gamma=0.0)).dense()
+    got = build_total(ChainParams(N=3, J=1.0, gamma=0.0)).dense()
     assert np.allclose(got, got.conj().T, atol=0)
 
 
 def test_h1_entries_two_site():
-    got = build_h1(ChainParams(N=2, J=0.0, h=0.1, theta=0.0)).dense()
+    got = build_total(ChainParams(N=2, J=0.0, gamma=0.0, h=0.1, theta=0.0)).dense()
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 0.1
     assert np.allclose(got, expected, atol=1e-15)
@@ -86,18 +89,18 @@ def test_h1_entries_two_site():
 
 
 def test_h1_zero_field_is_zero_operator():
-    assert build_h1(ChainParams(N=3, J=0.2, h=0.0, theta=1.3)).nnz == 0
+    assert build_total(ChainParams(N=3, J=0.0, gamma=0.0, h=0.0, theta=1.3)).nnz == 0
 
 
 def test_h1_corner_entry_phase():
     theta = 0.8342
-    got = build_h1(ChainParams(N=2, J=0.0, h=0.25, theta=theta)).dense()
+    got = build_total(ChainParams(N=2, J=0.0, gamma=0.0, h=0.25, theta=theta)).dense()
     assert got[0, 2] == pytest.approx(0.25 * np.exp(-1j * theta), abs=1e-15)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4, 2.2, -1.0])
 def test_h1_is_hermitian(theta):
-    got = build_h1(ChainParams(N=3, J=0.1, h=0.4, theta=theta)).dense()
+    got = build_total(ChainParams(N=3, J=0.0, gamma=0.0, h=0.4, theta=theta)).dense()
     assert np.allclose(got, got.conj().T, atol=0)
 
 
@@ -131,10 +134,10 @@ def test_eigenvalue_imaginary_parts_bounded(N):
 def test_h0_anti_hermitian_part_is_pure_loss(N):
     # H0 - H0^dag equals -i (gamma/2) sum_n (sz_n + 1), independent of J
     p = ChainParams(N=N, J=0.42, gamma=1.3)
-    H0 = build_h0(p).dense()
-    loss = op_sum(
-        [embed(pauli("z") + np.eye(2), n, N) for n in range(1, N + 1)]
-    ).dense()
+    H0 = build_total(p).dense()
+    loss = sum(
+        embed(pauli("z") + np.eye(2), n, N).csr for n in range(1, N + 1)
+    ).toarray()
     assert np.allclose(H0 - H0.conj().T, -0.5j * p.gamma * loss, atol=1e-14)
 
 

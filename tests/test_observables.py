@@ -6,14 +6,13 @@ import pytest
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.observables import (
     correlation_profile,
-    correlation_records,
     correlations_two_site,
     expectation,
     magnetizations_two_site,
     pair_correlation_op,
     site_magnetizations,
 )
-from nhchain.operators import embed, identity_op, pauli
+from nhchain.operators import embed, pauli
 from nhchain.spectral import solve_steady_state, steady_state_dense
 
 P_REF = ChainParams(N=2, J=0.3, h=0.1)
@@ -25,7 +24,8 @@ def ss_ref():
 
 
 def test_identity_expectation_is_one(ss_ref):
-    assert expectation(ss_ref, identity_op(4)) == pytest.approx(1.0, abs=1e-12)
+    identity = embed(pauli("identity"), 1, 2)
+    assert expectation(ss_ref, identity) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sy1_expectation(ss_ref):
@@ -40,7 +40,7 @@ def test_sz2_expectation(ss_ref):
 
 def test_expectation_dimension_mismatch(ss_ref):
     with pytest.raises(ValueError, match="does not match"):
-        expectation(ss_ref, identity_op(8))
+        expectation(ss_ref, embed(pauli("identity"), 1, 3))
 
 
 def test_magnetizations_reference_point():
@@ -143,8 +143,8 @@ def test_hermitian_expectations_have_real_values():
     ss = solve_steady_state(p)
     for rec in site_magnetizations(ss):
         assert isinstance(rec.value, float)
-    for rec in correlation_records(ss, "x"):
-        assert isinstance(rec.value, float)
+    for value in correlation_profile(ss, "x"):
+        assert isinstance(value, float)
 
 
 def test_site2_transverse_magnetizations_vanish():
@@ -165,6 +165,4 @@ def test_record_names_and_sites():
     ss = solve_steady_state(p)
     mags = site_magnetizations(ss)
     assert [r.name for r in mags[:3]] == ["sx_1", "sy_1", "sz_1"]
-    corr = correlation_records(ss, "y")
-    assert [r.name for r in corr] == ["sy1_sy2", "sy1_sy3"]
-    assert corr[0].sites == (1, 2)
+    assert [r.sites for r in mags] == [(n,) for n in (1, 2, 3) for _ in "xyz"]

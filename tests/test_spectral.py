@@ -8,7 +8,7 @@ from nhchain.critical import gap_at
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import majorana_gap
-from nhchain.operators import embed, op_add, op_scale, op_sum, pauli
+from nhchain.operators import SparseOperator, embed, embed_pair, pauli
 from nhchain.qfi import qfi_fidelity
 from nhchain.spectral import (
     dense_eigenvalues,
@@ -403,12 +403,8 @@ def test_lossless_limit_via_operator_assembly():
     # gamma = 0 chain assembled term by term stays Hermitian and real-spectral
     N = 3
     pair = np.kron(pauli("plus"), pauli("plus")) + np.kron(pauli("minus"), pauli("minus"))
-    terms = []
-    for n in range(1, N):
-        from nhchain.operators import embed_pair
-
-        terms.append(embed_pair(pair, n, n + 1, N))
-    H = op_add(op_scale(0.7, op_sum(terms)), op_scale(0.3, embed(pauli("x"), 1, N)))
+    bonds = sum(embed_pair(pair, n, n + 1, N).csr for n in range(1, N))
+    H = SparseOperator(0.7 * bonds + 0.3 * embed(pauli("x"), 1, N).csr)
     w = dense_eigenvalues(H)
     assert np.abs(w.imag).max() < 1e-10
 
@@ -435,12 +431,29 @@ def test_import_does_not_load_arpack():
 
 
 def test_public_names_resolve():
+    import inspect
+
     import nhchain
 
     for name in nhchain.__all__:
         assert hasattr(nhchain, name), name
-    # the removed biorthogonal layer, spelled in pieces so that a search of
-    # the sources for its names finds none left behind
-    for gone in ("dense_" "spectrum", "Spec" "trum", "Degeneracy" "Error"):
+    # removed names, spelled in pieces so that a search of the sources for
+    # them finds none left behind: the biorthogonal layer, the operator
+    # algebra, the H0/H1 split builders and the correlation records
+    removed = (
+        ("dense_" "spectrum", "Spec" "trum", "Degeneracy" "Error")
+        + ("op_" "add", "op_" "sum", "op_" "scale", "identity" "_op")
+        + ("build_" "h0", "build_" "h1", "correlation" "_records")
+    )
+    for gone in removed:
         assert gone not in nhchain.__all__
         assert not hasattr(nhchain, gone)
+        for module in ("operators", "hamiltonian", "observables"):
+            assert not hasattr(getattr(nhchain, module), gone)
+    methods = ("from_" "entries", "entries", "vals", "conj_" "transpose")
+    for gone in methods + ("__" "add__", "__" "rmul__", "__" "matmul__"):
+        assert not hasattr(nhchain.SparseOperator, gone)
+    # and the solver knobs no caller set
+    assert "m_max" not in inspect.signature(nhchain.evolve).parameters
+    for fn in (nhchain.find_ep_J, nhchain.ep_curve):
+        assert "tol_gap" not in inspect.signature(fn).parameters
