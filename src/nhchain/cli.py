@@ -3,8 +3,11 @@
 Subcommands: spectrum | gap | qfi | ep | scaling | correlations | evolve.
 Each flag is declared once in ``FLAGS``; each subcommand accepts only the
 flags its runner reads (``SUBCOMMAND_FLAGS``), and any other flag, or an
-abbreviated one, is a usage error.  Defaults live only in ``SweepSpec``;
-``nhchain SUB --help`` shows them.
+abbreviated one, is a usage error.  Only the steady-state subcommands (qfi,
+correlations, evolve) take ``--method`` (``STEADY_METHODS``): spectra are
+always dense, and gaps and exceptional points always come from the
+free-fermion modes.  Defaults live only in ``SweepSpec``; ``nhchain SUB
+--help`` shows them.
 
 Output format: UTF-8, comma-separated, ``\\n`` line endings, ``#`` comment
 lines carrying every ``SweepSpec`` field (a field the subcommand does not
@@ -188,17 +191,13 @@ def _check_dense_size(n: int) -> None:
     if (1 << n) > DENSE_MAX_DIM:
         raise CliUsageError(
             f"full spectra are dense-only and limited to N <= 12 (got N = {n}); "
-            "use the gap or correlations subcommands with --method krylov instead"
+            "use the gap subcommand (free-fermion gap, any N) or "
+            "correlations --method krylov instead"
         )
 
 
 def run_spectrum(spec: SweepSpec) -> CsvTable:
     """Full sorted spectrum of one chain instance."""
-    if spec.method not in ("auto", "dense"):
-        raise CliUsageError(
-            f"full spectra are always dense; --method {spec.method} is not "
-            "supported by the spectrum subcommand (use auto or dense)"
-        )
     _check_dense_size(spec.n)
     w = dense_eigenvalues(build_total(_chain_params(spec)))
     rows = [(i, lam.real, lam.imag) for i, lam in enumerate(w)]
@@ -210,7 +209,7 @@ def run_gap_sweep(spec: SweepSpec) -> CsvTable:
     rows = []
     for j in spec.axis_for("j").values():
         for h in spec.axis_for("h").values():
-            g = gap_at(_chain_params(spec, J=float(j), h=float(h)), spec.method)
+            g = gap_at(_chain_params(spec, J=float(j), h=float(h)))
             rows.append((float(j), float(h), g))
     return CsvTable(_provenance(spec), ["J", "h", "gap"], rows)
 
@@ -299,7 +298,6 @@ def run_ep(spec: SweepSpec) -> CsvTable:
             theta=spec.theta,
             tol_J=spec.tol_j,
             bracket=spec.bracket,
-            method=spec.method,
         )
         merged = [(pt.h, pt.j_c) for pt in curve.points]
         merged += [(h, np.nan) for h, _ in curve.failures]
@@ -320,7 +318,6 @@ def run_scaling(spec: SweepSpec) -> CsvTable:
             theta=spec.theta,
             bracket=spec.bracket,
             tol_J=spec.tol_j,
-            method=spec.method,
         )
         points.append((n, j_c))
     fit = fit_inverse_poly(points, degree=2)
@@ -423,13 +420,6 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return _finite(parts[0]), _finite(parts[1])
 
 
-_GAP_HELP = (
-    "gap solver (auto: free-fermion, any N; dense and krylov build the 2^N "
-    "generator as cross-checks, krylov with the default solver settings)"
-)
-_STEADY_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
-_METHODS = ("auto", "dense", "krylov")
-
 # One declaration per flag: its argparse type (or tuple of choices) and help.
 FLAGS = {
     "n": (int, "number of sites"),
@@ -453,22 +443,31 @@ FLAGS = {
     "out": (str, "output CSV path (default stdout)"),
 }
 
-# The flags each runner reads, its --method choices and their help; every
-# subcommand also takes --method and --out, and rejects any other flag.
+# The flags each runner reads; every subcommand also takes --out, and
+# rejects any other flag.
 _CHAIN = "n j gamma h theta"
 _SOLVER = "tol max-iters seed"
 SUBCOMMAND_FLAGS = {
-    "spectrum": (_CHAIN, ("auto", "dense"), "full spectra are always dense (N <= 12)"),
-    "gap": (f"{_CHAIN} j-range h-range", _METHODS, _GAP_HELP),
+    "spectrum": _CHAIN,
+    "gap": f"{_CHAIN} j-range h-range",
+    "qfi": f"{_CHAIN} target delta {_SOLVER} n-range j-range h-range theta-range",
+    "ep": "n gamma h theta tol-j bracket n-range h-range",
+    "scaling": "gamma h theta tol-j bracket n-range",
+    "correlations": f"{_CHAIN} axis {_SOLVER}",
+    "evolve": f"{_CHAIN} {_SOLVER} t-range",
+}
+
+# The --method choices and help of the subcommands that solve for a steady
+# state; the others take no --method.
+_METHODS = ("auto", "dense", "krylov")
+_STEADY_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
+STEADY_METHODS = {
     "qfi": (
-        f"{_CHAIN} target delta {_SOLVER} n-range j-range h-range theta-range",
         _METHODS + ("analytic2",),
         _STEADY_HELP + "; analytic2: two-site closed form",
     ),
-    "ep": ("n gamma h theta tol-j bracket n-range h-range", _METHODS, _GAP_HELP),
-    "scaling": ("gamma h theta tol-j bracket n-range", _METHODS, _GAP_HELP),
-    "correlations": (f"{_CHAIN} axis {_SOLVER}", _METHODS, _STEADY_HELP),
-    "evolve": (f"{_CHAIN} {_SOLVER} t-range", _METHODS, _STEADY_HELP),
+    "correlations": (_METHODS, _STEADY_HELP),
+    "evolve": (_METHODS, _STEADY_HELP),
 }
 
 
@@ -484,16 +483,18 @@ def _with_default(name: str, text: str) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nhchain", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (flags, methods, method_help) in SUBCOMMAND_FLAGS.items():
+    for name, flags in SUBCOMMAND_FLAGS.items():
         sp = sub.add_parser(
             name,
             help=RUNNERS[name].__doc__.split("\n")[0],
             argument_default=argparse.SUPPRESS,
             allow_abbrev=False,
         )
-        sp.add_argument(
-            "--method", choices=methods, help=_with_default("method", method_help)
-        )
+        if name in STEADY_METHODS:
+            methods, text = STEADY_METHODS[name]
+            sp.add_argument(
+                "--method", choices=methods, help=_with_default("method", text)
+            )
         for flag in flags.split() + ["out"]:
             kind, text = FLAGS[flag]
             kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}

@@ -8,8 +8,8 @@ sits well above solver noise (~1e-14 away from the closure, ~1e-8 at an exact
 exceptional point) and well below every physical gap of interest (~1e-1).
 
 Every gap comes from the (2N+1)-dimensional free-fermion matrix of
-:mod:`nhchain.majorana` unless a 2^N-dimensional method is asked for, so a
-bisection step costs one small eigensolve at any N (0.1 ms at N = 5).
+:mod:`nhchain.majorana`, so a bisection step costs one small eigensolve at
+any N (0.1 ms at N = 5) and no 2^N-dimensional operator is built.
 """
 
 import warnings
@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EPProximityError
-from .hamiltonian import ChainParams, build_total
+from .hamiltonian import ChainParams
 from .majorana import majorana_gap
-from .spectral import default_tol_gap, dense_eigenvalues, steady_state_krylov
+from .spectral import default_tol_gap
 
 
 @dataclass(frozen=True)
@@ -63,29 +62,13 @@ class ScalingFit:
         return self.coefficients[-1]
 
 
-def gap_at(p: ChainParams, method: str = "auto", **solver_kw) -> float:
+def gap_at(p: ChainParams) -> float:
     """Difference of the top two imaginary parts of the spectrum, >= 0.
 
-    ``auto`` takes it from the free-fermion modes (:func:`majorana_gap`), at
-    any N and without building the 2^N-dimensional generator.  The explicit
-    methods remain as cross-checks: ``dense`` diagonalizes the full matrix
-    (N <= 12); ``krylov`` takes the top two imaginary parts from ARPACK
-    (:func:`steady_state_krylov`), which converges only away from the
-    closure itself, and is the only method that reads ``solver_kw``.  At
-    and past the closure the Krylov solver refuses the steady state, and the
-    gap it measured is returned from the ``EPProximityError``.
+    Taken from the free-fermion modes (:func:`majorana_gap`) at any N,
+    without building the 2^N-dimensional generator.
     """
-    if method == "auto":
-        return majorana_gap(p)
-    if method == "dense":
-        w = dense_eigenvalues(build_total(p))
-        return float(w[0].imag - w[1].imag)
-    if method == "krylov":
-        try:
-            return steady_state_krylov(build_total(p), p, **solver_kw).gap
-        except EPProximityError as exc:
-            return exc.gap
-    raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")
+    return majorana_gap(p)
 
 
 def _check_bracket(bracket) -> None:
@@ -95,11 +78,11 @@ def _check_bracket(bracket) -> None:
         raise ValueError(f"invalid bracket {bracket}: need 0 <= lo < hi")
 
 
-def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method, g_lo=None):
+def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, g_lo=None):
     """Bisect the gap closure; ``g_lo`` is the gap at ``bracket[0]`` if known."""
 
     def gap(J):
-        return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta), method)
+        return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta))
 
     lo, hi = bracket
     if g_lo is None:
@@ -126,7 +109,6 @@ def find_ep_J(
     theta: float = 0.0,
     bracket: tuple[float, float] = (0.0, 0.6),
     tol_J: float = 1e-4,
-    method: str = "auto",
 ) -> float:
     """Bisection for the coupling J_c where the imaginary-part gap closes.
 
@@ -134,13 +116,12 @@ def find_ep_J(
     ``gap(bracket[0]) > tol_gap >= gap(bracket[1])`` with the threshold
     ``tol_gap = 1e-6 * gamma`` (:func:`default_tol_gap`); returns the
     midpoint of the final bracket of width <= tol_J.  Each step evaluates
-    :func:`gap_at` with ``method``; the default free-fermion gap makes any N
-    cheap (about 15 (2N+1)-dimensional eigensolves at the default bracket and
-    tol_J).
+    the free-fermion :func:`gap_at`, so any N is cheap (about 15
+    (2N+1)-dimensional eigensolves at the default bracket and tol_J).
     """
     _check_bracket(bracket)
     tol_gap = default_tol_gap(gamma)
-    j_c, _ = _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, method)
+    j_c, _ = _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap)
     return j_c
 
 
@@ -151,7 +132,6 @@ def ep_curve(
     theta: float = 0.0,
     tol_J: float = 1e-4,
     bracket: tuple[float, float] = (0.0, 0.6),
-    method: str = "auto",
 ) -> EpCurve:
     """Locate J_c over a grid of field amplitudes.
 
@@ -159,10 +139,10 @@ def ep_curve(
     ``j_c = bracket[0]`` (the gapped region has closed entirely); other
     per-point failures are recorded and leave a hole in the curve.  J_c is
     expected to decrease with h; violations raise a warning, not an error.
-    Gaps come from :func:`gap_at` with ``method`` (free-fermion by default)
-    and are compared with ``default_tol_gap(gamma)``, recorded as the
-    result's ``tol_gap``.  An invalid bracket raises ValueError before any
-    gap is evaluated, as in :func:`find_ep_J`.
+    Gaps come from the free-fermion :func:`gap_at` and are compared with
+    ``default_tol_gap(gamma)``, recorded as the result's ``tol_gap``.  An
+    invalid bracket raises ValueError before any gap is evaluated, as in
+    :func:`find_ep_J`.
     """
     _check_bracket(bracket)
     tol_gap = default_tol_gap(gamma)
@@ -170,17 +150,15 @@ def ep_curve(
     failures: list[tuple[float, str]] = []
     for h in np.atleast_1d(np.asarray(h_grid, dtype=float)):
         h = float(h)
-        lo_gap = gap_at(
-            ChainParams(N=N, J=bracket[0], gamma=gamma, h=h, theta=theta), method
-        )
+        lo_gap = gap_at(ChainParams(N=N, J=bracket[0], gamma=gamma, h=h, theta=theta))
         if lo_gap <= tol_gap:
             points.append(EpPoint(h=h, j_c=bracket[0], bracket=(bracket[0], bracket[0])))
             continue
         try:
             j_c, final = _bisect_ep(
-                N, h, gamma, theta, bracket, tol_J, tol_gap, method, g_lo=lo_gap
+                N, h, gamma, theta, bracket, tol_J, tol_gap, g_lo=lo_gap
             )
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             failures.append((h, str(exc)))
             continue
         points.append(EpPoint(h=h, j_c=j_c, bracket=final))

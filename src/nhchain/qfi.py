@@ -165,7 +165,7 @@ def qfi_fidelity(
 ) -> QfiEstimate:
     """QFI from the steady-state overlap drop; gauge-free, the primary method.
 
-    Solver keyword arguments (tol, max_iters, seed, tol_gap) are passed
+    Solver keyword arguments (tol, max_iters, seed) are passed
     through to ``solve_steady_state``.
     """
     return _qfi_numeric(p, target, delta, "fidelity", False, method, solver_kw)

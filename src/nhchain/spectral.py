@@ -9,9 +9,9 @@ state with a Krylov approximation of ``exp(-i H t)``.
 Eigenvalue ordering everywhere: descending imaginary part, ties broken by
 ascending real part.  The steady state is the first eigenvalue in this
 order; the gap is the difference of the top two imaginary parts.  Both
-solvers share one contract: a gap at or below ``tol_gap`` raises
-``EPProximityError``, because no steady state is isolated at an exceptional
-point.
+solvers share one contract: a gap at or below ``default_tol_gap(gamma)``
+raises ``EPProximityError``, because no steady state is isolated at an
+exceptional point.
 
 Returned steady-state vectors have unit Euclidean norm and a fixed phase
 gauge: the largest-magnitude amplitude is real and positive (magnitude ties
@@ -70,8 +70,8 @@ def phase_gauge(v: np.ndarray) -> np.ndarray:
 class SteadyState:
     """Slowest-decaying eigenpair.
 
-    ``gap`` is the top-two imaginary-part difference, always above the
-    ``tol_gap`` the solver was given.
+    ``gap`` is the top-two imaginary-part difference, always above
+    ``default_tol_gap(gamma)``.
     """
 
     params: ChainParams
@@ -174,11 +174,10 @@ def dense_eigenvalues(H: SparseOperator) -> np.ndarray:
 
 
 def _steady_state(
-    p: ChainParams, w: np.ndarray, v: np.ndarray, tol_gap: float | None, method: str
+    p: ChainParams, w: np.ndarray, v: np.ndarray, method: str
 ) -> SteadyState:
     """Steady state from eigenpairs (columns of ``v``); raises at an EP."""
-    if tol_gap is None:
-        tol_gap = default_tol_gap(p.gamma)
+    tol_gap = default_tol_gap(p.gamma)
     order = spectral_order(w)
     gap = float(w.imag[order[0]] - w.imag[order[1]])
     if gap <= tol_gap:
@@ -192,12 +191,10 @@ def _steady_state(
     )
 
 
-def steady_state_dense(
-    H: SparseOperator, p: ChainParams, tol_gap: float | None = None
-) -> SteadyState:
+def steady_state_dense(H: SparseOperator, p: ChainParams) -> SteadyState:
     """Slowest-decaying eigenpair from a dense eigendecomposition."""
     w, v = la.eig(_dense_matrix(H))
-    return _steady_state(p, w, v, tol_gap, "dense")
+    return _steady_state(p, w, v, "dense")
 
 
 def _arnoldi_step(H, psi, dt, tol, m_max):
@@ -277,7 +274,6 @@ def steady_state_krylov(
     tol: float = 1e-9,
     max_iters: int = 500,
     seed: int = DEFAULT_SEED,
-    tol_gap: float | None = None,
 ) -> SteadyState:
     """Steady state and gap from ARPACK's implicitly restarted Arnoldi.
 
@@ -290,8 +286,8 @@ def steady_state_krylov(
     ``||H v - lambda v||`` is at most ``tol * max(1, |lambda|)``; otherwise,
     or when the restart budget runs out, ``ConvergenceError`` carries that
     residual (``inf`` when no pair converged at all).  A pair that passes the
-    gate with a gap at or below ``tol_gap`` raises ``EPProximityError``, as
-    the dense solver does.
+    gate with a gap at or below ``default_tol_gap(gamma)`` raises
+    ``EPProximityError``, as the dense solver does.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
@@ -329,7 +325,7 @@ def steady_state_krylov(
             f"ARPACK steady state fails the residual gate at tol={tol:.1e}",
             residual=r,
         )
-    return _steady_state(p, w, v, tol_gap, "krylov")
+    return _steady_state(p, w, v, "krylov")
 
 
 def solve_steady_state(
@@ -339,7 +335,6 @@ def solve_steady_state(
     tol: float = 1e-9,
     max_iters: int = 500,
     seed: int = DEFAULT_SEED,
-    tol_gap: float | None = None,
 ) -> SteadyState:
     """Build the chain Hamiltonian and extract its steady state.
 
@@ -347,17 +342,16 @@ def solve_steady_state(
     (ARPACK, :func:`steady_state_krylov`) above, the faster of the two on
     each side (see ``AUTO_DENSE_MAX_DIM``); pass ``method`` explicitly to
     override.  ``tol``, ``max_iters`` (the ARPACK restart budget) and
-    ``seed`` reach only the Krylov path; ``tol_gap`` reaches both, and both
-    raise ``EPProximityError`` when the gap is at or below it.
+    ``seed`` reach only the Krylov path.  Both paths raise
+    ``EPProximityError`` when the gap is at or below
+    ``default_tol_gap(gamma)``.
     """
     if H is None:
         H = build_total(p)
     if method == "auto":
         method = "dense" if H.dim <= AUTO_DENSE_MAX_DIM else "krylov"
     if method == "dense":
-        return steady_state_dense(H, p, tol_gap=tol_gap)
+        return steady_state_dense(H, p)
     if method == "krylov":
-        return steady_state_krylov(
-            H, p, tol=tol, max_iters=max_iters, seed=seed, tol_gap=tol_gap
-        )
+        return steady_state_krylov(H, p, tol=tol, max_iters=max_iters, seed=seed)
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")

@@ -1,5 +1,9 @@
 """Sweep runners, CSV format contract, and CLI exit codes."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -306,18 +310,22 @@ def test_main_byte_identical_runs(tmp_path):
 
 def test_main_usage_error_exit_code(capsys):
     assert main(["spectrum", "--n", "13"]) == 1
+    # the refusal points to paths that do reach N = 13
+    err = " ".join(capsys.readouterr().err.split())
+    assert "use the gap subcommand (free-fermion gap, any N)" in err
+    assert "correlations --method krylov" in err
     assert main(["nosuchcommand"]) == 1
     assert main(["gap", "--j-range", "bad"]) == 1
 
 
-def test_main_spectrum_accepts_only_dense_methods(capsys):
-    # full spectra are always dense; a Krylov or closed-form request must not
-    # silently run the dense solver
-    assert main(["spectrum", "--n", "2", "--method", "krylov"]) == 1
-    assert main(["spectrum", "--n", "2", "--method", "analytic2"]) == 1
-    assert "spectrum" in capsys.readouterr().err
-    for method in ("auto", "dense"):
-        assert main(["spectrum", "--n", "2", "--j", "0.3", "--method", method]) == 0
+def test_main_spectrum_refuses_every_method(capsys):
+    # full spectra are always dense, so there is no solver to choose
+    for method in ("auto", "dense", "krylov", "analytic2"):
+        assert main(["spectrum", "--n", "2", "--j", "0.3", "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --method" in captured.err
+    assert main(["spectrum", "--n", "2", "--j", "0.3"]) == 0
 
 
 def test_main_refuses_a_chain_beyond_physical_memory(capsys):
@@ -389,6 +397,9 @@ def test_axis_validation():
         ("ep --j 0.2", "--j"),
         ("scaling --n 4", "--n"),
         ("gap --method analytic2", "--method"),
+        ("spectrum --method dense", "--method"),
+        ("ep --method dense", "--method"),
+        ("scaling --method krylov", "--method"),
         ("gap --j-r 0:0.1:2", "--j-r"),  # abbreviation of --j-range
     ],
 )
@@ -410,10 +421,10 @@ def test_main_help_shows_spec_defaults(capsys):
 # parser and the provenance line were generated from the SweepSpec fields.
 GOLDEN_COMMENTS = [
     (
-        "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2 --theta 0.7 --method dense",
+        "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2 --theta 0.7",
         [
             "# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003 "
-            "theta=0.69999999999999996 target=h axis=y method=dense delta=0.001 "
+            "theta=0.69999999999999996 target=h axis=y method=auto delta=0.001 "
             "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.0001 "
             "bracket=0:0.59999999999999998 t_range=0:50:101",
         ],
@@ -488,3 +499,23 @@ def test_main_comment_block_is_pinned(argv, block, tmp_path):
     comments = [ln for ln in out.read_text().split("\n") if ln.startswith("#")]
     head = [f"# nhchain {__version__}", f"# subcommand={argv.split()[0]}"]
     assert comments == head + block
+
+
+def test_readme_cli_invocations_parse():
+    # every documented invocation names only flags its subcommand accepts;
+    # nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [
+        ln.split("#")[0]
+        for block in blocks
+        for ln in block.splitlines()
+        if ln.startswith("nhchain ")
+    ]
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README invocation does not parse: {line}")
+    assert {shlex.split(ln)[1] for ln in lines} == set(cli.RUNNERS)

@@ -5,7 +5,8 @@ import pytest
 
 from nhchain import critical
 from nhchain.critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
-from nhchain.hamiltonian import ChainParams
+from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.spectral import dense_eigenvalues, steady_state_krylov
 
 GAP_REF = 0.34641016151377546  # b/2 at J=0.3, h=0.1, gamma=1
 
@@ -27,9 +28,10 @@ def test_gap_decoupled_chain():
 
 def test_gap_krylov_matches_dense():
     p = ChainParams(N=4, J=0.2, h=0.15, theta=0.4)
-    dense = gap_at(p, method="dense")
-    kry = gap_at(p, method="krylov", tol=1e-10)
-    assert kry == pytest.approx(dense, abs=1e-7)
+    H = build_total(p)
+    w = dense_eigenvalues(H)
+    kry = steady_state_krylov(H, p, tol=1e-10).gap
+    assert kry == pytest.approx(w[0].imag - w[1].imag, abs=1e-7)
 
 
 def test_gap_continuity_in_coupling():
@@ -56,7 +58,7 @@ def test_invalid_bracket_is_refused_before_any_gap(bracket, monkeypatch):
     # refused ahead of ep_curve's gapless-edge shortcut, which would report
     # j_c = bracket[0] at every h
     calls = []
-    monkeypatch.setattr(critical, "gap_at", lambda p, *a, **kw: calls.append(p))
+    monkeypatch.setattr(critical, "gap_at", lambda p: calls.append(p))
     with pytest.raises(ValueError, match="invalid bracket"):
         find_ep_J(N=2, h=0.0, bracket=bracket)
     with pytest.raises(ValueError, match="invalid bracket"):
@@ -90,9 +92,9 @@ def test_ep_curve_evaluates_each_coupling_once(monkeypatch):
     seen = []
     real_gap_at = critical.gap_at
 
-    def spy(p, method="auto", **kw):
+    def spy(p):
         seen.append(p.J)
-        return real_gap_at(p, method, **kw)
+        return real_gap_at(p)
 
     monkeypatch.setattr(critical, "gap_at", spy)
     curve = ep_curve(2, [0.1], tol_J=1e-4)

@@ -12,12 +12,18 @@ import nhchain.critical as critical
 from nhchain.critical import find_ep_J, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import majorana_gap, majorana_modes
-from nhchain.spectral import dense_eigenvalues
+from nhchain.spectral import default_tol_gap, dense_eigenvalues
 
 
 def size_boundary(n: int, gamma: float = 1.0) -> float:
     """Exact h = 0 gap closure J_c(N) = gamma / (4 cos(pi / (N + 1)))."""
     return gamma / (4.0 * math.cos(math.pi / (n + 1)))
+
+
+def dense_gap(p: ChainParams) -> float:
+    """Top-two imaginary-part difference of the dense 2^N spectrum."""
+    w = dense_eigenvalues(build_total(p))
+    return w[0].imag - w[1].imag
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -33,7 +39,7 @@ def test_gap_matches_dense(n, j, h, theta):
     # a mode near zero is an exceptional point, where the dense eigenvalues
     # themselves lose half their digits
     assume(np.abs(eps).min() > 1e-2)
-    assert majorana_gap(p) == pytest.approx(gap_at(p, method="dense"), abs=1e-10)
+    assert majorana_gap(p) == pytest.approx(dense_gap(p), abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -74,11 +80,10 @@ def test_gap_at_exact_two_site_exceptional_points(j, theta):
     assert majorana_gap(ChainParams(N=2, J=j, h=h, theta=theta)) < 5e-8
 
 
-def test_auto_gap_builds_no_many_body_operator(monkeypatch):
-    def refuse(p):
-        raise AssertionError(f"2^N operator built for {p}")
-
-    monkeypatch.setattr(critical, "build_total", refuse)
+def test_auto_gap_builds_no_many_body_operator():
+    # the gap module does not import the 2^N generator, and at
+    # N = 200 the memory guard would refuse to build it
+    assert not hasattr(critical, "build_total")
     # at J = 0 the sites decouple; the driven first site has the smallest
     # gap, sqrt(gamma^2 / 4 - 4 h^2)
     p = ChainParams(N=200, J=0.0, h=0.1, theta=0.4)
@@ -92,8 +97,14 @@ def test_zero_field_boundary_at_large_size(n, gamma):
     assert abs(j_c - size_boundary(n, gamma)) <= tol_J
 
 
-def test_dense_bisection_matches_boundary():
+def test_dense_gap_closes_at_the_bisected_boundary():
+    # the dense spectrum, an oracle independent of the free-fermion modes, is
+    # gapped just below the bisected J_c and gapless just above it
     tol_J = 1e-4
-    j_dense = find_ep_J(6, 0.0, tol_J=tol_J, method="dense")
-    assert abs(j_dense - size_boundary(6)) <= tol_J
-    assert abs(j_dense - find_ep_J(6, 0.0, tol_J=tol_J)) <= tol_J
+    tol_gap = default_tol_gap(1.0)
+    for n in range(3, 7):
+        for h in (0.0, 0.1):
+            j_c = find_ep_J(n, h, tol_J=tol_J)
+            assert dense_gap(ChainParams(N=n, J=j_c - tol_J, h=h)) > tol_gap, (n, h)
+            assert dense_gap(ChainParams(N=n, J=j_c + tol_J, h=h)) <= tol_gap, (n, h)
+    assert abs(find_ep_J(6, 0.0, tol_J=tol_J) - size_boundary(6)) <= tol_J

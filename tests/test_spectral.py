@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from nhchain import spectral
 from nhchain.cli import SweepSpec, run_qfi_sweep
-from nhchain.critical import gap_at
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import majorana_gap
@@ -324,25 +324,27 @@ def test_krylov_residual_gate_rejects_an_inaccurate_pair(monkeypatch):
     assert err.value.residual > 1e-9
 
 
-def test_krylov_raises_at_an_inflated_gap_threshold():
+def test_krylov_raises_at_an_inflated_gap_threshold(monkeypatch):
     # the Krylov solver applies the dense EP rule and reports the gap it found
+    monkeypatch.setattr(spectral, "TOL_GAP_FACTOR", 1.0)
     with pytest.raises(EPProximityError) as err:
-        steady_state_krylov(build_total(P_REF), P_REF, tol=1e-9, tol_gap=1.0)
+        steady_state_krylov(build_total(P_REF), P_REF, tol=1e-9)
     assert err.value.gap == pytest.approx(GAP_REF, abs=1e-7)
     assert err.value.tol_gap == 1.0
 
 
 def test_no_steady_state_at_an_exact_exceptional_point():
-    # b = 0 at J=0.3, h=0.2: every steady-state path refuses, while the
-    # Krylov gap itself stays available to bisection and sweeps
+    # b = 0 at J=0.3, h=0.2: every steady-state path refuses, and the
+    # Krylov refusal carries the closed gap it measured
     p = ChainParams(N=2, J=0.3, h=0.2)
     H = build_total(p)
-    for solve in (steady_state_dense, steady_state_krylov):
-        with pytest.raises(EPProximityError):
-            solve(H, p)
+    with pytest.raises(EPProximityError):
+        steady_state_dense(H, p)
+    with pytest.raises(EPProximityError) as err:
+        steady_state_krylov(H, p)
+    assert 0.0 <= err.value.gap <= 1e-6
     with pytest.raises(EPProximityError):
         qfi_fidelity(p, "h", method="krylov")
-    assert 0.0 <= gap_at(p, "krylov") <= 1e-6
     rows = run_qfi_sweep(SweepSpec("qfi", n=2, j=0.3, h=0.2, method="krylov")).rows
     assert [row[-1] for row in rows] == ["ep_proximity"]
 
@@ -353,12 +355,14 @@ def test_hermitian_limit_has_gaps_but_no_steady_state(N):
     # steady state is isolated
     p = ChainParams(N=N, J=0.3, h=0.2, gamma=0.0)
     H = build_total(p)
+    w = dense_eigenvalues(H)
     assert majorana_gap(p) == pytest.approx(0.0, abs=1e-12)
-    assert gap_at(p, "dense") == pytest.approx(0.0, abs=1e-12)
-    assert gap_at(p, "krylov") == pytest.approx(0.0, abs=1e-12)
-    for solve in (steady_state_dense, steady_state_krylov):
-        with pytest.raises(EPProximityError):
-            solve(H, p)
+    assert w[0].imag - w[1].imag == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(EPProximityError):
+        steady_state_dense(H, p)
+    with pytest.raises(EPProximityError) as err:
+        steady_state_krylov(H, p)
+    assert err.value.gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_krylov_gauge_convention():
@@ -453,7 +457,16 @@ def test_public_names_resolve():
     methods = ("from_" "entries", "entries", "vals", "conj_" "transpose")
     for gone in methods + ("__" "add__", "__" "rmul__", "__" "matmul__"):
         assert not hasattr(nhchain.SparseOperator, gone)
-    # and the solver knobs no caller set
-    assert "m_max" not in inspect.signature(nhchain.evolve).parameters
+    # and the solver knobs no caller set: every gap is free-fermion and every
+    # EP threshold is default_tol_gap(gamma)
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert "m_max" not in params(nhchain.evolve)
+    solvers = (nhchain.steady_state_dense, nhchain.steady_state_krylov)
+    for fn in solvers + (nhchain.solve_steady_state,):
+        assert "tol_gap" not in params(fn)
     for fn in (nhchain.find_ep_J, nhchain.ep_curve):
-        assert "tol_gap" not in inspect.signature(fn).parameters
+        assert "tol_gap" not in params(fn)
+        assert "method" not in params(fn)
+    assert params(nhchain.gap_at) == ["p"]
