@@ -49,8 +49,6 @@ from .qfi import (
     fidelity_qfi_from_states,
     qfi_fidelity,
     qfi_two_site_analytic,
-    qfi_vector_fd,
-    vector_fd_qfi_from_states,
 )
 from .spectral import (
     DEFAULT_SEED,
@@ -104,11 +102,9 @@ __all__ = [
     "phase_gauge",
     "qfi_fidelity",
     "qfi_two_site_analytic",
-    "qfi_vector_fd",
     "site_magnetizations",
     "solve_steady_state",
     "steady_state_dense",
     "steady_state_krylov",
     "steady_state_two_site",
-    "vector_fd_qfi_from_states",
 ]

@@ -29,12 +29,7 @@ import numpy as np
 
 from . import __version__
 from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
-from .errors import (
-    ConvergenceError,
-    DenseSizeError,
-    EPProximityError,
-    MemoryLimitError,
-)
+from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_total
 from .observables import correlation_profile
 from .qfi import qfi_fidelity, qfi_two_site_analytic
@@ -402,6 +397,23 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -429,11 +441,11 @@ FLAGS = {
     "theta": (_finite, "field angle (rad)"),
     "target": (("h", "theta"), "QFI target"),
     "axis": (("x", "y", "z"), "correlation axis"),
-    "delta": (_finite, "QFI step size"),
-    "tol": (_finite, "solver tolerance"),
-    "max-iters": (int, "ARPACK restart budget"),
+    "delta": (_positive, "QFI step size"),
+    "tol": (_positive, "solver tolerance"),
+    "max-iters": (_positive_int, "ARPACK restart budget"),
     "seed": (int, "random seed"),
-    "tol-j": (_finite, "bisection width"),
+    "tol-j": (_positive, "bisection width"),
     "bracket": (_parse_pair, "J bracket lo:hi"),
     "t-range": (_parse_range, "time grid lo:hi:count"),
     "n-range": (_parse_range, "sweep n over lo:hi:count"),
@@ -523,7 +535,7 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         table = RUNNERS[spec.subcommand](spec)
-    except (CliUsageError, MemoryLimitError) as exc:
+    except (CliUsageError, MemoryError) as exc:
         print(f"nhchain: error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -71,11 +71,14 @@ def gap_at(p: ChainParams) -> float:
     return majorana_gap(p)
 
 
-def _check_bracket(bracket) -> None:
-    """Refuse a J bracket unless ``0 <= lo < hi``, before any gap is evaluated."""
+def _check_bisection(bracket, tol_J) -> None:
+    """Refuse a J bracket unless ``0 <= lo < hi``, and a ``tol_J`` unless it is
+    finite and > 0, before any gap is evaluated."""
     lo, hi = bracket
     if not 0 <= lo < hi:
         raise ValueError(f"invalid bracket {bracket}: need 0 <= lo < hi")
+    if not 0 < tol_J < np.inf:
+        raise ValueError(f"tol_J must be finite and > 0, got {tol_J}")
 
 
 def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, g_lo=None):
@@ -112,14 +115,14 @@ def find_ep_J(
 ) -> float:
     """Bisection for the coupling J_c where the imaginary-part gap closes.
 
-    Requires ``0 <= bracket[0] < bracket[1]`` and
+    Requires ``0 <= bracket[0] < bracket[1]``, a finite ``tol_J > 0`` and
     ``gap(bracket[0]) > tol_gap >= gap(bracket[1])`` with the threshold
     ``tol_gap = 1e-6 * gamma`` (:func:`default_tol_gap`); returns the
     midpoint of the final bracket of width <= tol_J.  Each step evaluates
     the free-fermion :func:`gap_at`, so any N is cheap (about 15
     (2N+1)-dimensional eigensolves at the default bracket and tol_J).
     """
-    _check_bracket(bracket)
+    _check_bisection(bracket, tol_J)
     tol_gap = default_tol_gap(gamma)
     j_c, _ = _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap)
     return j_c
@@ -141,10 +144,10 @@ def ep_curve(
     expected to decrease with h; violations raise a warning, not an error.
     Gaps come from the free-fermion :func:`gap_at` and are compared with
     ``default_tol_gap(gamma)``, recorded as the result's ``tol_gap``.  An
-    invalid bracket raises ValueError before any gap is evaluated, as in
-    :func:`find_ep_J`.
+    invalid bracket or ``tol_J`` raises ValueError before any gap is
+    evaluated, as in :func:`find_ep_J`.
     """
-    _check_bracket(bracket)
+    _check_bisection(bracket, tol_J)
     tol_gap = default_tol_gap(gamma)
     points: list[EpPoint] = []
     failures: list[tuple[float, str]] = []

@@ -14,7 +14,7 @@ The raising/lowering operators carry the conventional 1/2 normalization,
 matrix elements equal to J.
 
 State vectors are plain 1-D complex numpy arrays of length ``2**N``.
-Operators are built only by :func:`embed`, :func:`embed_pair` and
+Operators are built by :func:`embed`, :func:`embed_pair` and
 :func:`flip_sum`.  Each wraps a canonical ``scipy.sparse.csr_array`` and
 exposes ``csr``, ``dim``, ``nnz``, ``dense()`` and ``matvec()``; it is
 immutable after construction and safe to share.  ``scipy.sparse`` is
@@ -55,10 +55,22 @@ class SparseOperator:
     """Complex square matrix held as a canonical scipy CSR array.
 
     Column indices are sorted within each row, entries are unique, no zero
-    is stored, and the data, index and pointer arrays are read-only.
+    is stored, and the data, index and pointer arrays are read-only.  A
+    matrix given in another form is copied and canonicalised; a canonical
+    one is kept, and its arrays are made read-only in place.
     """
 
     csr: "scipy.sparse.csr_array"
+
+    def __post_init__(self):
+        data = self.csr.data
+        if not self.csr.has_canonical_format or np.count_nonzero(data) < data.size:
+            csr = self.csr.copy()
+            csr.sum_duplicates()
+            csr.eliminate_zeros()
+            object.__setattr__(self, "csr", csr)
+        for arr in (self.csr.data, self.csr.indices, self.csr.indptr):
+            arr.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -75,29 +87,23 @@ class SparseOperator:
         return op_matvec(self, v)
 
 
-def _frozen(csr) -> SparseOperator:
-    for arr in (csr.data, csr.indices, csr.indptr):
-        arr.setflags(write=False)
-    return SparseOperator(csr)
-
-
 def _index_dtype(n: int) -> type:
     """The CSR index type scipy keeps for arrays of up to ``n`` entries."""
     return np.int32 if n < 1 << 31 else np.int64
 
 
 def _from_rows(vals: np.ndarray, cols: np.ndarray) -> SparseOperator:
-    """Operator whose row i holds ``vals[i]`` at the ascending columns
-    ``cols[i]`` (both of shape (dim, k)); zero values are dropped."""
+    """Operator whose row i holds ``vals[i]`` at the strictly ascending
+    columns ``cols[i]`` (both of shape (dim, k)); zero values are dropped."""
     from scipy.sparse import csr_array
 
     dim, k = vals.shape
     kept = np.flatnonzero(vals != 0)
     indptr = np.zeros(dim + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(kept // k, minlength=dim), out=indptr[1:])
-    return _frozen(
-        csr_array((vals.take(kept), cols.take(kept), indptr), shape=(dim, dim))
-    )
+    csr = csr_array((vals.take(kept), cols.take(kept), indptr), shape=(dim, dim))
+    csr.has_canonical_format = True  # canonical by construction; spares scipy's scan
+    return SparseOperator(csr)
 
 
 def _check_site(site: int, N: int) -> None:

@@ -1,30 +1,27 @@
 """Quantum Fisher information of steady states with respect to h and theta.
 
-Two numerical estimators are provided.  The primary one converts the overlap
-drop between steady states at eta - delta and eta + delta into
+The numerical estimator converts the overlap drop between steady states at
+eta - delta and eta + delta into the fidelity form of the QFI,
 
     I ~= 8 * (1 - |<psi(eta-delta)|psi(eta+delta)>|) / (2*delta)**2,
 
 which is exact to O(delta^2) and invariant under any eta-dependent phase of
-the vectors.  The second estimator phase-aligns the shifted vectors to the
-central one, forms the central difference d_psi, and evaluates
-
-    I = 4 * (<d_psi|d_psi> - |<psi|d_psi>|^2)
-
-verbatim; it exists as an independent cross-check of the first.
+the vectors.  The two-site closed forms are its oracle.
 
 Every numerical estimate is evaluated a second time at delta/2 and the
 relative change is stored as ``richardson_diff``; values above 0.05 trigger
 one retry at delta/4, after which the estimate is returned flagged
-unreliable rather than masked.  Derivatives diverge at exceptional points,
-so divergence is reported, not hidden.
+unreliable rather than masked.  The retry is logged at INFO and a still
+unreliable estimate at WARNING on the ``nhchain`` logger.  Derivatives
+diverge at exceptional points, so divergence is reported, not hidden.
 
 The unit-normalized right eigenvector convention used here reproduces the
 two-site closed forms; the closed-form I_theta is written with a gamma^2
-denominator, which the estimators confirm (the forms coincide for the
+denominator, which the estimator confirms (the forms coincide for the
 default gamma = 1).
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +32,8 @@ from .spectral import _gapped_two_site_roots, solve_steady_state
 RICHARDSON_LIMIT = 0.05
 NEGATIVE_TOL = 1e-10
 TARGETS = ("h", "theta")
+
+log = logging.getLogger("nhchain")
 
 
 @dataclass(frozen=True)
@@ -82,21 +81,6 @@ def fidelity_qfi_from_states(
     return 8.0 * (1.0 - overlap) / (2.0 * delta) ** 2
 
 
-def vector_fd_qfi_from_states(
-    v_minus: np.ndarray, v_center: np.ndarray, v_plus: np.ndarray, delta: float
-) -> float:
-    """Central-difference estimator with phase alignment to the center."""
-
-    def aligned(v):
-        s = np.vdot(v, v_center)
-        return v if s == 0 else v * (s / abs(s))
-
-    dpsi = (aligned(v_plus) - aligned(v_minus)) / (2.0 * delta)
-    return 4.0 * float(
-        np.vdot(dpsi, dpsi).real - abs(np.vdot(v_center, dpsi)) ** 2
-    )
-
-
 def _check_target(target: str) -> None:
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -118,42 +102,17 @@ def _finalize(value: float) -> float:
     return max(value, 0.0)
 
 
-def _estimate(p, target, delta, method, need_center, solver_kw):
+def _two_step(p, target, delta, method, solver_kw):
+    """Estimate at ``delta`` and its relative change at ``delta / 2``."""
+
     def vec(d):
         return solve_steady_state(_shifted(p, target, d), method=method, **solver_kw).vector
 
-    center = vec(0.0) if need_center else None
-
-    def one(d):
-        vm, vp = vec(-d), vec(d)
-        if need_center:
-            return vector_fd_qfi_from_states(vm, center, vp, d)
-        return fidelity_qfi_from_states(vm, vp, d)
-
-    value = one(delta)
-    value_half = one(delta / 2.0)
+    value = fidelity_qfi_from_states(vec(-delta), vec(delta), delta)
+    half = delta / 2.0
+    value_half = fidelity_qfi_from_states(vec(-half), vec(half), half)
     scale = max(abs(value_half), 1e-300)
     return value, abs(value - value_half) / scale
-
-
-def _qfi_numeric(p, target, delta, method_name, need_center, method, solver_kw):
-    _check_target(target)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    value, rich = _estimate(p, target, delta, method, need_center, solver_kw)
-    step = delta
-    if rich > RICHARDSON_LIMIT:
-        step = delta / 4.0
-        value, rich = _estimate(p, target, step, method, need_center, solver_kw)
-    return QfiEstimate(
-        params=p,
-        target=target,
-        value=_finalize(value),
-        method=method_name,
-        step=step,
-        richardson_diff=rich,
-        reliable=rich <= RICHARDSON_LIMIT,
-    )
 
 
 def qfi_fidelity(
@@ -163,20 +122,28 @@ def qfi_fidelity(
     method: str = "auto",
     **solver_kw,
 ) -> QfiEstimate:
-    """QFI from the steady-state overlap drop; gauge-free, the primary method.
+    """QFI from the steady-state overlap drop; gauge-free.
 
     Solver keyword arguments (tol, max_iters, seed) are passed
     through to ``solve_steady_state``.
     """
-    return _qfi_numeric(p, target, delta, "fidelity", False, method, solver_kw)
-
-
-def qfi_vector_fd(
-    p: ChainParams,
-    target: str,
-    delta: float = 1e-3,
-    method: str = "auto",
-    **solver_kw,
-) -> QfiEstimate:
-    """QFI from the phase-aligned central difference of steady-state vectors."""
-    return _qfi_numeric(p, target, delta, "vector_fd", True, method, solver_kw)
+    _check_target(target)
+    if delta <= 0:
+        raise ValueError("delta must be > 0")
+    value, rich = _two_step(p, target, delta, method, solver_kw)
+    step = delta
+    if rich > RICHARDSON_LIMIT:
+        log.info("QFI %s retry at delta/4: richardson_diff %.3g, %s", target, rich, p)
+        step = delta / 4.0
+        value, rich = _two_step(p, target, step, method, solver_kw)
+        if rich > RICHARDSON_LIMIT:
+            log.warning("QFI %s unreliable: richardson_diff %.3g, %s", target, rich, p)
+    return QfiEstimate(
+        params=p,
+        target=target,
+        value=_finalize(value),
+        method="fidelity",
+        step=step,
+        richardson_diff=rich,
+        reliable=rich <= RICHARDSON_LIMIT,
+    )

@@ -21,6 +21,7 @@ Random starting vectors are drawn from ``numpy.random.default_rng`` with the
 fixed seed ``DEFAULT_SEED = 7`` unless a seed is passed explicitly.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ import scipy.linalg as la
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_total
 from .operators import SparseOperator
+
+log = logging.getLogger("nhchain")
 
 DEFAULT_SEED = 7
 TOL_GAP_FACTOR = 1e-6
@@ -240,8 +243,9 @@ def evolve(
 ) -> np.ndarray:
     """Krylov approximation of exp(-i H t) @ psi0 with adaptive substepping.
 
-    The substep is halved whenever the Krylov space of size ``KRYLOV_DIM``
-    cannot meet the local tolerance; successful substeps let it grow back.
+    The substep is halved, with a DEBUG record on the ``nhchain`` logger,
+    whenever the Krylov space of size ``KRYLOV_DIM`` cannot meet the local
+    tolerance; successful substeps let it grow back.
     The result is not renormalized: the norm decays physically.
     """
     if t < 0:
@@ -257,6 +261,7 @@ def evolve(
         ok, result = _arnoldi_step(H, psi, dt, tol, KRYLOV_DIM)
         if not ok:
             dt *= 0.5
+            log.debug("evolve: Krylov substep halved to %g", dt)
             if dt < min_dt:
                 raise ConvergenceError(
                     "Krylov propagation substep underflow", residual=dt

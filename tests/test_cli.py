@@ -328,14 +328,25 @@ def test_main_spectrum_refuses_every_method(capsys):
     assert main(["spectrum", "--n", "2", "--j", "0.3"]) == 0
 
 
-def test_main_refuses_a_chain_beyond_physical_memory(capsys):
+def test_main_refuses_a_chain_beyond_physical_memory(monkeypatch, capsys):
     import time
+
+    from nhchain import majorana
 
     start = time.perf_counter()
     code = main(["correlations", "--n", "40", "--method", "krylov"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "physical memory" in capsys.readouterr().err
+
+    # numpy's own MemoryError, as from the (2N+1)^2 Majorana matrix at
+    # N = 100000, is a usage error too, not a traceback
+    def no_memory(p):
+        raise MemoryError("Unable to allocate 596. GiB")
+
+    monkeypatch.setattr(majorana, "_majorana_matrix", no_memory)
+    assert main(["gap", "--n", "100000"]) == 1
+    assert "Unable to allocate" in capsys.readouterr().err
 
 
 def test_main_rejects_non_finite_parameters(capsys):
@@ -344,6 +355,14 @@ def test_main_rejects_non_finite_parameters(capsys):
     assert main(["gap", "--n", "2", "--j-range", "0:inf:3"]) == 1
     assert main(["ep", "--n", "2", "--bracket", "0:nan"]) == 1
     assert "finite" in capsys.readouterr().err
+    # steps, tolerances and budgets must also be > 0
+    assert main(["qfi", "--n", "2", "--j", "0.3", "--h", "0.1", "--delta", "0"]) == 1
+    assert main(["correlations", "--tol", "-1"]) == 1
+    assert main(["correlations", "--max-iters", "0"]) == 1
+    assert main(["ep", "--n", "2", "--h", "0.1", "--tol-j", "-1"]) == 1
+    assert main(["scaling", "--tol-j", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("> 0") == 3 and "integer >= 1" in err and "finite" in err
 
 
 def test_main_numerical_failure_exit_code(capsys):

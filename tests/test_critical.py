@@ -66,6 +66,27 @@ def test_invalid_bracket_is_refused_before_any_gap(bracket, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol_J", [0.0, -1.0, float("nan"), float("inf")])
+def test_invalid_tol_j_is_refused_before_any_gap(tol_J, monkeypatch):
+    # tol_J <= 0 would bisect forever and nan or inf would stop at once; the
+    # spy turns a bisection that does not stop into a failure, not a hang
+    calls = []
+    real_gap_at = critical.gap_at
+
+    def spy(p):
+        calls.append(p)
+        if len(calls) > 100:
+            raise RuntimeError("bisection did not stop after 100 gaps")
+        return real_gap_at(p)
+
+    monkeypatch.setattr(critical, "gap_at", spy)
+    with pytest.raises(ValueError, match="tol_J"):
+        find_ep_J(2, 0.2, tol_J=tol_J)
+    with pytest.raises(ValueError, match="tol_J"):
+        ep_curve(2, [0.0, 0.1], tol_J=tol_J)
+    assert calls == []
+
+
 def test_ep_curve_two_site_matches_analytic_boundary():
     h_grid = np.linspace(0.0, 0.24, 7)
     curve = ep_curve(N=2, h_grid=h_grid, tol_J=1e-4)

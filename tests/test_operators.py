@@ -181,10 +181,23 @@ def test_operators_are_immutable():
 
 def assert_canonical(op):
     """Sorted unique columns per row, no stored zeros, read-only arrays."""
-    assert op.csr.has_canonical_format
+    c = op.csr
+    # scipy scans a fresh array; the builders mark their own output canonical
+    assert csr_array((c.data, c.indices, c.indptr), shape=c.shape).has_canonical_format
     assert np.all(op.csr.data != 0)
     for arr in (op.csr.data, op.csr.indices, op.csr.indptr):
         assert not arr.flags.writeable
+
+
+def test_constructor_canonicalises_and_freezes():
+    # a duplicate pair that cancels leaves a stored zero in scipy's CSR
+    raw = csr_array(([1.0, -1.0, 2.0], ([0, 0, 1], [1, 1, 0])), shape=(4, 4))
+    op = SparseOperator(raw)
+    assert op.nnz == 1
+    assert_canonical(op)
+    assert np.array_equal(op.dense(), raw.toarray())
+    # a canonical matrix is kept as given, not copied
+    assert SparseOperator(op.csr).csr is op.csr
 
 
 def chain_oracle(p):

@@ -1,4 +1,6 @@
-"""QFI estimators against the two-site closed forms and each other."""
+"""The overlap-drop QFI estimator against the two-site closed forms."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from nhchain.qfi import (
     fidelity_qfi_from_states,
     qfi_fidelity,
     qfi_two_site_analytic,
-    qfi_vector_fd,
-    vector_fd_qfi_from_states,
 )
 
 P_REF = ChainParams(N=2, J=0.3, h=0.1)
@@ -73,24 +73,6 @@ def test_fidelity_estimator_angle_without_field():
     assert est.value < 1e-6
 
 
-def test_vector_fd_cross_method_consistency():
-    a = qfi_fidelity(P_REF, "h", delta=1e-3)
-    b = qfi_vector_fd(P_REF, "h", delta=1e-3)
-    assert b.value == pytest.approx(a.value, rel=1e-3)
-    assert b.method == "vector_fd"
-
-
-def test_vector_fd_near_coalescence_coupling():
-    p = ChainParams(N=2, J=0.45, h=0.1)
-    est = qfi_vector_fd(p, "h", delta=1e-5)
-    assert est.value == pytest.approx(16.0 / 0.03, rel=1e-2)
-
-
-def test_vector_fd_angle_without_field():
-    est = qfi_vector_fd(ChainParams(N=2, J=0.3, h=0.0), "theta", delta=1e-3)
-    assert est.value < 1e-6
-
-
 @pytest.mark.parametrize("target,delta", [("h", 1e-3), ("theta", 1e-2)])
 def test_oracle_match_on_gapped_grid(target, delta):
     # far from the coalescence (b >= 0.4) the default-scale steps meet the
@@ -105,8 +87,6 @@ def test_oracle_match_on_gapped_grid(target, delta):
             ref = qfi_two_site_analytic(p, target)
             est = qfi_fidelity(p, target, delta=delta)
             assert est.value == pytest.approx(ref, rel=1e-3, abs=1e-9)
-            est2 = qfi_vector_fd(p, target, delta=delta)
-            assert est2.value == pytest.approx(ref, rel=1e-3, abs=1e-9)
 
 
 def test_gauge_invariance_of_estimator_cores():
@@ -116,18 +96,13 @@ def test_gauge_invariance_of_estimator_cores():
     for _ in range(3):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vs.append(v / np.linalg.norm(v))
-    vm, vc, vp = vs
+    vm, _, vp = vs
     delta = 1e-3
     base_f = fidelity_qfi_from_states(vm, vp, delta)
-    base_v = vector_fd_qfi_from_states(vm, vc, vp, delta)
     for _ in range(5):
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
         got_f = fidelity_qfi_from_states(vm * phases[0], vp * phases[2], delta)
-        got_v = vector_fd_qfi_from_states(
-            vm * phases[0], vc * phases[1], vp * phases[2], delta
-        )
         assert got_f == pytest.approx(base_f, abs=1e-12 * max(1.0, abs(base_f)))
-        assert got_v == pytest.approx(base_v, abs=1e-10 * max(1.0, abs(base_v)))
 
 
 def test_monotone_growth_toward_coalescence():
@@ -141,23 +116,32 @@ def test_monotone_growth_toward_coalescence():
     assert all(b > a for a, b in zip(analytic, analytic[1:]))
 
 
-def test_richardson_retry_near_coalescence():
+def test_richardson_retry_near_coalescence(caplog):
     # b = 0.1: delta = 1e-3 is far out of the asymptotic regime, so the
     # first Richardson check fails and the step is retried at delta / 4
     J = 0.3
     h = np.sqrt((1 - 4 * J**2) - 0.1**2) / 4.0
-    est = qfi_fidelity(ChainParams(N=2, J=J, h=h), "h", delta=1e-3)
+    with caplog.at_level(logging.INFO, logger="nhchain"):
+        est = qfi_fidelity(ChainParams(N=2, J=J, h=h), "h", delta=1e-3)
     assert est.step == pytest.approx(2.5e-4)
     assert est.richardson_diff > 0  # recorded for the retried step
+    # the retry is logged once, at INFO, with the first Richardson change
+    [retry] = caplog.records
+    assert retry.levelno == logging.INFO and "retry at delta/4" in retry.message
+    assert retry.args[1] > 0.05
 
 
-def test_unreliable_flag_survives_failed_retry():
+def test_unreliable_flag_survives_failed_retry(caplog):
     # an absurdly large angle step stays out of the asymptotic regime even
     # after the single delta/4 retry; the estimate comes back flagged
-    est = qfi_fidelity(P_REF, "theta", delta=2.5)
+    with caplog.at_level(logging.INFO, logger="nhchain"):
+        est = qfi_fidelity(P_REF, "theta", delta=2.5)
     assert not est.reliable
     assert est.step == pytest.approx(0.625)
     assert est.richardson_diff > 0.05
+    assert [r.levelno for r in caplog.records] == [logging.INFO, logging.WARNING]
+    assert "unreliable" in caplog.records[1].message
+    assert caplog.records[1].args[1] == est.richardson_diff
 
 
 def test_estimates_propagate_ep_errors():
@@ -176,11 +160,10 @@ def test_rejects_nonpositive_step():
 
 
 def test_positivity_clamp():
-    # orthonormal fake states make the fd estimator exactly zero after the
-    # parallel component is removed; values never come back negative
+    # identical unit states have no overlap drop; values never come back
+    # negative
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
-    assert vector_fd_qfi_from_states(v, v, v, 1e-3) == 0.0
     assert fidelity_qfi_from_states(v, v, 1e-3) == 0.0
 
 

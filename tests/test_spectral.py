@@ -443,16 +443,18 @@ def test_public_names_resolve():
         assert hasattr(nhchain, name), name
     # removed names, spelled in pieces so that a search of the sources for
     # them finds none left behind: the biorthogonal layer, the operator
-    # algebra, the H0/H1 split builders and the correlation records
+    # algebra, the H0/H1 split builders, the correlation records and the
+    # second QFI estimator
     removed = (
         ("dense_" "spectrum", "Spec" "trum", "Degeneracy" "Error")
         + ("op_" "add", "op_" "sum", "op_" "scale", "identity" "_op")
         + ("build_" "h0", "build_" "h1", "correlation" "_records")
+        + ("qfi_vector" "_fd", "vector" "_fd_qfi_from_states")
     )
     for gone in removed:
         assert gone not in nhchain.__all__
         assert not hasattr(nhchain, gone)
-        for module in ("operators", "hamiltonian", "observables"):
+        for module in ("operators", "hamiltonian", "observables", "qfi"):
             assert not hasattr(getattr(nhchain, module), gone)
     methods = ("from_" "entries", "entries", "vals", "conj_" "transpose")
     for gone in methods + ("__" "add__", "__" "rmul__", "__" "matmul__"):
