@@ -31,18 +31,10 @@ from .observables import (
     ObservableRecord,
     correlation_profile,
     correlations_two_site,
-    expectation,
     magnetizations_two_site,
-    pair_correlation_op,
     site_magnetizations,
 )
-from .operators import (
-    SparseOperator,
-    embed,
-    embed_pair,
-    op_matvec,
-    pauli,
-)
+from .operators import SparseOperator, op_matvec, pauli
 from .qfi import (
     QfiEstimate,
     cramer_rao,
@@ -84,11 +76,8 @@ __all__ = [
     "cramer_rao",
     "dense_eigenvalues",
     "eigenvalues_two_site",
-    "embed",
-    "embed_pair",
     "ep_curve",
     "evolve",
-    "expectation",
     "fidelity_qfi_from_states",
     "find_ep_J",
     "fit_inverse_poly",
@@ -97,7 +86,6 @@ __all__ = [
     "majorana_gap",
     "majorana_modes",
     "op_matvec",
-    "pair_correlation_op",
     "pauli",
     "phase_gauge",
     "qfi_fidelity",

@@ -17,8 +17,9 @@ re-parsing reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
 
-Exit codes: 0 success, 1 usage error (a chain too large for physical memory
-included), 2 numerical/solver failure.
+Exit codes: 0 success, 1 usage error (an invalid chain, a dense solve above
+its size limit and a chain too large for physical memory included),
+2 numerical/solver failure.
 """
 
 import argparse
@@ -65,6 +66,9 @@ class SweepAxis:
             raise CliUsageError("axis count must be >= 1")
         if self.start > self.stop:
             raise CliUsageError("axis start must be <= stop")
+        lowest = {"n": 2, "j": 0, "h": 0}.get(self.name)
+        if lowest is not None and self.start < lowest:
+            raise CliUsageError(f"axis {self.name} must start at >= {lowest}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -404,14 +408,28 @@ def _positive(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lowest}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -434,17 +452,17 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 # One declaration per flag: its argparse type (or tuple of choices) and help.
 FLAGS = {
-    "n": (int, "number of sites"),
-    "j": (_finite, "pair coupling J"),
-    "gamma": (_finite, "loss rate"),
-    "h": (_finite, "field amplitude"),
+    "n": (_int_at_least(2), "number of sites"),
+    "j": (_non_negative, "pair coupling J"),
+    "gamma": (_non_negative, "loss rate"),
+    "h": (_non_negative, "field amplitude"),
     "theta": (_finite, "field angle (rad)"),
     "target": (("h", "theta"), "QFI target"),
     "axis": (("x", "y", "z"), "correlation axis"),
     "delta": (_positive, "QFI step size"),
     "tol": (_positive, "solver tolerance"),
-    "max-iters": (_positive_int, "ARPACK restart budget"),
-    "seed": (int, "random seed"),
+    "max-iters": (_int_at_least(1), "ARPACK restart budget"),
+    "seed": (_int_at_least(0), "random seed"),
     "tol-j": (_positive, "bisection width"),
     "bracket": (_parse_pair, "J bracket lo:hi"),
     "t-range": (_parse_range, "time grid lo:hi:count"),
@@ -535,13 +553,12 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         table = RUNNERS[spec.subcommand](spec)
-    except (CliUsageError, MemoryError) as exc:
+    except (CliUsageError, DenseSizeError, MemoryError) as exc:
         print(f"nhchain: error: {exc}", file=sys.stderr)
         return 1
     except (
         EPProximityError,
         ConvergenceError,
-        DenseSizeError,
         ValueError,
         ArithmeticError,
         np.linalg.LinAlgError,

@@ -1,9 +1,11 @@
-"""Steady-state expectation values and the two-site closed forms.
+"""Steady-state magnetizations, correlation profiles and the two-site
+closed forms.
 
 Expectations follow the right-vector convention <psi_ss| O |psi_ss> with the
-unit-normalized steady-state vector (no biorthogonal weighting).
-Correlation profiles are raw products <s^a_1 s^a_n>, not connected
-correlations.
+unit-normalized steady-state vector (no biorthogonal weighting).  Each Pauli
+matrix is applied to its site of that vector (``operators.on_site``); no
+2**N operator is built.  Correlation profiles are raw products
+<s^a_1 s^a_n> = <s^a_1 psi_ss | s^a_n psi_ss>, not connected correlations.
 
 The two-site closed forms are written with a = sqrt(g^2 - 4J^2) and
 b = sqrt(g^2 - 4J^2 - 16h^2), valid strictly inside the gapped region
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ChainParams
-from .operators import SparseOperator, embed, embed_pair, op_matvec, pauli
+from .operators import on_site, pauli
 from .spectral import SteadyState, _gapped_two_site_roots
 
 HERMITIAN_IMAG_TOL = 1e-10
@@ -36,22 +38,13 @@ class ObservableRecord:
     value: float
 
 
-def expectation(ss: SteadyState, op: SparseOperator) -> complex:
-    """<psi_ss| O |psi_ss> with the unit-norm right vector."""
-    v = ss.vector
-    if op.dim != v.shape[0]:
-        raise ValueError(f"operator dimension {op.dim} does not match state {v.shape[0]}")
-    return complex(np.vdot(v, op_matvec(op, v)))
-
-
-def _real_expectation(ss: SteadyState, op: SparseOperator) -> float:
-    """Expectation of a Hermitian operator; checks and drops the Im residue."""
-    val = expectation(ss, op)
+def _real(val: complex) -> float:
+    """Value of a Hermitian expectation; checks and drops the Im residue."""
     if abs(val.imag) > HERMITIAN_IMAG_TOL:
         raise ArithmeticError(
             f"imaginary residue {val.imag:.3e} on a Hermitian expectation"
         )
-    return val.real
+    return float(val.real)
 
 
 def magnetizations_two_site(
@@ -82,39 +75,27 @@ def correlations_two_site(p: ChainParams) -> tuple[float, float, float]:
     return xx, xx, b / a
 
 
-def pair_correlation_op(axis: str, n1: int, n2: int, N: int) -> SparseOperator:
-    """Embedded product s^axis_{n1} s^axis_{n2} for axis in {x, y, z}."""
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    s = pauli(axis)
-    return embed_pair(np.kron(s, s), n1, n2, N)
-
-
 def correlation_profile(ss: SteadyState, axis: str) -> np.ndarray:
     """<s^axis_1 s^axis_n> for n = 2..N, in ascending n order."""
-    N = ss.params.N
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    s, v = pauli(axis), ss.vector
+    first = on_site(s, 1, v)
     return np.array(
-        [
-            _real_expectation(ss, pair_correlation_op(axis, 1, n, N))
-            for n in range(2, N + 1)
-        ]
+        [_real(np.vdot(first, on_site(s, n, v))) for n in range(2, ss.params.N + 1)]
     )
 
 
 def site_magnetizations(ss: SteadyState) -> list[ObservableRecord]:
     """Records s{x,y,z}_n for every site of the chain."""
-    N = ss.params.N
-    out = []
-    for n in range(1, N + 1):
-        for axis in ("x", "y", "z"):
-            op = embed(pauli(axis), n, N)
-            out.append(
-                ObservableRecord(
-                    params=ss.params,
-                    name=f"s{axis}_{n}",
-                    sites=(n,),
-                    value=_real_expectation(ss, op),
-                )
-            )
-    return out
-
+    v = ss.vector
+    return [
+        ObservableRecord(
+            params=ss.params,
+            name=f"s{axis}_{n}",
+            sites=(n,),
+            value=_real(np.vdot(v, on_site(pauli(axis), n, v))),
+        )
+        for n in range(1, ss.params.N + 1)
+        for axis in ("x", "y", "z")
+    ]

@@ -1,4 +1,5 @@
-"""Pauli matrices and site-embedded sparse operators on the 2**N chain space.
+"""Pauli matrices, the chain's sparse operators, and single-site actions on
+state vectors of the 2**N chain space.
 
 Basis convention
 ----------------
@@ -6,20 +7,21 @@ Basis index ``i`` carries bits ``b_{N-1} ... b_0``; chain site ``n``
 (1-based) maps to bit position ``N - n``, so site 1 is the most significant
 bit.  Spin up is bit value 0 and spin down is bit value 1.  For N = 2 the
 ordering is therefore ``(uu, ud, du, dd)``.  This module is the only one
-that knows the convention: other modules describe operators through sites
-and spins (:func:`embed`, :func:`spins_up`, :func:`flip_sum`).
+that knows the convention: other modules describe operators and actions
+through sites and spins (:func:`on_site`, :func:`spins_up`,
+:func:`flip_sum`).
 
 The raising/lowering operators carry the conventional 1/2 normalization,
 ``plus = (x + i y) / 2``, so that a pair coupling of strength J contributes
 matrix elements equal to J.
 
 State vectors are plain 1-D complex numpy arrays of length ``2**N``.
-Operators are built by :func:`embed`, :func:`embed_pair` and
-:func:`flip_sum`.  Each wraps a canonical ``scipy.sparse.csr_array`` and
-exposes ``csr``, ``dim``, ``nnz``, ``dense()`` and ``matvec()``; it is
-immutable after construction and safe to share.  ``scipy.sparse`` is
-imported on the first operator built, so importing the package does not
-load it.
+:func:`on_site` applies a 2x2 matrix to one site of such a vector without
+building an operator.  Operators are built by :func:`flip_sum`; each wraps a
+canonical ``scipy.sparse.csr_array`` and exposes ``csr``, ``dim``, ``nnz``,
+``dense()`` and ``matvec()``; it is immutable after construction and safe
+to share.  ``scipy.sparse`` is imported on the first operator built, so
+importing the package does not load it.
 """
 
 from dataclasses import dataclass
@@ -106,59 +108,15 @@ def _from_rows(vals: np.ndarray, cols: np.ndarray) -> SparseOperator:
     return SparseOperator(csr)
 
 
-def _check_site(site: int, N: int) -> None:
-    if not 1 <= site <= N:
-        raise ValueError(f"site {site} outside chain of {N} sites")
+def on_site(op: np.ndarray, site: int, psi: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix ``op`` applied to ``site`` of the state vector ``psi``
+    (the identity elsewhere).
 
-
-def _on_sites(op: np.ndarray, sites: tuple[int, ...], N: int) -> SparseOperator:
-    """``op`` (2^k x 2^k, first site on the highest local bit) acting on
-    ``sites`` (ascending) and the identity elsewhere.
-
-    Row i, whose spins at ``sites`` form local state a, holds ``op[a, b]``
-    at column i with those spins set to b.  b ascending gives ascending
-    columns, so the rows need no sorting.
+    The site's bit splits the basis index into the higher sites, the site
+    itself and the lower sites, so the vector reshapes to that 3-index form.
     """
-    dim = 1 << N
-    k = len(sites)
-    i = np.arange(dim, dtype=_index_dtype(dim << k))
-    b = np.arange(1 << k, dtype=i.dtype)
-    a, spread, rest = 0, 0, i
-    for j, site in enumerate(sites):
-        bit, shift = N - site, k - 1 - j  # the site's place in i and in a, b
-        a = a | ((i >> bit) & 1) << shift
-        spread = spread | ((b >> shift) & 1) << bit
-        rest = rest & ~(1 << bit)
-    return _from_rows(op.take(a, axis=0), rest[:, None] | spread)
-
-
-def embed(op: np.ndarray, site: int, N: int) -> SparseOperator:
-    """Embed a 2x2 matrix at a tensor slot: I (x) ... (x) op (x) ... (x) I.
-
-    ``site`` follows the 1-based convention of the module docstring: site 1
-    occupies the most significant bit of the basis index.
-    """
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (2, 2):
-        raise ValueError("embed expects a 2x2 matrix")
-    _check_site(site, N)
-    return _on_sites(op, (site,), N)
-
-
-def embed_pair(op4: np.ndarray, site_a: int, site_b: int, N: int) -> SparseOperator:
-    """Embed a 4x4 two-site matrix at sites ``site_a < site_b``.
-
-    The 4x4 index convention is ``kron(A, B)`` with A acting on ``site_a``
-    (the higher bit of the two-site index) and B on ``site_b``.
-    """
-    op4 = np.asarray(op4, dtype=np.complex128)
-    if op4.shape != (4, 4):
-        raise ValueError("embed_pair expects a 4x4 matrix")
-    _check_site(site_a, N)
-    _check_site(site_b, N)
-    if site_a >= site_b:
-        raise ValueError("embed_pair requires site_a < site_b")
-    return _on_sites(op4, (site_a, site_b), N)
+    x = psi.reshape(1 << (site - 1), 2, -1)
+    return np.einsum("ab,ibj->iaj", op, x).reshape(-1)
 
 
 def spins_up(N: int) -> np.ndarray:

@@ -20,11 +20,9 @@ from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.observables import (
     correlation_profile,
     correlations_two_site,
-    expectation,
     magnetizations_two_site,
-    pair_correlation_op,
+    site_magnetizations,
 )
-from nhchain.operators import embed, pauli
 from nhchain.qfi import qfi_fidelity, qfi_two_site_analytic
 from nhchain.spectral import (
     dense_eigenvalues,
@@ -90,19 +88,10 @@ def test_criterion_2_steady_state_closed_forms():
                     ss = steady_state_dense(build_total(p), p)
                     fid = abs(np.vdot(steady_state_two_site(p), ss.vector))
                     worst_fid = max(worst_fid, 1.0 - fid)
-                    mags = np.array(
-                        [
-                            expectation(ss, embed(pauli(ax), site, 2)).real
-                            for site in (1, 2)
-                            for ax in ("x", "y", "z")
-                        ]
-                    )
+                    mags = np.array([r.value for r in site_magnetizations(ss)])
                     dev = np.abs(mags - np.array(magnetizations_two_site(p))).max()
-                    corr = np.array(
-                        [
-                            expectation(ss, pair_correlation_op(ax, 1, 2, 2)).real
-                            for ax in ("x", "y", "z")
-                        ]
+                    corr = np.concatenate(
+                        [correlation_profile(ss, ax) for ax in ("x", "y", "z")]
                     )
                     dev = max(
                         dev,

@@ -363,6 +363,27 @@ def test_main_rejects_non_finite_parameters(capsys):
     assert main(["scaling", "--tol-j", "inf"]) == 1
     err = capsys.readouterr().err
     assert err.count("> 0") == 3 and "integer >= 1" in err and "finite" in err
+    # an invalid chain or seed is a usage error, not a numerical failure
+    assert main(["gap", "--n", "0"]) == 1
+    assert main(["ep", "--n", "1"]) == 1
+    assert main(["correlations", "--n", "3", "--seed", "-1"]) == 1
+    assert main(["correlations", "--n", "6", "--seed", "-1"]) == 1
+    assert main(["gap", "--gamma", "-1"]) == 1
+    assert main(["correlations", "--n", "3", "--h", "-0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "integer >= 2" in err and "integer >= 0" in err
+    assert err.count("finite number >= 0") == 2
+    # and so are sweep axes that start outside the chain's domain
+    assert main(["qfi", "--n-range", "1:3:3", "--j", "0.2", "--h", "0.1"]) == 1
+    assert main(["scaling", "--n-range", "1:9:9"]) == 1
+    assert main(["gap", "--j-range=-0.1:0.2:3"]) == 1
+    assert main(["gap", "--h-range=-0.1:0.2:3"]) == 1
+    err = capsys.readouterr().err
+    assert "axis n must start at >= 2" in err and "axis j must start" in err
+    assert "axis h must start" in err
+    # a dense solve above its size limit, as spectrum already refuses it
+    assert main(["correlations", "--n", "13", "--method", "dense"]) == 1
+    assert "dense path supports dimension" in capsys.readouterr().err
 
 
 def test_main_numerical_failure_exit_code(capsys):

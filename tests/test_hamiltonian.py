@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nhchain.hamiltonian import ChainParams, build_total
-from nhchain.operators import embed, kron_chain, pauli
+from nhchain.operators import kron_chain, pauli
 
 
 def two_site_matrix(J, gamma, h, theta):
@@ -135,9 +135,11 @@ def test_h0_anti_hermitian_part_is_pure_loss(N):
     # H0 - H0^dag equals -i (gamma/2) sum_n (sz_n + 1), independent of J
     p = ChainParams(N=N, J=0.42, gamma=1.3)
     H0 = build_total(p).dense()
+    eye = np.eye(2)
     loss = sum(
-        embed(pauli("z") + np.eye(2), n, N).csr for n in range(1, N + 1)
-    ).toarray()
+        kron_chain([pauli("z") + eye if m == n else eye for m in range(1, N + 1)])
+        for n in range(1, N + 1)
+    )
     assert np.allclose(H0 - H0.conj().T, -0.5j * p.gamma * loss, atol=1e-14)
 
 

@@ -2,17 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.majorana import majorana_gap
 from nhchain.observables import (
     correlation_profile,
     correlations_two_site,
-    expectation,
     magnetizations_two_site,
-    pair_correlation_op,
     site_magnetizations,
 )
-from nhchain.operators import embed, pauli
+from nhchain.operators import kron_chain, pauli
 from nhchain.spectral import solve_steady_state, steady_state_dense
 
 P_REF = ChainParams(N=2, J=0.3, h=0.1)
@@ -23,24 +24,29 @@ def ss_ref():
     return steady_state_dense(build_total(P_REF), P_REF)
 
 
+def pauli_string(factors, N):
+    """Literal Kronecker product: ``factors[n]`` on site n, identity elsewhere."""
+    return kron_chain([pauli(factors.get(n, "identity")) for n in range(1, N + 1)])
+
+
+def magnetization(ss, name):
+    return {r.name: r.value for r in site_magnetizations(ss)}[name]
+
+
 def test_identity_expectation_is_one(ss_ref):
-    identity = embed(pauli("identity"), 1, 2)
-    assert expectation(ss_ref, identity) == pytest.approx(1.0, abs=1e-12)
+    identity = pauli_string({}, 2)
+    val = np.vdot(ss_ref.vector, identity @ ss_ref.vector)
+    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sy1_expectation(ss_ref):
-    val = expectation(ss_ref, embed(pauli("y"), 1, 2))
+    val = magnetization(ss_ref, "sy_1")
     assert val == pytest.approx(0.4, abs=1e-10)
 
 
 def test_sz2_expectation(ss_ref):
-    val = expectation(ss_ref, embed(pauli("z"), 2, 2))
+    val = magnetization(ss_ref, "sz_2")
     assert val == pytest.approx(-0.8, abs=1e-10)
-
-
-def test_expectation_dimension_mismatch(ss_ref):
-    with pytest.raises(ValueError, match="does not match"):
-        expectation(ss_ref, embed(pauli("identity"), 1, 3))
 
 
 def test_magnetizations_reference_point():
@@ -77,18 +83,12 @@ def test_closed_forms_match_dense_solver(J, h, theta):
     # against the dense 4x4 solver across the field angle
     p = ChainParams(N=2, J=J, h=h, theta=theta)
     ss = steady_state_dense(build_total(p), p)
-    mags = [
-        expectation(ss, embed(pauli(ax), site, 2)).real
-        for site in (1, 2)
-        for ax in ("x", "y", "z")
-    ]
+    mags = [r.value for r in site_magnetizations(ss)]
     expected = magnetizations_two_site(p)
     got = (mags[0], mags[1], mags[2], mags[3], mags[4], mags[5])
     assert got == pytest.approx(expected, abs=1e-10)
 
-    xx = expectation(ss, pair_correlation_op("x", 1, 2, 2)).real
-    yy = expectation(ss, pair_correlation_op("y", 1, 2, 2)).real
-    zz = expectation(ss, pair_correlation_op("z", 1, 2, 2)).real
+    (xx,), (yy,), (zz,) = (correlation_profile(ss, ax) for ax in ("x", "y", "z"))
     assert (xx, yy, zz) == pytest.approx(correlations_two_site(p), abs=1e-10)
 
 
@@ -156,8 +156,8 @@ def test_site2_transverse_magnetizations_vanish():
         if p.gamma**2 - 4 * J**2 - 16 * h**2 <= 0.01:
             continue
         ss = steady_state_dense(build_total(p), p)
-        assert abs(expectation(ss, embed(pauli("x"), 2, 2))) < 1e-10
-        assert abs(expectation(ss, embed(pauli("y"), 2, 2))) < 1e-10
+        assert abs(magnetization(ss, "sx_2")) < 1e-10
+        assert abs(magnetization(ss, "sy_2")) < 1e-10
 
 
 def test_record_names_and_sites():
@@ -166,3 +166,31 @@ def test_record_names_and_sites():
     mags = site_magnetizations(ss)
     assert [r.name for r in mags[:3]] == ["sx_1", "sy_1", "sz_1"]
     assert [r.sites for r in mags] == [(n,) for n in (1, 2, 3) for _ in "xyz"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.integers(2, 6),
+    J=st.floats(0.0, 0.4),
+    h=st.floats(0.0, 0.3),
+    theta=st.floats(-7.0, 7.0),
+)
+def test_observables_match_kron_oracle(N, J, h, theta):
+    # every magnetization and every x/y/z profile at N > 2 against literal
+    # Pauli Kronecker products on the dense steady state
+    p = ChainParams(N=N, J=J, h=h, theta=theta)
+    assume(majorana_gap(p) > 1e-2)
+    ss = steady_state_dense(build_total(p), p)
+    v = ss.vector
+
+    def oracle(factors):
+        return np.vdot(v, pauli_string(factors, N) @ v)
+
+    mags = site_magnetizations(ss)
+    assert len(mags) == 3 * N
+    for rec in mags:
+        (n,) = rec.sites
+        assert abs(rec.value - oracle({n: rec.name[1]})) < 1e-12
+    for ax in ("x", "y", "z"):
+        expected = [oracle({1: ax, n: ax}) for n in range(2, N + 1)]
+        assert np.abs(correlation_profile(ss, ax) - expected).max() < 1e-12

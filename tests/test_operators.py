@@ -1,4 +1,5 @@
-"""Pauli/embedding algebra against a brute-force dense Kronecker oracle."""
+"""Paulis, single-site actions and the chain operators against a brute-force
+dense Kronecker oracle."""
 
 from dataclasses import replace
 
@@ -9,16 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from nhchain.hamiltonian import ChainParams, build_total
-from nhchain.operators import (
-    SparseOperator,
-    embed,
-    embed_pair,
-    kron_chain,
-    op_matvec,
-    pauli,
-)
-
-LABELS = ("x", "y", "z", "plus", "minus", "identity")
+from nhchain.operators import SparseOperator, kron_chain, on_site, op_matvec, pauli
 
 
 def dense_embed_oracle(op, site, N):
@@ -58,73 +50,20 @@ def test_pauli_unknown_label():
         pauli("w")
 
 
-def test_embed_z_site1_two_sites():
-    assert np.array_equal(embed(pauli("z"), 1, 2).dense(), np.diag([1, 1, -1, -1]))
-
-
-def test_embed_z_site2_two_sites():
-    assert np.array_equal(embed(pauli("z"), 2, 2).dense(), np.diag([1, -1, 1, -1]))
-
-
-def test_embed_single_site_chain():
-    assert np.array_equal(embed(pauli("x"), 1, 1).dense(), pauli("x"))
-
-
-@pytest.mark.parametrize("site", [0, 3, -1])
-def test_embed_site_out_of_range(site):
-    with pytest.raises(ValueError, match="site"):
-        embed(pauli("x"), site, 2)
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-@pytest.mark.parametrize("label", LABELS)
-def test_embed_matches_kron_oracle(N, label):
-    for site in range(1, N + 1):
-        got = embed(pauli(label), site, N).dense()
-        assert np.allclose(got, dense_embed_oracle(pauli(label), site, N), atol=0)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_embed_pair_matches_kron_oracle(N):
-    rng = np.random.default_rng(3)
-    for sa in range(1, N):
-        for sb in range(sa + 1, N + 1):
-            A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            got = embed_pair(np.kron(A, B), sa, sb, N).dense()
-            mats = [np.eye(2, dtype=complex)] * N
-            mats[sa - 1] = A
-            mats[sb - 1] = B
-            assert np.allclose(got, kron_chain(mats), atol=1e-15)
-
-
-def test_embed_pair_requires_ordered_sites():
-    with pytest.raises(ValueError, match="site_a < site_b"):
-        embed_pair(np.eye(4), 2, 2, 3)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_distinct_sites_commute(N):
-    for la in ("x", "plus", "z"):
-        for lb in ("y", "minus", "z"):
-            for n in range(1, N + 1):
-                for m in range(1, N + 1):
-                    if n == m:
-                        continue
-                    A = embed(pauli(la), n, N).dense()
-                    B = embed(pauli(lb), m, N).dense()
-                    assert np.allclose(A @ B, B @ A, atol=1e-15)
-
-
-def test_embed_nonzero_count_bound():
-    for N in range(1, 6):
-        for label in LABELS:
-            assert embed(pauli(label), 1, N).nnz <= 2 * (1 << (N - 1))
-
-
 def test_plus_on_site1_raises_all_down():
-    got = op_matvec(embed(pauli("plus"), 1, 2), basis_state("dd"))
+    got = on_site(pauli("plus"), 1, basis_state("dd"))
     assert np.array_equal(got, basis_state("ud"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 6), data=st.data())
+def test_on_site_matches_kron_oracle(N, data):
+    op = data.draw(local_matrix())
+    site = data.draw(st.integers(1, N))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal(1 << N) + 1j * rng.standard_normal(1 << N)
+    got = on_site(op, site, psi)
+    assert np.allclose(got, dense_embed_oracle(op, site, N) @ psi, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -168,13 +107,13 @@ def test_matvec_linearity():
 
 
 def test_dimension_mismatch_errors():
-    a = embed(pauli("identity"), 1, 2)
+    a = build_total(ChainParams(N=2, J=0.3, h=0.1))
     with pytest.raises(ValueError, match="does not match"):
         op_matvec(a, np.zeros(8, dtype=complex))
 
 
 def test_operators_are_immutable():
-    op = embed(pauli("identity"), 1, 2)
+    op = build_total(ChainParams(N=2, J=0.3, h=0.1))
     with pytest.raises(ValueError):
         op.csr.data[0] = 5.0
 
@@ -222,13 +161,13 @@ def zero_or(strategy):
     return st.one_of(st.just(0.0), strategy)
 
 
-def local_matrix(k):
-    """2^k x 2^k complex matrices with some entries exactly zero."""
+def local_matrix():
+    """2x2 complex matrices with some entries exactly zero."""
     entry = st.one_of(
         st.just(0j), st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
     )
-    return st.lists(entry, min_size=4**k, max_size=4**k).map(
-        lambda xs: np.array(xs, dtype=complex).reshape(2**k, 2**k)
+    return st.lists(entry, min_size=4, max_size=4).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(2, 2)
     )
 
 
@@ -251,32 +190,3 @@ def test_builders_match_kron_oracle(N, J, gamma, h, theta):
     ):
         assert_canonical(op)
         assert np.allclose(op.dense(), oracle, rtol=0, atol=1e-14)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(N=st.integers(1, 6), data=st.data())
-def test_embed_is_canonical_and_matches_kron_oracle(N, data):
-    op = data.draw(local_matrix(1))
-    site = data.draw(st.integers(1, N))
-    got = embed(op, site, N)
-    assert_canonical(got)
-    assert np.array_equal(got.dense(), dense_embed_oracle(op, site, N))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(N=st.integers(2, 6), data=st.data())
-def test_embed_pair_is_canonical_and_matches_kron_oracle(N, data):
-    op4 = data.draw(local_matrix(2))
-    sa = data.draw(st.integers(1, N - 1))
-    sb = data.draw(st.integers(sa + 1, N))
-    got = embed_pair(op4, sa, sb, N)
-    assert_canonical(got)
-    # op4 = sum_{rc} op4[r, c] |r1><c1| (x) |r2><c2|, r = 2 r1 + r2
-    oracle = np.zeros((1 << N, 1 << N), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            mats = [np.eye(2, dtype=complex)] * N
-            mats[sa - 1] = np.outer(np.eye(2)[r >> 1], np.eye(2)[c >> 1])
-            mats[sb - 1] = np.outer(np.eye(2)[r & 1], np.eye(2)[c & 1])
-            oracle += op4[r, c] * kron_chain(mats)
-    assert np.array_equal(got.dense(), oracle)

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from nhchain import spectral
 from nhchain.cli import SweepSpec, run_qfi_sweep
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import majorana_gap
-from nhchain.operators import SparseOperator, embed, embed_pair, pauli
+from nhchain.operators import SparseOperator, kron_chain, pauli
 from nhchain.qfi import qfi_fidelity
 from nhchain.spectral import (
     dense_eigenvalues,
@@ -407,8 +408,11 @@ def test_lossless_limit_via_operator_assembly():
     # gamma = 0 chain assembled term by term stays Hermitian and real-spectral
     N = 3
     pair = np.kron(pauli("plus"), pauli("plus")) + np.kron(pauli("minus"), pauli("minus"))
-    bonds = sum(embed_pair(pair, n, n + 1, N).csr for n in range(1, N))
-    H = SparseOperator(0.7 * bonds + 0.3 * embed(pauli("x"), 1, N).csr)
+    eye = pauli("identity")
+    bonds = sum(
+        kron_chain([eye] * (n - 1) + [pair] + [eye] * (N - n - 1)) for n in range(1, N)
+    )
+    H = SparseOperator(csr_array(0.7 * bonds + 0.3 * kron_chain([pauli("x"), eye, eye])))
     w = dense_eigenvalues(H)
     assert np.abs(w.imag).max() < 1e-10
 
@@ -443,19 +447,22 @@ def test_public_names_resolve():
         assert hasattr(nhchain, name), name
     # removed names, spelled in pieces so that a search of the sources for
     # them finds none left behind: the biorthogonal layer, the operator
-    # algebra, the H0/H1 split builders, the correlation records and the
-    # second QFI estimator
+    # algebra, the H0/H1 split builders, the correlation records, the
+    # second QFI estimator and the site-embedded operators of the observables
     removed = (
         ("dense_" "spectrum", "Spec" "trum", "Degeneracy" "Error")
         + ("op_" "add", "op_" "sum", "op_" "scale", "identity" "_op")
         + ("build_" "h0", "build_" "h1", "correlation" "_records")
         + ("qfi_vector" "_fd", "vector" "_fd_qfi_from_states")
+        + ("em" "bed", "em" "bed_pair", "expect" "ation", "pair_correlation" "_op")
     )
     for gone in removed:
         assert gone not in nhchain.__all__
         assert not hasattr(nhchain, gone)
         for module in ("operators", "hamiltonian", "observables", "qfi"):
             assert not hasattr(getattr(nhchain, module), gone)
+    for gone in ("_on" "_sites", "_check" "_site"):
+        assert not hasattr(nhchain.operators, gone)
     methods = ("from_" "entries", "entries", "vals", "conj_" "transpose")
     for gone in methods + ("__" "add__", "__" "rmul__", "__" "matmul__"):
         assert not hasattr(nhchain.SparseOperator, gone)
