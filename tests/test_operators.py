@@ -12,12 +12,20 @@ from scipy.sparse import csr_array
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.operators import SparseOperator, kron_chain, on_site, op_matvec, pauli
 
+LABELS = ("x", "y", "z", "plus", "minus", "identity")
+
 
 def dense_embed_oracle(op, site, N):
     """Independent reference: explicit Kronecker chain of 2x2 factors."""
     mats = [np.eye(2, dtype=complex)] * N
     mats[site - 1] = op
     return kron_chain(mats)
+
+
+def on_site_matrix(op, site, N):
+    """Matrix of the site-embedded action: ``on_site`` on each basis vector."""
+    basis = np.eye(1 << N, dtype=complex)
+    return np.column_stack([on_site(op, site, e) for e in basis])
 
 
 def basis_state(bits: str) -> np.ndarray:
@@ -48,6 +56,53 @@ def test_pauli_ladder_convention():
 def test_pauli_unknown_label():
     with pytest.raises(ValueError, match="unknown operator label"):
         pauli("w")
+
+
+def test_embed_z_site1_two_sites():
+    assert np.array_equal(on_site_matrix(pauli("z"), 1, 2), np.diag([1, 1, -1, -1]))
+
+
+def test_embed_z_site2_two_sites():
+    assert np.array_equal(on_site_matrix(pauli("z"), 2, 2), np.diag([1, -1, 1, -1]))
+
+
+def test_embed_single_site_chain():
+    assert np.array_equal(on_site_matrix(pauli("x"), 1, 1), pauli("x"))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("label", LABELS)
+def test_embed_matches_kron_oracle(N, label):
+    for site in range(1, N + 1):
+        got = on_site_matrix(pauli(label), site, N)
+        assert np.allclose(got, dense_embed_oracle(pauli(label), site, N), atol=0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_embed_pair_matches_kron_oracle(N):
+    rng = np.random.default_rng(3)
+    for sa in range(1, N):
+        for sb in range(sa + 1, N + 1):
+            A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            got = on_site_matrix(A, sa, N) @ on_site_matrix(B, sb, N)
+            mats = [np.eye(2, dtype=complex)] * N
+            mats[sa - 1] = A
+            mats[sb - 1] = B
+            assert np.allclose(got, kron_chain(mats), atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_distinct_sites_commute(N):
+    for la in ("x", "plus", "z"):
+        for lb in ("y", "minus", "z"):
+            for n in range(1, N + 1):
+                for m in range(1, N + 1):
+                    if n == m:
+                        continue
+                    A = on_site_matrix(pauli(la), n, N)
+                    B = on_site_matrix(pauli(lb), m, N)
+                    assert np.allclose(A @ B, B @ A, atol=1e-15)
 
 
 def test_plus_on_site1_raises_all_down():
