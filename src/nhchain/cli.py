@@ -17,12 +17,18 @@ re-parsing reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
 
+Warnings from the package (an unreliable QFI estimate) go to stderr as
+``nhchain: warning: ...`` lines.  A flag's value may start with ``-``
+(``--theta-range -1:1:3``).
+
 Exit codes: 0 success, 1 usage error (an invalid chain, a dense solve above
 its size limit and a chain too large for physical memory included),
 2 numerical/solver failure.
 """
 
 import argparse
+import logging
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -544,10 +550,46 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     return SweepSpec(axes=tuple(axes), **kw)
 
 
+def _glue_values(argv: list[str]) -> list[str]:
+    """Join each ``--flag -value`` of ``FLAGS`` into ``--flag=-value``.
+
+    argparse takes a separate value that starts with ``-`` for an option
+    unless it is a plain negative number, so ``--theta-range -1:1:3`` would
+    otherwise fail with "expected one argument".
+    """
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag[2:] in FLAGS and re.match(r"-\.?\d", token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record to the ``sys.stderr`` of the moment it is emitted."""
+
+    def emit(self, record):
+        try:
+            print(self.format(record), file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+# One handler for every call of ``main``: the package's warnings (an
+# unreliable QFI estimate) reach stderr with the CLI's prefix.
+_LOG_HANDLER = _StderrHandler(logging.WARNING)
+_LOG_HANDLER.setFormatter(logging.Formatter("nhchain: warning: %(message)s"))
+
+
 def main(argv=None) -> int:
+    log = logging.getLogger("nhchain")
+    if _LOG_HANDLER not in log.handlers:
+        log.addHandler(_LOG_HANDLER)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

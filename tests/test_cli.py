@@ -1,5 +1,6 @@
 """Sweep runners, CSV format contract, and CLI exit codes."""
 
+import logging
 import re
 import shlex
 from pathlib import Path
@@ -559,3 +560,34 @@ def test_readme_cli_invocations_parse():
         except SystemExit:
             pytest.fail(f"README invocation does not parse: {line}")
     assert {shlex.split(ln)[1] for ln in lines} == set(cli.RUNNERS)
+
+
+def test_main_takes_a_range_that_starts_with_a_minus(tmp_path, capsys):
+    base = ["qfi", "--n", "2", "--j", "0.2", "--h", "0.1"]
+    spaced, glued = tmp_path / "spaced.csv", tmp_path / "glued.csv"
+    assert main(base + ["--theta-range", "-1:1:3", "--out", str(spaced)]) == 0
+    assert main(base + ["--theta-range=-1:1:3", "--out", str(glued)]) == 0
+    assert capsys.readouterr().err == ""
+    assert spaced.read_bytes() == glued.read_bytes()
+    _, _, rows = parse_csv(spaced.read_text())
+    assert [float(r[3]) for r in rows] == [-1.0, 0.0, 1.0]
+
+
+def test_main_prefixes_package_warnings_once(capsys):
+    argv = ["qfi", "--n", "2", "--j", "0.3", "--h", "0.1"]
+    argv += ["--target", "theta", "--delta", "2.5"]
+    spec = SweepSpec(subcommand="qfi", n=2, j=0.3, h=0.1, target="theta", delta=2.5)
+    expected = run_qfi_sweep(spec).to_string()
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        # one prefixed line per unreliable point, however often main ran
+        assert captured.err.splitlines() == [
+            "nhchain: warning: QFI theta unreliable: richardson_diff 0.0853, "
+            "ChainParams(N=2, J=0.3, gamma=1.0, h=0.1, theta=0.0)"
+        ]
+    handlers = logging.getLogger("nhchain").handlers
+    assert len(handlers) == 1
+    assert handlers[0].level == logging.WARNING

@@ -1,0 +1,137 @@
+"""Krylov propagator ``evolve`` against the dense matrix exponential."""
+
+import logging
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg as la
+from scipy.sparse import csr_array
+
+from nhchain import spectral
+from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.operators import SparseOperator
+from nhchain.spectral import EXPM_STRIDE, evolve, steady_state_dense
+
+
+class CountingOperator:
+    """``H`` with a count of its matvecs; ``evolve`` needs nothing else."""
+
+    def __init__(self, H):
+        self.H = H
+        self.matvecs = 0
+
+    def matvec(self, v):
+        self.matvecs += 1
+        return self.H.matvec(v)
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def dense_reference(H, v, t):
+    return la.expm(-1j * t * H.dense()) @ v
+
+
+@pytest.fixture
+def substeps(monkeypatch):
+    """Per Krylov substep: [matvecs, expm calls], recorded through spies."""
+    records = []
+    arnoldi_step, expm = spectral._arnoldi_step, spectral.la.expm
+
+    def step(H, psi, dt, tol, m_max):
+        before = H.matvecs
+        records.append([0, 0])
+        out = arnoldi_step(H, psi, dt, tol, m_max)
+        records[-1][0] = H.matvecs - before
+        return out
+
+    def counted_expm(a):
+        records[-1][1] += 1
+        return expm(a)
+
+    monkeypatch.setattr(spectral, "_arnoldi_step", step)
+    monkeypatch.setattr(spectral.la, "expm", counted_expm)
+    return records
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+@pytest.mark.parametrize(
+    "N,J,h,theta,t",
+    [
+        (3, 0.2, 0.1, 0.5, 3.7),
+        (5, 0.24, 0.18, 1.2, 8.0),
+        (6, 0.4, 0.3, 2.0, 2.0),
+        (8, 0.23, 0.2, 0.0, 5.0),
+    ],
+)
+def test_evolve_meets_its_tolerance(N, J, h, theta, t, tol):
+    H = build_total(ChainParams(N=N, J=J, h=h, theta=theta))
+    v = random_state(H.dim, N)
+    got = evolve(H, v, t, tol=tol)
+    ref = dense_reference(H, v, t)
+    assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_evolve_meets_its_tolerance_on_a_strongly_damped_step(N):
+    # in the gapless region the norm falls by ~1e-19 over one step of 50; the
+    # residual at the step's end alone reads the error over 100 times too small
+    H = build_total(ChainParams(N=N, J=0.4, h=0.3, theta=2.0))
+    v = dense_reference(H, random_state(H.dim, N), 25.0)
+    v /= np.linalg.norm(v)
+    got = evolve(H, v, 50.0, tol=1e-6)
+    ref = dense_reference(H, v, 50.0)
+    assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+def test_evolve_halves_a_long_substep(caplog):
+    # exp(-50 i H) needs more than KRYLOV_DIM orders at N = 6
+    H = build_total(ChainParams(N=6, J=0.24, h=0.18, theta=1.2))
+    v = random_state(H.dim, 6)
+    with caplog.at_level(logging.DEBUG, logger="nhchain"):
+        got = evolve(H, v, 50.0, tol=1e-9)
+    halved = [r for r in caplog.records if "substep halved" in r.getMessage()]
+    assert halved
+    assert all(r.levelno == logging.DEBUG for r in halved)
+    ref = dense_reference(H, v, 50.0)
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_evolve_from_the_steady_state_breaks_down_at_first_order(substeps):
+    p = ChainParams(N=5, J=0.2, h=0.15, theta=0.3)
+    H = build_total(p)
+    ss = steady_state_dense(H, p)
+    Hc = CountingOperator(H)
+    got = evolve(Hc, ss.vector, 20.0, tol=1e-11)
+    # one order spans the invariant space, so every substep is one matvec and
+    # one exponential, whatever the stride
+    assert substeps == [[1, 1]]
+    assert np.linalg.norm(got - np.exp(-20j * ss.eigenvalue) * ss.vector) < 1e-11
+
+
+def test_evolve_accepts_an_order_off_the_stride(substeps):
+    # a start vector on k distinct eigenvalues spans a k-dimensional Krylov
+    # space, so the basis breaks down at order k, not a multiple of the stride
+    k = EXPM_STRIDE + 1
+    diag = -0.3j * np.arange(8) + np.linspace(0.0, 1.4, 8)
+    H = SparseOperator(csr_array(np.diag(diag)))
+    v = np.zeros(8, dtype=complex)
+    v[:k] = random_state(k, 1)
+    Hc = CountingOperator(H)
+    got = evolve(Hc, v, 1.5, tol=1e-12)
+    assert substeps == [[k, 2]]
+    assert np.linalg.norm(got - np.exp(-1.5j * diag) * v) < 1e-13
+
+
+def test_evolve_exponentiates_every_stride_orders(substeps):
+    # the small exponential is taken every EXPM_STRIDE orders and at the last
+    # one, not at every order
+    H = CountingOperator(build_total(ChainParams(N=10, J=0.23, h=0.2)))
+    evolve(H, random_state(1 << 10, 10), 10.0)
+    assert max(m for m, _ in substeps) >= 3
+    for m, calls in substeps:
+        assert calls <= math.ceil(m / EXPM_STRIDE) + 1, (m, calls)
