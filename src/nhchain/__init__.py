@@ -4,7 +4,8 @@ The package builds the chain generator (nearest-neighbor pair creation with
 on-site loss and a transverse field on site 1), extracts its slowest-decaying
 eigenstate, and computes spectra, imaginary-part gaps (from the free-fermion
 single-particle modes at any chain size), exceptional points, steady-state
-observables, quantum Fisher information and finite-size scaling fits.  A CLI
+observables, quantum Fisher information (exact from the same modes at any
+chain size) and finite-size scaling fits.  A CLI
 (``nhchain``) persists parameter sweeps as CSV.
 """
 

@@ -222,8 +222,10 @@ def run_gap_sweep(spec: SweepSpec) -> CsvTable:
 def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
     """QFI over any subset of the n/j/h/theta axes.
 
-    The analytic2 method is the two-site closed form and rejects N != 2;
-    failed grid points are emitted with qfi = nan and an error tag.
+    The auto method is the exact Gaussian QFI, whose delta and
+    richardson_diff columns read nan; the analytic2 method is the two-site
+    closed form and rejects N != 2; failed grid points are emitted with
+    qfi = nan and an error tag.
     """
     rows = []
     for n in spec.axis_for("n").int_values():
@@ -500,7 +502,8 @@ _STEADY_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
 STEADY_METHODS = {
     "qfi": (
         _METHODS + ("analytic2",),
-        _STEADY_HELP + "; analytic2: two-site closed form",
+        "auto: exact Gaussian QFI at any N; dense, krylov: overlap drop on "
+        "that steady-state solver; analytic2: two-site closed form",
     ),
     "correlations": (_METHODS, _STEADY_HELP),
     "evolve": (_METHODS, _STEADY_HELP),

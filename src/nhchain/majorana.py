@@ -16,12 +16,21 @@ into ``-i gamma N / 4 + sum_{j<k} A_jk g_j g_k`` with, for j < k,
 matrix ``B = 2 A[1:, 1:]`` is antisymmetric of odd size 2N+1: its eigenvalues
 are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
+
+The steady state is the fermionic Gaussian state annihilated by the N modes
+of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
+vector of B, ``z^T z = 1``); :func:`majorana_qfi` differentiates the
+projector onto that annihilator space exactly, which gives the steady-state
+QFI at any N from (2N+2)-dimensional matrices.
 """
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.lapack import ztrsyl
 
+from .errors import EPProximityError
 from .hamiltonian import ChainParams
+from .spectral import default_tol_gap
 
 
 def _majorana_matrix(p: ChainParams) -> np.ndarray:
@@ -46,7 +55,11 @@ def majorana_modes(p: ChainParams) -> np.ndarray:
     steady state takes every s_k = +1, and the imaginary-part gap is
     ``Im eps_0``.
     """
-    c = la.eigvals(_majorana_matrix(p))
+    return _modes(la.eigvals(_majorana_matrix(p)))
+
+
+def _modes(c: np.ndarray) -> np.ndarray:
+    """``majorana_modes`` from the 2N+1 eigenvalues ``c`` of B."""
     c = c[np.argsort(np.abs(c))]
     # c[:3] are the structural zero and the smallest pair.  At an exceptional
     # point the three form a 3x3 Jordan block whose eigenvalues scatter by
@@ -66,3 +79,70 @@ def majorana_gap(p: ChainParams) -> float:
     1e-8, the rounding floor of a double-precision eigensolve there.
     """
     return float(majorana_modes(p)[0].imag)
+
+
+def _edge_derivative(p: ChainParams, target: str) -> np.ndarray:
+    """d B[0, 1:3] / d target; no other entry above the diagonal moves."""
+    c, s = np.cos(p.theta), np.sin(p.theta)
+    if target == "h":
+        return -2j * np.array([c, s])
+    if target == "theta":
+        return 2j * p.h * np.array([s, -c])
+    raise ValueError(f"target must be 'h' or 'theta', got {target!r}")
+
+
+def majorana_qfi(p: ChainParams, target: str) -> float:
+    """Exact steady-state QFI about ``h`` or ``theta`` at any N.
+
+    One sorted complex Schur form ``B = Z T Z^H`` (the k = N modes with
+    ``Im eps > 0`` first) gives the gap, the annihilator space
+    ``L = [Z_1, e_0 + i z]`` padded with the g_0 row, and the null vector z
+    (from a triangular solve on T).  The derivative of the invariant
+    subspace is ``Z_2 X`` with ``T_22 X - X T_11 = -(Z_2^H dB Z_1)``
+    (Stewart and Sun, Matrix Perturbation Theory, 1990), and dz solves the
+    bordered system ``[[B, z], [z^T, 0]] [dz; mu] = [-dB z; 0]``.  With
+    ``L = QR`` and ``P = QQ^H``, ``G = (I - P) dL R^-1 Q^H`` and
+    ``F = 1/4 Tr(dGamma^T dGamma) = 2 ||G||_F^2`` for the real covariance
+    ``Gamma = -i(I - 2P)``.  Raises ``EPProximityError`` when the gap is at
+    or below ``default_tol_gap(gamma)``, as the steady-state solvers do.
+    """
+    d = _edge_derivative(p, target)
+    B = _majorana_matrix(p)
+    n = B.shape[0]
+    tol_gap = default_tol_gap(p.gamma)
+    T, Z, k = la.schur(B, output="complex", sort=lambda x: x.imag > 0.5 * tol_gap)
+    t = np.diag(T)
+    gap = float(_modes(t)[0].imag)
+    if gap <= tol_gap or k != p.N:
+        raise EPProximityError(gap, tol_gap)
+    Z1, Z2 = Z[:, :k], Z[:, k:]
+    # dB = e_0 dv^T - dv e_0^T with dv = (0, d_0, d_1, 0, ...): rank two
+    E21 = np.outer(Z2[0].conj(), d @ Z1[1:3])
+    E21 -= np.outer(Z2[1:3].conj().T @ d, Z1[0])
+    X, scale, _ = ztrsyl(T[k:, k:], T[:k, :k], -E21, isgn=-1)
+    # null vector: the eigenvector of T for its zero diagonal entry
+    j = k + int(np.argmin(np.abs(t[k:])))
+    y = np.zeros(n, dtype=complex)
+    y[j] = 1.0
+    y[:j] = la.solve_triangular(T[:j, :j], -T[:j, j])
+    z = Z @ y
+    z /= np.sqrt(z @ z)
+    K = np.zeros((n + 1, n + 1), dtype=complex)
+    K[:n, :n] = B
+    K[:n, n] = K[n, :n] = z
+    rhs = np.zeros(n + 1, dtype=complex)
+    rhs[0] = -d @ z[1:3]
+    rhs[1:3] = d * z[0]
+    dz = la.solve(K, rhs)[:n]
+    L = np.zeros((n + 1, k + 1), dtype=complex)
+    L[1:, :k] = Z1
+    L[0, k] = 1.0
+    L[1:, k] = 1j * z
+    dL = np.zeros_like(L)
+    dL[1:, :k] = Z2 @ (X / scale)
+    dL[1:, k] = 1j * dz
+    Q, R = la.qr(L, mode="economic")
+    # ||G||_F = ||(I - P) dL R^-1||_F, as Q has orthonormal columns
+    W = la.solve_triangular(R, dL.T, trans="T").T
+    W -= Q @ (Q.conj().T @ W)
+    return 2.0 * float(np.vdot(W, W).real)

@@ -1,14 +1,19 @@
 """Quantum Fisher information of steady states with respect to h and theta.
 
-The numerical estimator converts the overlap drop between steady states at
-eta - delta and eta + delta into the fidelity form of the QFI,
+``qfi_fidelity(method="auto")`` returns the exact QFI of the Gaussian
+(free-fermion) steady state, :func:`nhchain.majorana.majorana_qfi`, at any
+N: no 2^N-dimensional state, no step size and no retry.
+
+``method="dense"`` and ``"krylov"`` keep the numerical cross-check, which
+converts the overlap drop between steady states at eta - delta and
+eta + delta into the fidelity form of the QFI,
 
     I ~= 8 * (1 - |<psi(eta-delta)|psi(eta+delta)>|) / (2*delta)**2,
 
 which is exact to O(delta^2) and invariant under any eta-dependent phase of
-the vectors.  The two-site closed forms are its oracle.
+the vectors.  The two-site closed forms are the oracle of both paths.
 
-Every numerical estimate is evaluated a second time at delta/2 and the
+Every overlap-drop estimate is evaluated a second time at delta/2 and the
 relative change is stored as ``richardson_diff``; values above 0.05 trigger
 one retry at delta/4, after which the estimate is returned flagged
 unreliable rather than masked.  The retry is logged at INFO and a still
@@ -17,7 +22,7 @@ diverge at exceptional points, so divergence is reported, not hidden.
 
 The unit-normalized right eigenvector convention used here reproduces the
 two-site closed forms; the closed-form I_theta is written with a gamma^2
-denominator, which the estimator confirms (the forms coincide for the
+denominator, which both estimators confirm (the forms coincide for the
 default gamma = 1).
 """
 
@@ -27,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import ChainParams
+from .majorana import majorana_qfi
 from .spectral import _gapped_two_site_roots, solve_steady_state
 
 RICHARDSON_LIMIT = 0.05
@@ -38,7 +44,14 @@ log = logging.getLogger("nhchain")
 
 @dataclass(frozen=True)
 class QfiEstimate:
-    """A QFI value with its method, step size and convergence diagnostic."""
+    """A QFI value with its method, step size and convergence diagnostic.
+
+    ``method`` is ``"majorana"`` for the exact Gaussian QFI, whose ``step``
+    and ``richardson_diff`` are ``nan`` and which is always ``reliable``,
+    and ``"fidelity"`` for the overlap drop, whose ``step`` is the delta
+    used (after any retry) and ``reliable`` means ``richardson_diff <=
+    0.05``.
+    """
 
     params: ChainParams
     target: str
@@ -63,14 +76,16 @@ def qfi_two_site_analytic(p: ChainParams, target: str) -> float:
 
     I_h = 16 / (gamma^2 - 4J^2 - 16h^2) diverges at the exceptional point;
     I_theta = (a-b)(ab + gamma^2 + 4J^2) / (gamma^2 a) saturates there at
-    1 + 4J^2/gamma^2.
+    1 + 4J^2/gamma^2.  a - b is evaluated as 16h^2 / (a + b), which does not
+    cancel at small h.
     """
     _check_target(target)
     a, b = _gapped_two_site_roots(p, "QFI")
     g = p.gamma
     if target == "h":
         return 16.0 / (b * b)
-    return (a - b) * (a * b + g * g + 4.0 * p.J * p.J) / (g * g * a)
+    a_minus_b = 16.0 * p.h * p.h / (a + b)
+    return a_minus_b * (a * b + g * g + 4.0 * p.J * p.J) / (g * g * a)
 
 
 def fidelity_qfi_from_states(
@@ -122,14 +137,26 @@ def qfi_fidelity(
     method: str = "auto",
     **solver_kw,
 ) -> QfiEstimate:
-    """QFI from the steady-state overlap drop; gauge-free.
+    """Steady-state QFI about ``target`` ("h" or "theta").
 
-    Solver keyword arguments (tol, max_iters, seed) are passed
-    through to ``solve_steady_state``.
+    ``method="auto"`` returns the exact Gaussian QFI (``majorana_qfi``) at
+    any N.  ``"dense"`` and ``"krylov"`` return the gauge-free overlap drop
+    at ``delta``, with the Richardson test and retry; ``delta`` and the
+    solver keyword arguments (tol, max_iters, seed), which are passed
+    through to ``solve_steady_state``, reach only those two.
     """
     _check_target(target)
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    if method == "auto":
+        return QfiEstimate(
+            params=p,
+            target=target,
+            value=majorana_qfi(p, target),
+            method="majorana",
+            step=np.nan,
+            richardson_diff=np.nan,
+        )
     value, rich = _two_step(p, target, delta, method, solver_kw)
     step = delta
     if rich > RICHARDSON_LIMIT:

@@ -269,8 +269,10 @@ def evolve(
     ``tol`` times the norm of its result (see ``_arnoldi_step``); the errors
     of successive substeps add up.  The substep is halved, with a DEBUG
     record on the ``nhchain`` logger, whenever the Krylov space of size
-    ``KRYLOV_DIM`` cannot meet that tolerance; successful substeps let it
-    grow back.  The result is not renormalized: the norm decays physically.
+    ``KRYLOV_DIM`` cannot meet that tolerance.  Each accepted substep
+    doubles it again, but at most halfway to the last size that failed in
+    this call, so it stays below that size.  The result is not
+    renormalized: the norm decays physically.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
@@ -280,10 +282,12 @@ def evolve(
     remaining = float(t)
     dt = remaining
     min_dt = t * 1e-12
+    failed = np.inf
     while remaining > t * 1e-14:
         dt = min(dt, remaining)
         ok, result = _arnoldi_step(H, psi, dt, tol, KRYLOV_DIM)
         if not ok:
+            failed = dt
             dt *= 0.5
             log.debug("evolve: Krylov substep halved to %g", dt)
             if dt < min_dt:
@@ -293,7 +297,7 @@ def evolve(
             continue
         psi = result
         remaining -= dt
-        dt *= 2.0
+        dt = min(2.0 * dt, 0.5 * (dt + failed))
     return psi
 
 

@@ -192,8 +192,35 @@ def test_criterion_6_qfi_growth_and_saturation():
         assert all(b > a for a, b in zip(seq, seq[1:])), f"not increasing: {seq}"
         inc = (values[12] - values[10]) / values[10]
         assert inc < 0.05, f"relative increment N=10->12 is {inc:.3f}"
+        # the exact Gaussian QFI (method auto) is flat from N = 32 on
+        for target in ("h", "theta"):
+            big = [
+                qfi_fidelity(ChainParams(N=n, J=0.23, h=0.2), target).value
+                for n in (32, 64, 128)
+            ]
+            shown = " ".join(f"{v:.10g}" for v in big)
+            print(f"    exact {target} QFI at N=32,64,128: {shown}")
+            spread = (max(big) - min(big)) / big[-1]
+            assert spread <= 1e-8, f"{target} QFI moves by {spread:.1e} from N=32 to 128"
 
     _run(6, "field QFI grows with size and saturates", check)
+
+
+def test_ep_claims_at_fifty_sites():
+    # approaching the N = 50 boundary from below, I_h grows as 1 / Delta J
+    # without bound, while I_theta rises to a finite maximum
+    j_c = find_ep_J(50, 0.2, tol_J=1e-10)
+    dj = (1e-3, 1e-4, 1e-5)
+    ps = [ChainParams(N=50, J=j_c - d, h=0.2) for d in dj]
+    i_h = [qfi_fidelity(p, "h").value * d for p, d in zip(ps, dj)]
+    i_theta = [qfi_fidelity(p, "theta").value for p in ps]
+    print(
+        f"EP CLAIMS [N=50, J_c={j_c:.10f}]: "
+        f"I_h*dJ {' '.join(f'{v:.3f}' for v in i_h)}; "
+        f"I_theta {' '.join(f'{v:.4f}' for v in i_theta)}"
+    )
+    assert max(i_h) <= 1.5 * min(i_h)
+    assert i_theta[0] < i_theta[1] < i_theta[2] < 2.0
 
 
 def test_stretch_saturation_to_fourteen_sites():

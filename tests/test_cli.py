@@ -153,6 +153,21 @@ def test_qfi_sweep_emits_nan_rows_near_coalescence():
     assert bad[9] == "ep_proximity" and np.isnan(bad[7])
 
 
+def test_main_qfi_golden_row(capsys):
+    # the exact Gaussian QFI has no step and no Richardson change
+    assert main(["qfi", "--n", "2", "--j", "0.3", "--h", "0.1"]) == 0
+    _, header, [row] = parse_csv(capsys.readouterr().out)
+    assert header[5:] == ["method", "delta", "qfi", "richardson_diff", "error"]
+    assert row[5:7] == ["majorana", "nan"] and row[8:] == ["nan", ""]
+    assert float(row[7]) == pytest.approx(16.0 / 0.48, rel=1e-12)
+
+
+def test_main_qfi_at_two_hundred_sites(capsys):
+    assert main(["qfi", "--n", "200", "--j", "0.23", "--h", "0.2"]) == 0
+    _, _, [row] = parse_csv(capsys.readouterr().out)
+    assert row[5] == "majorana" and row[9] == ""
+
+
 def test_qfi_sweep_analytic_method():
     spec = SweepSpec(
         subcommand="qfi", n=2, j=0.3, h=0.1, target="h", method="analytic2"
@@ -575,8 +590,10 @@ def test_main_takes_a_range_that_starts_with_a_minus(tmp_path, capsys):
 
 def test_main_prefixes_package_warnings_once(capsys):
     argv = ["qfi", "--n", "2", "--j", "0.3", "--h", "0.1"]
-    argv += ["--target", "theta", "--delta", "2.5"]
-    spec = SweepSpec(subcommand="qfi", n=2, j=0.3, h=0.1, target="theta", delta=2.5)
+    argv += ["--target", "theta", "--delta", "2.5", "--method", "dense"]
+    spec = SweepSpec(
+        subcommand="qfi", n=2, j=0.3, h=0.1, target="theta", delta=2.5, method="dense"
+    )
     expected = run_qfi_sweep(spec).to_string()
     capsys.readouterr()
     for _ in range(2):

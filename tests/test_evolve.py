@@ -101,6 +101,35 @@ def test_evolve_halves_a_long_substep(caplog):
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def test_evolve_does_not_grow_back_to_a_failed_substep(monkeypatch):
+    # in the damped region a substep of 12.5 fails at KRYLOV_DIM orders while
+    # 6.25 passes; doubling straight back to 12.5 or 25 after each accepted
+    # substep failed 10 times in this call
+    outcomes = []
+    arnoldi_step = spectral._arnoldi_step
+
+    def step(*args):
+        out = arnoldi_step(*args)
+        outcomes.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral, "_arnoldi_step", step)
+    H = build_total(ChainParams(N=6, J=0.4, h=0.3, theta=2.0))
+    evolve(H, random_state(H.dim, 6), 100.0, tol=1e-11)
+    # 100, 50, 25 and 12.5 fail once each; then the substep grows back
+    # toward 12.5 without reaching it
+    assert outcomes.count(False) <= 4
+
+
+@pytest.mark.parametrize("t", [25.0, 40.0])
+def test_evolve_meets_its_tolerance_in_the_damped_region(t):
+    H = build_total(ChainParams(N=6, J=0.4, h=0.3, theta=2.0))
+    v = random_state(H.dim, 6)
+    got = evolve(H, v, t, tol=1e-11)
+    ref = dense_reference(H, v, t)
+    assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
 def test_evolve_from_the_steady_state_breaks_down_at_first_order(substeps):
     p = ChainParams(N=5, J=0.2, h=0.15, theta=0.3)
     H = build_total(p)

@@ -57,19 +57,23 @@ def test_analytic_rejects_bad_target():
 
 
 def test_fidelity_estimator_field_amplitude():
-    est = qfi_fidelity(P_REF, "h", delta=1e-3)
+    est = qfi_fidelity(P_REF, "h", delta=1e-3, method="dense")
     assert est.value == pytest.approx(I_H_REF, rel=1e-3)
     assert est.method == "fidelity"
     assert est.reliable and est.richardson_diff < 0.05
 
 
 def test_fidelity_estimator_angle():
-    est = qfi_fidelity(ChainParams(N=2, J=0.3, h=0.1, theta=0.0), "theta", delta=1e-3)
+    est = qfi_fidelity(
+        ChainParams(N=2, J=0.3, h=0.1, theta=0.0), "theta", delta=1e-3, method="dense"
+    )
     assert est.value == pytest.approx(I_THETA_REF, rel=1e-3)
 
 
 def test_fidelity_estimator_angle_without_field():
-    est = qfi_fidelity(ChainParams(N=2, J=0.3, h=0.0), "theta", delta=1e-3)
+    est = qfi_fidelity(
+        ChainParams(N=2, J=0.3, h=0.0), "theta", delta=1e-3, method="dense"
+    )
     assert est.value < 1e-6
 
 
@@ -85,7 +89,7 @@ def test_oracle_match_on_gapped_grid(target, delta):
                 continue
             p = ChainParams(N=2, J=float(J), h=float(h), theta=0.3)
             ref = qfi_two_site_analytic(p, target)
-            est = qfi_fidelity(p, target, delta=delta)
+            est = qfi_fidelity(p, target, delta=delta, method="dense")
             assert est.value == pytest.approx(ref, rel=1e-3, abs=1e-9)
 
 
@@ -108,8 +112,10 @@ def test_gauge_invariance_of_estimator_cores():
 def test_monotone_growth_toward_coalescence():
     h = 0.1
     js = np.linspace(0.05, 0.42, 6)
-    numeric = [qfi_fidelity(ChainParams(N=2, J=float(J), h=h), "h", delta=1e-4).value
-               for J in js]
+    numeric = [
+        qfi_fidelity(ChainParams(N=2, J=float(J), h=h), "h", delta=1e-4, method="dense").value
+        for J in js
+    ]
     analytic = [qfi_two_site_analytic(ChainParams(N=2, J=float(J), h=h), "h")
                 for J in js]
     assert all(b > a for a, b in zip(numeric, numeric[1:]))
@@ -122,7 +128,7 @@ def test_richardson_retry_near_coalescence(caplog):
     J = 0.3
     h = np.sqrt((1 - 4 * J**2) - 0.1**2) / 4.0
     with caplog.at_level(logging.INFO, logger="nhchain"):
-        est = qfi_fidelity(ChainParams(N=2, J=J, h=h), "h", delta=1e-3)
+        est = qfi_fidelity(ChainParams(N=2, J=J, h=h), "h", delta=1e-3, method="dense")
     assert est.step == pytest.approx(2.5e-4)
     assert est.richardson_diff > 0  # recorded for the retried step
     # the retry is logged once, at INFO, with the first Richardson change
@@ -135,7 +141,7 @@ def test_unreliable_flag_survives_failed_retry(caplog):
     # an absurdly large angle step stays out of the asymptotic regime even
     # after the single delta/4 retry; the estimate comes back flagged
     with caplog.at_level(logging.INFO, logger="nhchain"):
-        est = qfi_fidelity(P_REF, "theta", delta=2.5)
+        est = qfi_fidelity(P_REF, "theta", delta=2.5, method="dense")
     assert not est.reliable
     assert est.step == pytest.approx(0.625)
     assert est.richardson_diff > 0.05
@@ -146,17 +152,17 @@ def test_unreliable_flag_survives_failed_retry(caplog):
 
 def test_estimates_propagate_ep_errors():
     with pytest.raises(EPProximityError):
-        qfi_fidelity(ChainParams(N=2, J=0.3, h=0.2), "h", delta=1e-3)
+        qfi_fidelity(ChainParams(N=2, J=0.3, h=0.2), "h", delta=1e-3, method="dense")
 
 
 def test_field_step_cannot_cross_zero():
     with pytest.raises(ValueError, match="negative"):
-        qfi_fidelity(ChainParams(N=2, J=0.3, h=0.0), "h", delta=1e-3)
+        qfi_fidelity(ChainParams(N=2, J=0.3, h=0.0), "h", delta=1e-3, method="dense")
 
 
 def test_rejects_nonpositive_step():
     with pytest.raises(ValueError, match="delta"):
-        qfi_fidelity(P_REF, "h", delta=0.0)
+        qfi_fidelity(P_REF, "h", delta=0.0, method="dense")
 
 
 def test_positivity_clamp():
