@@ -39,7 +39,7 @@ from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_total
 from .observables import correlation_profile
-from .qfi import qfi_fidelity, qfi_two_site_analytic
+from .qfi import qfi_fidelity
 from .spectral import (
     DEFAULT_SEED,
     DENSE_MAX_DIM,
@@ -223,8 +223,7 @@ def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
     """QFI over any subset of the n/j/h/theta axes.
 
     The auto method is the exact Gaussian QFI, whose delta and
-    richardson_diff columns read nan; the analytic2 method is the two-site
-    closed form and rejects N != 2; failed grid points are emitted with
+    richardson_diff columns read nan; failed grid points are emitted with
     qfi = nan and an error tag.
     """
     rows = []
@@ -236,25 +235,21 @@ def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
                         spec, N=n, J=float(j), h=float(h), theta=float(theta)
                     )
                     try:
-                        if spec.method == "analytic2":
-                            value = qfi_two_site_analytic(p, spec.target)
-                            row_tail = ("analytic2", np.nan, value, np.nan, "")
-                        else:
-                            est = qfi_fidelity(
-                                p,
-                                spec.target,
-                                delta=spec.delta,
-                                method=spec.method,
-                                **spec.solver_kw(),
-                            )
-                            tag = "" if est.reliable else "unreliable"
-                            row_tail = (
-                                est.method,
-                                est.step,
-                                est.value,
-                                est.richardson_diff,
-                                tag,
-                            )
+                        est = qfi_fidelity(
+                            p,
+                            spec.target,
+                            delta=spec.delta,
+                            method=spec.method,
+                            **spec.solver_kw(),
+                        )
+                        tag = "" if est.reliable else "unreliable"
+                        row_tail = (
+                            est.method,
+                            est.step,
+                            est.value,
+                            est.richardson_diff,
+                            tag,
+                        )
                     except (
                         EPProximityError,
                         ConvergenceError,
@@ -501,9 +496,9 @@ _METHODS = ("auto", "dense", "krylov")
 _STEADY_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
 STEADY_METHODS = {
     "qfi": (
-        _METHODS + ("analytic2",),
+        _METHODS,
         "auto: exact Gaussian QFI at any N; dense, krylov: overlap drop on "
-        "that steady-state solver; analytic2: two-site closed form",
+        "that steady-state solver",
     ),
     "correlations": (_METHODS, _STEADY_HELP),
     "evolve": (_METHODS, _STEADY_HELP),

@@ -19,18 +19,31 @@ is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
-vector of B, ``z^T z = 1``); :func:`majorana_qfi` differentiates the
+vector of B, ``z^T z = 1``); :func:`majorana_qfi_matrix` differentiates the
 projector onto that annihilator space exactly, which gives the steady-state
-QFI at any N from (2N+2)-dimensional matrices.
+QFI matrix about (h, theta) at any N from (2N+2)-dimensional matrices.
+
+Only ``B[0, 1:3]`` moves with h or theta, so the derivative of the projector
+is linear in that 2-vector: one Schur form per parameter point gives a 2x2
+Gram matrix from which both diagonal entries and the off-diagonal
+``F_h,theta`` follow (the latter vanishes to rounding).
+:func:`majorana_qfi` reads one diagonal entry.  The Gram matrix of the last
+point is kept (a memo of size one), so asking for ``h`` and then ``theta``
+at the same point factorises once.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import zgesv, ztrsyl, ztrtrs
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
 from .spectral import default_tol_gap
+
+# the order of the rows and columns of the QFI matrix
+TARGETS = ("h", "theta")
 
 
 def _majorana_matrix(p: ChainParams) -> np.ndarray:
@@ -81,68 +94,112 @@ def majorana_gap(p: ChainParams) -> float:
     return float(majorana_modes(p)[0].imag)
 
 
-def _edge_derivative(p: ChainParams, target: str) -> np.ndarray:
-    """d B[0, 1:3] / d target; no other entry above the diagonal moves."""
-    c, s = np.cos(p.theta), np.sin(p.theta)
-    if target == "h":
-        return -2j * np.array([c, s])
-    if target == "theta":
-        return 2j * p.h * np.array([s, -c])
-    raise ValueError(f"target must be 'h' or 'theta', got {target!r}")
+@functools.lru_cache(maxsize=1)
+def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
+    """Read-only Gram matrix ``G_ab = <W_a, W_b>`` of the two unit responses.
 
-
-def majorana_qfi(p: ChainParams, target: str) -> float:
-    """Exact steady-state QFI about ``h`` or ``theta`` at any N.
-
-    One sorted complex Schur form ``B = Z T Z^H`` (the k = N modes with
-    ``Im eps > 0`` first) gives the gap, the annihilator space
-    ``L = [Z_1, e_0 + i z]`` padded with the g_0 row, and the null vector z
-    (from a triangular solve on T).  The derivative of the invariant
-    subspace is ``Z_2 X`` with ``T_22 X - X T_11 = -(Z_2^H dB Z_1)``
-    (Stewart and Sun, Matrix Perturbation Theory, 1990), and dz solves the
-    bordered system ``[[B, z], [z^T, 0]] [dz; mu] = [-dB z; 0]``.  With
-    ``L = QR`` and ``P = QQ^H``, ``G = (I - P) dL R^-1 Q^H`` and
-    ``F = 1/4 Tr(dGamma^T dGamma) = 2 ||G||_F^2`` for the real covariance
-    ``Gamma = -i(I - 2P)``.  Raises ``EPProximityError`` when the gap is at
-    or below ``default_tol_gap(gamma)``, as the steady-state solvers do.
+    ``W = (I - P) dL R^-1`` is linear in the edge derivative
+    ``d = dB[0, 1:3]``, so one factorisation serves every direction:
+    ``W_0`` is the response to ``d = dB[0, 1:3] / dh`` and ``W_1`` to
+    ``dB[0, 1:3] / dtheta / h``.  That basis keeps each diagonal entry of
+    the QFI a squared norm, with no cancellation at small h.  The memo holds
+    the last point only, so the one reuse is a second target at the same
+    point; ``EPProximityError`` is raised on every call and never stored.
     """
-    d = _edge_derivative(p, target)
     B = _majorana_matrix(p)
     n = B.shape[0]
-    tol_gap = default_tol_gap(p.gamma)
+    # schur keeps scipy's finite check (h = 1e308 puts inf into B); the
+    # LAPACK calls below see only arrays derived from its finite output
     T, Z, k = la.schur(B, output="complex", sort=lambda x: x.imag > 0.5 * tol_gap)
     t = np.diag(T)
     gap = float(_modes(t)[0].imag)
     if gap <= tol_gap or k != p.N:
         raise EPProximityError(gap, tol_gap)
+    # the columns of D are the two directions: orthogonal, of equal length,
+    # and the only entries above B's diagonal that move with h or theta
+    c, s = np.cos(p.theta), np.sin(p.theta)
+    D = 2j * np.array([[-c, s], [-s, -c]])
     Z1, Z2 = Z[:, :k], Z[:, k:]
-    # dB = e_0 dv^T - dv e_0^T with dv = (0, d_0, d_1, 0, ...): rank two
-    E21 = np.outer(Z2[0].conj(), d @ Z1[1:3])
-    E21 -= np.outer(Z2[1:3].conj().T @ d, Z1[0])
-    X, scale, _ = ztrsyl(T[k:, k:], T[:k, :k], -E21, isgn=-1)
+    # dB = e_0 dv^T - dv e_0^T with dv = (0, d_0, d_1, 0, ...) has rank two;
+    # both columns of D go through one Sylvester solve against diag(T11, T11)
+    E21 = np.einsum("i,aj->iaj", Z2[0].conj(), D.T @ Z1[1:3])
+    E21 -= np.einsum("ia,j->iaj", Z2[1:3].conj().T @ D, Z1[0])
+    T11 = np.zeros((2 * k, 2 * k), dtype=complex)
+    T11[:k, :k] = T11[k:, k:] = T[:k, :k]
+    X, scale, _ = ztrsyl(T[k:, k:], T11, -E21.reshape(n - k, 2 * k), isgn=-1)
     # null vector: the eigenvector of T for its zero diagonal entry
     j = k + int(np.argmin(np.abs(t[k:])))
     y = np.zeros(n, dtype=complex)
     y[j] = 1.0
-    y[:j] = la.solve_triangular(T[:j, :j], -T[:j, j])
+    y[:j], info = ztrtrs(T[:j, :j], -T[:j, j])
+    if info != 0:
+        raise la.LinAlgError("singular Schur factor")
     z = Z @ y
     z /= np.sqrt(z @ z)
     K = np.zeros((n + 1, n + 1), dtype=complex)
     K[:n, :n] = B
     K[:n, n] = K[n, :n] = z
-    rhs = np.zeros(n + 1, dtype=complex)
-    rhs[0] = -d @ z[1:3]
-    rhs[1:3] = d * z[0]
-    dz = la.solve(K, rhs)[:n]
-    L = np.zeros((n + 1, k + 1), dtype=complex)
-    L[1:, :k] = Z1
-    L[0, k] = 1.0
-    L[1:, k] = 1j * z
-    dL = np.zeros_like(L)
-    dL[1:, :k] = Z2 @ (X / scale)
-    dL[1:, k] = 1j * dz
-    Q, R = la.qr(L, mode="economic")
-    # ||G||_F = ||(I - P) dL R^-1||_F, as Q has orthonormal columns
-    W = la.solve_triangular(R, dL.T, trans="T").T
+    rhs = np.zeros((n + 1, 2), dtype=complex)
+    rhs[0] = -z[1:3] @ D
+    rhs[1:3] = D * z[0]
+    *_, dz, info = zgesv(K, rhs, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise la.LinAlgError("singular bordered system")
+    # L = [Z1, e_0 + i z] padded with the g_0 row.  Z1's columns are
+    # orthonormal, so L = QR is one Gram-Schmidt step on the last column:
+    # R = [[I, r], [0, rho]] and Q = [Z1, q].
+    r = 1j * (Z1.conj().T @ z)
+    q = np.empty(n + 1, dtype=complex)
+    q[0] = 1.0
+    q[1:] = 1j * z - Z1 @ r
+    rho = np.sqrt(np.vdot(q, q).real)
+    q /= rho
+    Q = np.zeros((n + 1, k + 1), dtype=complex)
+    Q[1:, :k] = Z1
+    Q[:, k] = q
+    # W = dL R^-1 for both columns, dL = [Z2 X, i dz] padded
+    W = np.zeros((2, n + 1, k + 1), dtype=complex)
+    W[:, 1:, :k] = (Z2 @ (X / scale)).reshape(n, 2, k).transpose(1, 0, 2)
+    W[:, 1:, k] = (1j * dz[:n].T - W[:, 1:, :k] @ r) / rho
     W -= Q @ (Q.conj().T @ W)
-    return 2.0 * float(np.vdot(W, W).real)
+    W = W.reshape(2, -1)
+    G = W.conj() @ W.T
+    G = (G + G.conj().T) / 2.0
+    G.setflags(write=False)
+    return G
+
+
+def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
+    """Exact steady-state QFI matrix about (h, theta) at any N, shape (2, 2).
+
+    ``F_ab = 1/4 Tr(d_a Gamma^T d_b Gamma)`` for the real covariance
+    ``Gamma = -i(I - 2P)``, in (h, theta) order; real and symmetric.  One
+    sorted complex Schur form ``B = Z T Z^H`` (the k = N modes with
+    ``Im eps > 0`` first) gives the gap, the annihilator space
+    ``L = [Z_1, e_0 + i z]`` padded with the g_0 row, and the null vector z
+    (from a triangular solve on T).  The derivative of the invariant
+    subspace is ``Z_2 X`` with ``T_22 X - X T_11 = -(Z_2^H dB Z_1)``
+    (Stewart and Sun, Matrix Perturbation Theory, 1990), and dz solves the
+    bordered system
+    ``[[B, z], [z^T, 0]] [dz; mu] = [-dB z; 0]``.  With ``L = QR`` and
+    ``P = QQ^H``, ``W = (I - P) dL R^-1`` and, as ``Q^H (I - P) = 0``,
+    ``F_ab = 2 Re <W_a, W_b>``.  In the basis of :func:`_gram` the two
+    targets are the directions (1, 0) and (0, h), so
+    ``F = 2 Re(G) * outer((1, h), (1, h))`` for the Gram matrix G of
+    :func:`_gram`.  Raises ``EPProximityError`` when the gap is at or below
+    ``default_tol_gap(gamma)``, as the steady-state solvers do.
+    """
+    G = _gram(p, default_tol_gap(p.gamma))
+    s = np.array([1.0, p.h])
+    return 2.0 * G.real * np.outer(s, s)
+
+
+def majorana_qfi(p: ChainParams, target: str) -> float:
+    """Exact steady-state QFI about ``h`` or ``theta`` at any N.
+
+    The diagonal entry of :func:`majorana_qfi_matrix` for ``target``.
+    """
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
+    i = TARGETS.index(target)
+    return float(majorana_qfi_matrix(p)[i, i])

@@ -32,12 +32,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import ChainParams
-from .majorana import majorana_qfi
+from .majorana import TARGETS, majorana_qfi
 from .spectral import _gapped_two_site_roots, solve_steady_state
 
 RICHARDSON_LIMIT = 0.05
 NEGATIVE_TOL = 1e-10
-TARGETS = ("h", "theta")
 
 log = logging.getLogger("nhchain")
 

@@ -168,22 +168,19 @@ def test_main_qfi_at_two_hundred_sites(capsys):
     assert row[5] == "majorana" and row[9] == ""
 
 
-def test_qfi_sweep_analytic_method():
-    spec = SweepSpec(
-        subcommand="qfi", n=2, j=0.3, h=0.1, target="h", method="analytic2"
-    )
-    table = run_qfi_sweep(spec)
-    assert table.rows[0][5] == "analytic2"
-    assert table.rows[0][7] == pytest.approx(16.0 / 0.48, rel=1e-12)
+def test_main_qfi_has_no_closed_form_method(capsys):
+    # the exact QFI under auto reproduces the two-site closed form
+    argv = ["qfi", "--n", "2", "--j", "0.3", "--h", "0.1", "--method", "analytic2"]
+    assert main(argv) == 1
+    assert "invalid choice: 'analytic2'" in capsys.readouterr().err
 
 
-def test_qfi_sweep_analytic_rejects_large_chains_per_row():
-    spec = SweepSpec(
-        subcommand="qfi", n=3, j=0.2, h=0.1, target="h", method="analytic2"
-    )
-    table = run_qfi_sweep(spec)
-    assert table.rows[0][9] == "domain"
-    assert np.isnan(table.rows[0][7])
+def test_main_qfi_refuses_a_non_finite_matrix_per_row(capsys):
+    # h = 1e308 is a finite flag value, but the Majorana matrix overflows
+    with np.errstate(over="ignore"):
+        assert main(["qfi", "--n", "3", "--j", "0.1", "--h", "1e308"]) == 0
+    _, _, [row] = parse_csv(capsys.readouterr().out)
+    assert row[5:] == ["auto", "nan", "nan", "nan", "domain"]
 
 
 def test_ep_runner_two_site_boundary():
@@ -336,7 +333,7 @@ def test_main_usage_error_exit_code(capsys):
 
 def test_main_spectrum_refuses_every_method(capsys):
     # full spectra are always dense, so there is no solver to choose
-    for method in ("auto", "dense", "krylov", "analytic2"):
+    for method in ("auto", "dense", "krylov"):
         assert main(["spectrum", "--n", "2", "--j", "0.3", "--method", method]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -496,10 +493,10 @@ GOLDEN_COMMENTS = [
     ),
     (
         "qfi --n 2 --j 0.3 --h 0.1 --target theta --delta 2e-4 --tol 1e-10 "
-        "--max-iters 300 --seed 11 --method analytic2 --theta-range 0:1:2",
+        "--max-iters 300 --seed 11 --method dense --theta-range 0:1:2",
         [
             "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=theta axis=y method=analytic2 delta=0.00020000000000000001 "
+            "target=theta axis=y method=dense delta=0.00020000000000000001 "
             "tol=1e-10 max_iters=300 seed=11 tol_j=0.0001 "
             "bracket=0:0.59999999999999998 t_range=0:50:101",
             "# sweep theta=0:1:2",

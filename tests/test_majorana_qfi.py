@@ -1,16 +1,20 @@
 """The exact Gaussian QFI against the closed forms and the overlap drop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
+from nhchain import majorana
 from nhchain.errors import EPProximityError
 from nhchain.hamiltonian import ChainParams
-from nhchain.majorana import majorana_qfi
-from nhchain.qfi import qfi_fidelity, qfi_two_site_analytic
+from nhchain.majorana import majorana_gap, majorana_qfi, majorana_qfi_matrix
+from nhchain.qfi import fidelity_qfi_from_states, qfi_fidelity, qfi_two_site_analytic
+from nhchain.spectral import solve_steady_state
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -74,5 +78,140 @@ def test_large_chain_builds_no_many_body_operator(monkeypatch):
         raise AssertionError("many-body operator built for the exact QFI")
 
     monkeypatch.setattr("nhchain.spectral.build_total", no_build)
-    est = qfi_fidelity(ChainParams(N=200, J=0.23, h=0.2), "h")
+    p = ChainParams(N=200, J=0.23, h=0.2)
+    est = qfi_fidelity(p, "h")
     assert est.value == pytest.approx(311.5232550643, rel=1e-9)
+    F = majorana_qfi_matrix(p)
+    assert F[0, 0] == est.value
+    assert majorana_qfi(p, "theta") == F[1, 1] == pytest.approx(1.13348689, rel=1e-8)
+
+
+def _random_points(n, seed, far=20):
+    """Gapped points until ``far`` of them have a gap of at least gamma / 20."""
+    rng = np.random.default_rng(seed)
+    points, count = [], 0
+    for _ in range(50 * far):
+        gamma = float(rng.choice([0.5, 1.0, 2.0]))
+        p = ChainParams(
+            N=n,
+            J=gamma * rng.uniform(0.0, 0.4),
+            gamma=gamma,
+            h=gamma * rng.uniform(0.0, 0.3),
+            theta=rng.uniform(0.0, 2.0 * math.pi),
+        )
+        try:
+            points.append((p, majorana_qfi_matrix(p)))
+        except EPProximityError:
+            continue
+        count += majorana_gap(p) >= p.gamma / 20
+        if count == far:
+            return points
+    raise AssertionError(f"fewer than {far} well-gapped points at N = {n}")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 32])
+def test_qfi_matrix_is_symmetric_psd_and_diagonal(n):
+    for p, F in _random_points(n, seed=n):
+        assert F.shape == (2, 2) and F.dtype == np.float64
+        assert F[0, 1] == F[1, 0]
+        assert F[0, 0] >= 0 and F[1, 1] >= 0
+        assert F[0, 0] * F[1, 1] - F[0, 1] ** 2 >= -1e-12 * F[0, 0] * F[1, 1]
+        assert [F[0, 0], F[1, 1]] == [qfi_fidelity(p, t).value for t in ("h", "theta")]
+        # h and theta are uncorrelated: F_h,theta vanishes to rounding.  Near
+        # the EP, F_hh grows as 1/gap^2 and so does the rounding floor of the
+        # entries, so the bound against sqrt(F_hh F_theta,theta) holds away
+        # from it.
+        assert abs(F[0, 1]) <= 1e-12 * F.max(), p
+        if majorana_gap(p) >= p.gamma / 20:
+            assert abs(F[0, 1]) <= 1e-12 * math.sqrt(F[0, 0] * F[1, 1]), p
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_off_diagonal_against_a_joint_shift(n, sign):
+    # shift h and theta together by (a, b) delta, with a and b scaled so both
+    # diagonal terms contribute 1: a wrong F_h,theta shows at O(1)
+    p = ChainParams(N=n, J=0.23, h=0.2, theta=0.4)
+    F = majorana_qfi_matrix(p)
+    a, b = 1.0 / math.sqrt(F[0, 0]), sign / math.sqrt(F[1, 1])
+    exact = a * a * F[0, 0] + 2.0 * a * b * F[0, 1] + b * b * F[1, 1]
+
+    def drop(delta):
+        v = [
+            solve_steady_state(
+                replace(p, h=p.h + s * a * delta, theta=p.theta + s * b * delta),
+                method="dense",
+            ).vector
+            for s in (-1.0, 1.0)
+        ]
+        return fidelity_qfi_from_states(*v, delta)
+
+    value, value_half = drop(1e-3), drop(5e-4)
+    richardson_diff = abs(value - value_half) / value_half
+    assert abs(value - exact) <= 1.5 * richardson_diff * exact
+
+
+def _count_schur(monkeypatch):
+    calls = []
+    schur = majorana.la.schur
+
+    def spy(*args, **kw):
+        calls.append(1)
+        return schur(*args, **kw)
+
+    monkeypatch.setattr(majorana.la, "schur", spy)
+    majorana._gram.cache_clear()
+    return calls
+
+
+def test_both_targets_share_one_factorisation(monkeypatch):
+    calls = _count_schur(monkeypatch)
+    p1 = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
+    p2 = replace(p1, h=0.1)
+    majorana_qfi(p1, "h")
+    majorana_qfi(p1, "theta")
+    assert len(calls) == 1
+    # the memo keeps one point: nothing is reused across points
+    majorana._gram.cache_clear()
+    majorana_qfi(p1, "h")
+    majorana_qfi(p2, "h")
+    majorana_qfi(p1, "theta")
+    assert len(calls) == 4
+
+
+def test_memo_is_read_only(monkeypatch):
+    _count_schur(monkeypatch)
+    p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
+    F = majorana_qfi_matrix(p)
+    F[0, 0] = 0.0
+    assert majorana_qfi(p, "h") > 0
+    G = majorana._gram(p, majorana.default_tol_gap(p.gamma))
+    assert not G.flags.writeable
+
+
+def test_exceptional_point_is_refused_on_every_call(monkeypatch):
+    calls = _count_schur(monkeypatch)
+    p = ChainParams(N=2, J=0.3, h=0.2)
+    for _ in range(2):
+        with pytest.raises(EPProximityError):
+            majorana_qfi(p, "h")
+    assert len(calls) == 2
+
+
+def test_a_raised_gap_tolerance_is_a_new_key(monkeypatch):
+    calls = _count_schur(monkeypatch)
+    p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
+    majorana_qfi(p, "h")
+    monkeypatch.setattr("nhchain.spectral.TOL_GAP_FACTOR", 1.0)
+    with pytest.raises(EPProximityError):
+        majorana_qfi(p, "theta")
+    assert len(calls) == 2
+
+
+def test_non_finite_matrix_is_refused():
+    # h = 1e308 is finite, but B = 2 (A - A^T) then holds inf; scipy's finite
+    # check in schur refuses it before LAPACK sees it
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs") as info:
+            majorana_qfi(ChainParams(N=3, J=0.1, h=1e308), "h")
+    assert not isinstance(info.value, LinAlgError)
