@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.linalg.blas import dznrm2, zdotc
 
 from . import __version__
 from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
@@ -372,8 +373,10 @@ def run_evolve(spec: SweepSpec) -> CsvTable:
     for t in times:
         psi = evolve(H, psi, float(t) - t_prev, tol=spec.tol)
         t_prev = float(t)
-        norm = float(np.linalg.norm(psi))
-        fid = float(abs(np.vdot(ss.vector, psi / norm))) if norm > 0 else np.nan
+        # scipy's BLAS, as in evolve: a numpy BLAS call between two evolve
+        # calls would wake numpy's own OpenBLAS thread pool
+        norm = dznrm2(psi)
+        fid = abs(zdotc(ss.vector, psi)) / norm if norm > 0 else np.nan
         rows.append((float(t), norm, fid))
     return CsvTable(_provenance(spec), ["t", "norm", "fidelity_to_ss"], rows)
 

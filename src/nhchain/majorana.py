@@ -33,6 +33,7 @@ at the same point factorises once.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg as la
@@ -47,7 +48,16 @@ TARGETS = ("h", "theta")
 
 
 def _majorana_matrix(p: ChainParams) -> np.ndarray:
-    """The (2N+1)-dimensional antisymmetric single-particle matrix B."""
+    """The (2N+1)-dimensional antisymmetric single-particle matrix B.
+
+    Its entries are at most gamma / 2, J and 2 h in modulus; a finite
+    ``ChainParams`` can overflow only the last, which raises ValueError.
+    """
+    if not math.isfinite(2.0 * p.h):
+        raise ValueError(
+            "Majorana matrix B would contain infs or NaNs: its entries "
+            f"gamma/2, J and 2h must be finite, got h = {p.h:g}"
+        )
     A = np.zeros((2 * p.N + 2, 2 * p.N + 2), dtype=complex)
     site = np.arange(1, p.N + 1)
     bond = site[:-1]
@@ -108,8 +118,6 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     """
     B = _majorana_matrix(p)
     n = B.shape[0]
-    # schur keeps scipy's finite check (h = 1e308 puts inf into B); the
-    # LAPACK calls below see only arrays derived from its finite output
     T, Z, k = la.schur(B, output="complex", sort=lambda x: x.imag > 0.5 * tol_gap)
     t = np.diag(T)
     gap = float(_modes(t)[0].imag)

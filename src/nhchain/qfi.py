@@ -36,6 +36,7 @@ from .majorana import TARGETS, majorana_qfi
 from .spectral import _gapped_two_site_roots, solve_steady_state
 
 RICHARDSON_LIMIT = 0.05
+# how far below zero rounding may take the overlap drop 1 - |overlap|
 NEGATIVE_TOL = 1e-10
 
 log = logging.getLogger("nhchain")
@@ -110,8 +111,10 @@ def _shifted(p: ChainParams, target: str, d: float) -> ChainParams:
     return replace(p, theta=p.theta + d)
 
 
-def _finalize(value: float) -> float:
-    if value < -NEGATIVE_TOL:
+def _finalize(value: float, delta: float) -> float:
+    # the overlap drop's rounding is divided by (2 delta)^2 / 8, and so is its floor
+    floor = NEGATIVE_TOL * 8.0 / (2.0 * delta) ** 2
+    if value < -floor:
         raise ArithmeticError(f"QFI estimate {value:.3e} is negative beyond tolerance")
     return max(value, 0.0)
 
@@ -167,7 +170,7 @@ def qfi_fidelity(
     return QfiEstimate(
         params=p,
         target=target,
-        value=_finalize(value),
+        value=_finalize(value, step),
         method="fidelity",
         step=step,
         richardson_diff=rich,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.blas import dznrm2, zgemv
 
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_total
@@ -46,16 +47,17 @@ DENSE_MAX_DIM = 4096
 # 4.05 vs 5.08 ms at N = 6 and 27.5 vs 6.5 ms at N = 7.
 AUTO_DENSE_MAX_DIM = 32
 KRYLOV_DIM = 30
-# ``evolve`` exponentiates its Krylov matrix every this many orders, not at
-# every order: one ``expm`` of order <= 31 costs ~4 ms under default BLAS
-# threads (~0.1 ms with one thread), a matvec at N = 14 ~0.2 ms.  Relaxation
-# at N = 14 over 20 steps of dt = 10 (sum of per-step best of 4-5 runs) on a
-# shared 2-core Xeon with numpy 2.4 and scipy 1.17 (OpenBLAS), default
-# threads: strides 1, 2 and 4 take 2.2, 1.0-1.1 and 0.62-0.68 s with two
-# passes of block classical Gram-Schmidt and 2.1-2.2, 1.35-1.45 and
-# 1.04-1.22 s with modified Gram-Schmidt, against 1.84 s for an ``expm`` at
-# every order; strides 4 to 8 are level within the host's noise.  With one
-# thread, stride 4 (0.25-0.28 s) is the fastest of 3 to 8 (8: 0.31-0.32 s).
+# ``evolve`` keeps its n-length algebra (Gram-Schmidt, norms, the result) in
+# ``scipy.linalg.blas``, the OpenBLAS that ``la.expm`` also runs in.  numpy
+# bundles a second OpenBLAS with its own thread pool, and alternating between
+# the two stalled each small ``expm`` for 4-8 ms under default threads
+# (~0.1 ms now).  It still exponentiates its Krylov matrix only every this
+# many orders: 20 steps of dt = 10 from a random state (best of 4-5 runs,
+# shared 2-core Xeon, numpy 2.4 and scipy 1.17) take 6.4 vs 3.7 ms at
+# N = 4, 22 vs 12 ms at N = 8, 82 vs 58 ms at N = 12 and 297 vs 253 ms at
+# N = 14 for strides 1 vs 4 with default threads, and 6.0 vs 4.0, 17 vs 7.9,
+# 70 vs 55 and 314 vs 304 ms with one thread.  The relax-n14 benchmark reads
+# the same for strides 1, 2 and 4 (0.29-0.31 s, median of 6) and 0.34 s for 8.
 EXPM_STRIDE = 4
 # ARPACK stops on its own Ritz estimate; asking it for three more digits than
 # the caller leaves headroom for the independent residual gate at ``tol``
@@ -230,7 +232,7 @@ def _arnoldi_step(H, psi, dt, tol, m_max):
     the substep only, and on a strongly damped substep (N = 5, J = 0.4,
     h = 0.3, dt = 50) it accepted a result 300 times ``tol`` off.
     """
-    beta = np.linalg.norm(psi)
+    beta = dznrm2(psi)
     if beta == 0:
         return True, psi.copy()
     n = psi.shape[0]
@@ -239,19 +241,20 @@ def _arnoldi_step(H, psi, dt, tol, m_max):
     Hm = np.zeros((m_max + 1, m_max + 1), dtype=np.complex128)
     V[0] = psi / beta
     for m in range(1, m_max + 1):
-        w = H.matvec(V[m - 1])
+        # V[:m].T is F-contiguous, so zgemv reads the basis in place
+        w = np.ascontiguousarray(H.matvec(V[m - 1]), dtype=np.complex128)
         for _ in range(2):
-            h = (V[:m] @ w.conj()).conj()
+            h = zgemv(1.0, V[:m].T, w, trans=2)
             Hm[:m, m - 1] += h
-            w -= V[:m].T @ h
-        hnext = np.linalg.norm(w)
+            w = zgemv(-1.0, V[:m].T, h, beta=1.0, y=w, overwrite_y=True)
+        hnext = dznrm2(w)
         Hm[m, m - 1] = hnext
         breakdown = hnext < 1e-14 * max(1.0, abs(Hm[: m + 1, :m]).max())
         if breakdown or m == m_max or m % EXPM_STRIDE == 0:
             E = la.expm(-1j * dt * Hm[: m + 1, : m + 1])
             c = beta * E[:m, 0]
-            if breakdown or beta * abs(E[m, 0]) <= tol * np.linalg.norm(c):
-                return True, V[:m].T @ c
+            if breakdown or beta * abs(E[m, 0]) <= tol * dznrm2(c):
+                return True, zgemv(1.0, V[:m].T, c)
         if m < m_max:
             V[m] = w / hnext
     return False, None
@@ -277,7 +280,7 @@ def evolve(
     if t < 0:
         raise ValueError("evolution time must be >= 0")
     psi = np.ascontiguousarray(psi0, dtype=np.complex128).copy()
-    if t == 0 or np.linalg.norm(psi) == 0:
+    if t == 0 or dznrm2(psi) == 0:
         return psi
     remaining = float(t)
     dt = remaining

@@ -3,6 +3,7 @@
 import logging
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from nhchain.cli import (
     run_scaling,
     run_spectrum,
 )
+from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.spectral import evolve, solve_steady_state
 
 IM_REF = [
     -0.12679491924311226,
@@ -183,6 +186,16 @@ def test_main_qfi_refuses_a_non_finite_matrix_per_row(capsys):
     assert row[5:] == ["auto", "nan", "nan", "nan", "domain"]
 
 
+def test_main_qfi_overflowing_field_is_a_domain_row_with_no_numpy_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["qfi", "--n", "3", "--j", "0.1", "--h", "1e308"]) == 0
+    out, err = capsys.readouterr()
+    _, _, [row] = parse_csv(out)
+    assert row[5:] == ["auto", "nan", "nan", "nan", "domain"]
+    assert err == ""
+
+
 def test_ep_runner_two_site_boundary():
     spec = SweepSpec(
         subcommand="ep", n=2, tol_j=1e-4, axes=(SweepAxis("h", 0.0, 0.2, 3),)
@@ -240,6 +253,25 @@ def test_evolve_runner_converges_to_steady_state():
     # nondecreasing after the initial transient
     tail = fids[len(fids) // 3:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
+
+
+def test_evolve_runner_columns_match_a_numpy_recomputation():
+    # the runner takes norm and overlap from scipy's BLAS; numpy must agree
+    spec = SweepSpec(subcommand="evolve", n=5, j=0.23, h=0.2, t_range=(0.0, 30.0, 7))
+    table = run_evolve(spec)
+    p = ChainParams(N=5, J=0.23, h=0.2)
+    H = build_total(p)
+    ss = solve_steady_state(p, method=spec.method, H=H, **spec.solver_kw())
+    rng = np.random.default_rng(spec.seed)
+    psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
+    psi /= np.linalg.norm(psi)
+    t_prev = 0.0
+    for t, norm, fid in table.rows:
+        psi = evolve(H, psi, t - t_prev, tol=spec.tol)
+        t_prev = t
+        ref = np.linalg.norm(psi)
+        assert norm == pytest.approx(ref, rel=1e-12, abs=0)
+        assert fid == pytest.approx(abs(np.vdot(ss.vector, psi / ref)), rel=1e-12, abs=0)
 
 
 def test_steady_initial_state_stays_put():

@@ -76,6 +76,44 @@ def test_evolve_meets_its_tolerance(N, J, h, theta, t, tol):
     assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
 
 
+def test_evolve_meets_its_tolerance_where_the_basis_algebra_is_threaded():
+    # at dimension 1024 OpenBLAS threads the Gram-Schmidt products
+    tol = 1e-9
+    H = build_total(ChainParams(N=10, J=0.23, h=0.2, theta=0.7))
+    v = random_state(H.dim, 10)
+    got = evolve(H, v, 4.0, tol=tol)
+    ref = dense_reference(H, v, 4.0)
+    assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+
+class RealOperator:
+    """A real matrix whose matvec returns float64.
+
+    A real matrix and a real start vector keep the whole Arnoldi basis real,
+    so dropping the zero imaginary part loses nothing.
+    """
+
+    def __init__(self, A):
+        self.A = A
+
+    def matvec(self, v):
+        assert not v.imag.any()
+        return self.A @ v.real
+
+
+def test_evolve_takes_an_operator_with_a_real_matvec():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((40, 40)) / np.sqrt(40)
+    v = rng.standard_normal(40)
+    v /= np.linalg.norm(v)
+    got = evolve(RealOperator(A), v, 1.5, tol=1e-11)
+    assert got.dtype == np.complex128
+    complex_path = evolve(SparseOperator(csr_array(A.astype(complex))), v, 1.5, tol=1e-11)
+    assert np.linalg.norm(got - complex_path) <= 1e-14 * np.linalg.norm(complex_path)
+    ref = la.expm(-1.5j * A) @ v
+    assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("N", [4, 5])
 def test_evolve_meets_its_tolerance_on_a_strongly_damped_step(N):
     # in the gapless region the norm falls by ~1e-19 over one step of 50; the

@@ -1,6 +1,7 @@
 """The exact Gaussian QFI against the closed forms and the overlap drop."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -209,9 +210,10 @@ def test_a_raised_gap_tolerance_is_a_new_key(monkeypatch):
 
 
 def test_non_finite_matrix_is_refused():
-    # h = 1e308 is finite, but B = 2 (A - A^T) then holds inf; scipy's finite
-    # check in schur refuses it before LAPACK sees it
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="infs or NaNs") as info:
+    # h = 1e308 is finite, but B's edge entry 2h is not; _majorana_matrix
+    # refuses it, naming h, before numpy overflows or LAPACK sees it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"infs or NaNs.*h = 1e\+308") as info:
             majorana_qfi(ChainParams(N=3, J=0.1, h=1e308), "h")
     assert not isinstance(info.value, LinAlgError)

@@ -8,6 +8,7 @@ import pytest
 from nhchain.errors import EPProximityError
 from nhchain.hamiltonian import ChainParams
 from nhchain.qfi import (
+    NEGATIVE_TOL,
     cramer_rao,
     fidelity_qfi_from_states,
     qfi_fidelity,
@@ -171,6 +172,15 @@ def test_positivity_clamp():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     assert fidelity_qfi_from_states(v, v, 1e-3) == 0.0
+
+
+def test_exactly_zero_qfi_is_not_refused_as_negative():
+    # no field, so the theta QFI is exactly 0 (the exact path returns 0.0);
+    # 1 - |overlap| rounds to about -16 ulp, which (2 delta)^2 / 8 turns into
+    # -7e-9, beyond the unscaled floor of 1e-10
+    est = qfi_fidelity(ChainParams(N=4, J=0.1, h=0, theta=0.3), "theta", method="dense")
+    floor = NEGATIVE_TOL * 8.0 / (2.0 * est.step) ** 2
+    assert 0.0 <= est.value <= floor
 
 
 def test_cramer_rao_arithmetic():
