@@ -3,11 +3,11 @@
 Subcommands: spectrum | gap | qfi | ep | scaling | correlations | evolve.
 Each flag is declared once in ``FLAGS``; each subcommand accepts only the
 flags its runner reads (``SUBCOMMAND_FLAGS``), and any other flag, or an
-abbreviated one, is a usage error.  Only the steady-state subcommands (qfi,
-correlations, evolve) take ``--method`` (``STEADY_METHODS``): spectra are
-always dense, and gaps and exceptional points always come from the
-free-fermion modes.  Defaults live only in ``SweepSpec``; ``nhchain SUB
---help`` shows them.
+abbreviated one, is a usage error.  Each subcommand has one method:
+spectra (N <= 16), gaps, exceptional points and the QFI come from the
+free-fermion modes, and correlations and evolve solve for the steady state
+dense up to N = 5 and by ARPACK above.  Defaults live only in
+``SweepSpec``; ``nhchain SUB --help`` shows them.
 
 Output format: UTF-8, comma-separated, ``\\n`` line endings, ``#`` comment
 lines carrying every ``SweepSpec`` field (a field the subcommand does not
@@ -17,17 +17,14 @@ re-parsing reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
 
-Warnings from the package (an unreliable QFI estimate) go to stderr as
-``nhchain: warning: ...`` lines.  A flag's value may start with ``-``
-(``--theta-range -1:1:3``).
+A flag's value may start with ``-`` (``--theta-range -1:1:3``).
 
-Exit codes: 0 success, 1 usage error (an invalid chain, a dense solve above
-its size limit and a chain too large for physical memory included),
+Exit codes: 0 success, 1 usage error (an invalid chain, a spectrum above
+N = 16 and a chain too large for physical memory included),
 2 numerical/solver failure.
 """
 
 import argparse
-import logging
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -37,17 +34,11 @@ from scipy.linalg.blas import dznrm2, zdotc
 
 from . import __version__
 from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
-from .errors import ConvergenceError, DenseSizeError, EPProximityError
+from .errors import ConvergenceError, EPProximityError
 from .hamiltonian import ChainParams, build_total
+from .majorana import majorana_modes, majorana_qfi
 from .observables import correlation_profile
-from .qfi import qfi_fidelity
-from .spectral import (
-    DEFAULT_SEED,
-    DENSE_MAX_DIM,
-    dense_eigenvalues,
-    evolve,
-    solve_steady_state,
-)
+from .spectral import DEFAULT_SEED, evolve, solve_steady_state, spectral_order
 
 REFERENCE_FIT = (0.842, 0.031, 0.249)
 AXIS_NAMES = ("n", "j", "h", "theta")
@@ -103,10 +94,7 @@ class SweepSpec:
     theta: float = 0.0
     target: str = "h"
     axis: str = "y"
-    method: str = "auto"
-    delta: float = 1e-3
     tol: float = 1e-9
-    max_iters: int = 500
     seed: int = DEFAULT_SEED
     tol_j: float = 1e-4
     bracket: tuple[float, float] = (0.0, 0.6)
@@ -121,13 +109,6 @@ class SweepSpec:
                 return ax
         fixed = {"n": self.n, "j": self.j, "h": self.h, "theta": self.theta}[name]
         return SweepAxis(name=name, start=fixed, stop=fixed, count=1)
-
-    def solver_kw(self) -> dict:
-        return {
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "seed": self.seed,
-        }
 
 
 def fmt(x) -> str:
@@ -193,19 +174,24 @@ def _chain_params(spec: SweepSpec, **overrides) -> ChainParams:
     return ChainParams(**kw)
 
 
-def _check_dense_size(n: int) -> None:
-    if (1 << n) > DENSE_MAX_DIM:
+def _check_spectrum_size(n: int) -> None:
+    # 2^N rows: 65536 rows and 3.2 MB of CSV at N = 16
+    if n > 16:
         raise CliUsageError(
-            f"full spectra are dense-only and limited to N <= 12 (got N = {n}); "
-            "use the gap subcommand (free-fermion gap, any N) or "
-            "correlations --method krylov instead"
+            f"a spectrum has 2^N rows and is limited to N <= 16 (got N = {n}); "
+            "use the gap subcommand (free-fermion gap, any N) instead"
         )
 
 
 def run_spectrum(spec: SweepSpec) -> CsvTable:
-    """Full sorted spectrum of one chain instance."""
-    _check_dense_size(spec.n)
-    w = dense_eigenvalues(build_total(_chain_params(spec)))
+    """Full sorted spectrum of one chain instance, from the free-fermion modes."""
+    _check_spectrum_size(spec.n)
+    p = _chain_params(spec)
+    # -i gamma N / 4 + 1/2 sum_k s_k eps_k over the 2^N sign choices s_k
+    w = np.array([-0.25j * p.gamma * p.N])
+    for eps in majorana_modes(p):
+        w = np.concatenate((w + 0.5 * eps, w - 0.5 * eps))
+    w = w[spectral_order(w)]
     rows = [(i, lam.real, lam.imag) for i, lam in enumerate(w)]
     return CsvTable(_provenance(spec), ["index", "re_lambda", "im_lambda"], rows)
 
@@ -223,9 +209,8 @@ def run_gap_sweep(spec: SweepSpec) -> CsvTable:
 def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
     """QFI over any subset of the n/j/h/theta axes.
 
-    The auto method is the exact Gaussian QFI, whose delta and
-    richardson_diff columns read nan; failed grid points are emitted with
-    qfi = nan and an error tag.
+    The exact QFI of the Gaussian steady state at every point; failed grid
+    points are emitted with qfi = nan and an error tag.
     """
     rows = []
     for n in spec.axis_for("n").int_values():
@@ -236,58 +221,16 @@ def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
                         spec, N=n, J=float(j), h=float(h), theta=float(theta)
                     )
                     try:
-                        est = qfi_fidelity(
-                            p,
-                            spec.target,
-                            delta=spec.delta,
-                            method=spec.method,
-                            **spec.solver_kw(),
-                        )
-                        tag = "" if est.reliable else "unreliable"
-                        row_tail = (
-                            est.method,
-                            est.step,
-                            est.value,
-                            est.richardson_diff,
-                            tag,
-                        )
-                    except (
-                        EPProximityError,
-                        ConvergenceError,
-                        ValueError,
-                        ArithmeticError,
-                    ) as exc:
-                        row_tail = (spec.method, np.nan, np.nan, np.nan, _tag(exc))
+                        row_tail = (majorana_qfi(p, spec.target), "")
+                    except EPProximityError:
+                        row_tail = (np.nan, "ep_proximity")
+                    except ValueError:  # a Majorana matrix that overflows
+                        row_tail = (np.nan, "domain")
                     rows.append(
                         (n, float(j), float(h), float(theta), spec.target) + row_tail
                     )
-    header = [
-        "N",
-        "J",
-        "h",
-        "theta",
-        "target",
-        "method",
-        "delta",
-        "qfi",
-        "richardson_diff",
-        "error",
-    ]
+    header = ["N", "J", "h", "theta", "target", "qfi", "error"]
     return CsvTable(_provenance(spec), header, rows)
-
-
-def _tag(exc: Exception) -> str:
-    names = {
-        EPProximityError: "ep_proximity",
-        ConvergenceError: "no_convergence",
-        DenseSizeError: "dense_size",
-        ValueError: "domain",
-        ArithmeticError: "arithmetic",
-    }
-    for cls, tag in names.items():
-        if isinstance(exc, cls):
-            return tag
-    return "error"
 
 
 def run_ep(spec: SweepSpec) -> CsvTable:
@@ -340,7 +283,7 @@ def run_scaling(spec: SweepSpec) -> CsvTable:
 def run_correlations(spec: SweepSpec) -> CsvTable:
     """Steady-state correlation profile <s^a_1 s^a_n> for n = 2..N."""
     p = _chain_params(spec)
-    ss = solve_steady_state(p, method=spec.method, **spec.solver_kw())
+    ss = solve_steady_state(p, tol=spec.tol)
     profile = correlation_profile(ss, spec.axis)
     rows = [
         (p.N, p.J, p.h, p.theta, spec.axis, n, float(val))
@@ -363,7 +306,7 @@ def run_evolve(spec: SweepSpec) -> CsvTable:
         raise CliUsageError("t-range needs 0 <= start <= stop")
     p = _chain_params(spec)
     H = build_total(p)
-    ss = solve_steady_state(p, method=spec.method, H=H, **spec.solver_kw())
+    ss = solve_steady_state(p, H=H, tol=spec.tol, seed=spec.seed)
     rng = np.random.default_rng(spec.seed)
     psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
     psi /= np.linalg.norm(psi)
@@ -465,9 +408,7 @@ FLAGS = {
     "theta": (_finite, "field angle (rad)"),
     "target": (("h", "theta"), "QFI target"),
     "axis": (("x", "y", "z"), "correlation axis"),
-    "delta": (_positive, "QFI step size"),
     "tol": (_positive, "solver tolerance"),
-    "max-iters": (_int_at_least(1), "ARPACK restart budget"),
     "seed": (_int_at_least(0), "random seed"),
     "tol-j": (_positive, "bisection width"),
     "bracket": (_parse_pair, "J bracket lo:hi"),
@@ -482,29 +423,14 @@ FLAGS = {
 # The flags each runner reads; every subcommand also takes --out, and
 # rejects any other flag.
 _CHAIN = "n j gamma h theta"
-_SOLVER = "tol max-iters seed"
 SUBCOMMAND_FLAGS = {
     "spectrum": _CHAIN,
     "gap": f"{_CHAIN} j-range h-range",
-    "qfi": f"{_CHAIN} target delta {_SOLVER} n-range j-range h-range theta-range",
+    "qfi": f"{_CHAIN} target n-range j-range h-range theta-range",
     "ep": "n gamma h theta tol-j bracket n-range h-range",
     "scaling": "gamma h theta tol-j bracket n-range",
-    "correlations": f"{_CHAIN} axis {_SOLVER}",
-    "evolve": f"{_CHAIN} {_SOLVER} t-range",
-}
-
-# The --method choices and help of the subcommands that solve for a steady
-# state; the others take no --method.
-_METHODS = ("auto", "dense", "krylov")
-_STEADY_HELP = "steady-state solver (auto: dense up to N=5, Krylov above)"
-STEADY_METHODS = {
-    "qfi": (
-        _METHODS,
-        "auto: exact Gaussian QFI at any N; dense, krylov: overlap drop on "
-        "that steady-state solver",
-    ),
-    "correlations": (_METHODS, _STEADY_HELP),
-    "evolve": (_METHODS, _STEADY_HELP),
+    "correlations": f"{_CHAIN} axis tol",
+    "evolve": f"{_CHAIN} tol seed t-range",
 }
 
 
@@ -527,11 +453,6 @@ def _build_parser() -> _Parser:
             argument_default=argparse.SUPPRESS,
             allow_abbrev=False,
         )
-        if name in STEADY_METHODS:
-            methods, text = STEADY_METHODS[name]
-            sp.add_argument(
-                "--method", choices=methods, help=_with_default("method", text)
-            )
         for flag in flags.split() + ["out"]:
             kind, text = FLAGS[flag]
             kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
@@ -568,26 +489,7 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
-class _StderrHandler(logging.Handler):
-    """Writes each record to the ``sys.stderr`` of the moment it is emitted."""
-
-    def emit(self, record):
-        try:
-            print(self.format(record), file=sys.stderr)
-        except Exception:
-            self.handleError(record)
-
-
-# One handler for every call of ``main``: the package's warnings (an
-# unreliable QFI estimate) reach stderr with the CLI's prefix.
-_LOG_HANDLER = _StderrHandler(logging.WARNING)
-_LOG_HANDLER.setFormatter(logging.Formatter("nhchain: warning: %(message)s"))
-
-
 def main(argv=None) -> int:
-    log = logging.getLogger("nhchain")
-    if _LOG_HANDLER not in log.handlers:
-        log.addHandler(_LOG_HANDLER)
     parser = _build_parser()
     try:
         args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
@@ -596,7 +498,7 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         table = RUNNERS[spec.subcommand](spec)
-    except (CliUsageError, DenseSizeError, MemoryError) as exc:
+    except (CliUsageError, MemoryError) as exc:
         print(f"nhchain: error: {exc}", file=sys.stderr)
         return 1
     except (

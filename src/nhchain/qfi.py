@@ -128,7 +128,8 @@ def _two_step(p, target, delta, method, solver_kw):
     value = fidelity_qfi_from_states(vec(-delta), vec(delta), delta)
     half = delta / 2.0
     value_half = fidelity_qfi_from_states(vec(-half), vec(half), half)
-    scale = max(abs(value_half), 1e-300)
+    # below the half step's rounding floor both estimates are noise around 0
+    scale = max(abs(value_half), NEGATIVE_TOL * 8.0 / delta**2)
     return value, abs(value - value_half) / scale
 
 

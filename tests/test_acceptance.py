@@ -352,10 +352,7 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         cases = [
             ["spectrum", "--n", "2", "--j", "0.3", "--h", "0.1"],
             ["gap", "--n", "2", "--j-range", "0:0.4:5", "--h-range", "0:0.2:3"],
-            [
-                "qfi", "--n", "4", "--j", "0.2", "--h", "0.15",
-                "--method", "krylov", "--delta", "2e-4",
-            ],
+            ["qfi", "--n", "4", "--j", "0.2", "--h", "0.15"],
             ["correlations", "--n", "5", "--j", "0.2", "--h", "0.1", "--axis", "y"],
             ["evolve", "--n", "3", "--j", "0.2", "--h", "0.1", "--t-range", "0:20:11"],
             ["ep", "--n", "2", "--h-range", "0:0.2:3", "--tol-j", "1e-3"],

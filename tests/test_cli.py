@@ -1,6 +1,5 @@
 """Sweep runners, CSV format contract, and CLI exit codes."""
 
-import logging
 import re
 import shlex
 import warnings
@@ -25,7 +24,7 @@ from nhchain.cli import (
     run_spectrum,
 )
 from nhchain.hamiltonian import ChainParams, build_total
-from nhchain.spectral import evolve, solve_steady_state
+from nhchain.spectral import dense_eigenvalues, evolve, solve_steady_state
 
 IM_REF = [
     -0.12679491924311226,
@@ -62,9 +61,33 @@ def test_spectrum_header_line_exact():
     assert data_lines[0] == "index,re_lambda,im_lambda"
 
 
-def test_spectrum_rejects_large_chain():
-    with pytest.raises(CliUsageError, match="N <= 12"):
-        run_spectrum(SweepSpec(subcommand="spectrum", n=13, j=0.1))
+def test_spectrum_rejects_large_chain(monkeypatch):
+    # the cap is on the 2^N output rows, checked before any mode is computed
+    def no_modes(p):
+        raise AssertionError("modes computed for a refused spectrum")
+
+    monkeypatch.setattr(cli, "majorana_modes", no_modes)
+    with pytest.raises(CliUsageError, match=r"2\^N rows and is limited to N <= 16"):
+        run_spectrum(SweepSpec(subcommand="spectrum", n=17, j=0.1))
+
+
+def test_spectrum_from_modes_matches_dense_at_twelve_sites(monkeypatch):
+    # inside the gapped region every eigenvalue is purely imaginary up to
+    # rounding, so the two spectral orders agree element by element
+    p = ChainParams(N=12, J=0.23, h=0.2, theta=0.7)
+    dense = dense_eigenvalues(build_total(p))
+
+    def no_dense(*args):
+        raise AssertionError("many-body operator built for a spectrum")
+
+    monkeypatch.setattr(cli, "build_total", no_dense)
+    monkeypatch.setattr("nhchain.spectral.build_total", no_dense)
+    monkeypatch.setattr("nhchain.spectral.dense_eigenvalues", no_dense)
+    spec = SweepSpec(subcommand="spectrum", n=12, j=0.23, h=0.2, theta=0.7)
+    rows = run_spectrum(spec).rows
+    assert [r[0] for r in rows] == list(range(4096))
+    got = np.array([complex(r[1], r[2]) for r in rows])
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
 
 def test_spectrum_decoupled_chain():
@@ -105,17 +128,13 @@ def test_qfi_sweep_matches_closed_form():
         n=2,
         h=0.1,
         target="h",
-        delta=1e-4,
         axes=(SweepAxis("j", 0.05, 0.4, 5),),
     )
     table = run_qfi_sweep(spec)
-    assert table.header == [
-        "N", "J", "h", "theta", "target", "method", "delta",
-        "qfi", "richardson_diff", "error",
-    ]
+    assert table.header == ["N", "J", "h", "theta", "target", "qfi", "error"]
     for row in table.rows:
-        J, qfi = row[1], row[7]
-        assert row[9] == ""
+        J, qfi = row[1], row[5]
+        assert row[6] == ""
         assert qfi == pytest.approx(16.0 / (1 - 4 * J**2 - 0.16), rel=1e-3)
 
 
@@ -125,11 +144,10 @@ def test_qfi_sweep_grows_with_size():
         j=0.23,
         h=0.2,
         target="h",
-        delta=2e-4,
         axes=(SweepAxis("n", 2, 6, 3),),
     )
     table = run_qfi_sweep(spec)
-    vals = [row[7] for row in table.rows]
+    vals = [row[5] for row in table.rows]
     assert [row[0] for row in table.rows] == [2, 4, 6]
     assert vals[0] < vals[1] < vals[2]
 
@@ -137,7 +155,7 @@ def test_qfi_sweep_grows_with_size():
 def test_qfi_sweep_angle_without_field_is_zero():
     spec = SweepSpec(subcommand="qfi", n=2, j=0.3, h=0.0, target="theta")
     table = run_qfi_sweep(spec)
-    assert table.rows[0][7] == pytest.approx(0.0, abs=1e-6)
+    assert table.rows[0][5] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_qfi_sweep_emits_nan_rows_near_coalescence():
@@ -152,30 +170,31 @@ def test_qfi_sweep_emits_nan_rows_near_coalescence():
     )
     table = run_qfi_sweep(spec)
     good, bad = table.rows
-    assert good[9] == "" and np.isfinite(good[7])
-    assert bad[9] == "ep_proximity" and np.isnan(bad[7])
+    assert good[6] == "" and np.isfinite(good[5])
+    assert bad[6] == "ep_proximity" and np.isnan(bad[5])
 
 
 def test_main_qfi_golden_row(capsys):
-    # the exact Gaussian QFI has no step and no Richardson change
+    # the exact Gaussian QFI has no step and no Richardson change to report
     assert main(["qfi", "--n", "2", "--j", "0.3", "--h", "0.1"]) == 0
     _, header, [row] = parse_csv(capsys.readouterr().out)
-    assert header[5:] == ["method", "delta", "qfi", "richardson_diff", "error"]
-    assert row[5:7] == ["majorana", "nan"] and row[8:] == ["nan", ""]
-    assert float(row[7]) == pytest.approx(16.0 / 0.48, rel=1e-12)
+    assert header == ["N", "J", "h", "theta", "target", "qfi", "error"]
+    assert row[6] == ""
+    assert float(row[5]) == pytest.approx(16.0 / 0.48, rel=1e-12)
 
 
 def test_main_qfi_at_two_hundred_sites(capsys):
     assert main(["qfi", "--n", "200", "--j", "0.23", "--h", "0.2"]) == 0
     _, _, [row] = parse_csv(capsys.readouterr().out)
-    assert row[5] == "majorana" and row[9] == ""
+    assert np.isfinite(float(row[5])) and row[6] == ""
 
 
 def test_main_qfi_has_no_closed_form_method(capsys):
-    # the exact QFI under auto reproduces the two-site closed form
+    # the exact QFI reproduces the two-site closed form, and qfi takes no
+    # --method at all
     argv = ["qfi", "--n", "2", "--j", "0.3", "--h", "0.1", "--method", "analytic2"]
     assert main(argv) == 1
-    assert "invalid choice: 'analytic2'" in capsys.readouterr().err
+    assert "unrecognized arguments: --method analytic2" in capsys.readouterr().err
 
 
 def test_main_qfi_refuses_a_non_finite_matrix_per_row(capsys):
@@ -183,7 +202,7 @@ def test_main_qfi_refuses_a_non_finite_matrix_per_row(capsys):
     with np.errstate(over="ignore"):
         assert main(["qfi", "--n", "3", "--j", "0.1", "--h", "1e308"]) == 0
     _, _, [row] = parse_csv(capsys.readouterr().out)
-    assert row[5:] == ["auto", "nan", "nan", "nan", "domain"]
+    assert row[5:] == ["nan", "domain"]
 
 
 def test_main_qfi_overflowing_field_is_a_domain_row_with_no_numpy_warning(capsys):
@@ -192,7 +211,7 @@ def test_main_qfi_overflowing_field_is_a_domain_row_with_no_numpy_warning(capsys
         assert main(["qfi", "--n", "3", "--j", "0.1", "--h", "1e308"]) == 0
     out, err = capsys.readouterr()
     _, _, [row] = parse_csv(out)
-    assert row[5:] == ["auto", "nan", "nan", "nan", "domain"]
+    assert row[5:] == ["nan", "domain"]
     assert err == ""
 
 
@@ -261,7 +280,7 @@ def test_evolve_runner_columns_match_a_numpy_recomputation():
     table = run_evolve(spec)
     p = ChainParams(N=5, J=0.23, h=0.2)
     H = build_total(p)
-    ss = solve_steady_state(p, method=spec.method, H=H, **spec.solver_kw())
+    ss = solve_steady_state(p, H=H, tol=spec.tol, seed=spec.seed)
     rng = np.random.default_rng(spec.seed)
     psi = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
     psi /= np.linalg.norm(psi)
@@ -354,11 +373,10 @@ def test_main_byte_identical_runs(tmp_path):
 
 
 def test_main_usage_error_exit_code(capsys):
-    assert main(["spectrum", "--n", "13"]) == 1
-    # the refusal points to paths that do reach N = 13
+    assert main(["spectrum", "--n", "17"]) == 1
+    # the refusal points to the path that does reach N = 17
     err = " ".join(capsys.readouterr().err.split())
     assert "use the gap subcommand (free-fermion gap, any N)" in err
-    assert "correlations --method krylov" in err
     assert main(["nosuchcommand"]) == 1
     assert main(["gap", "--j-range", "bad"]) == 1
 
@@ -379,7 +397,7 @@ def test_main_refuses_a_chain_beyond_physical_memory(monkeypatch, capsys):
     from nhchain import majorana
 
     start = time.perf_counter()
-    code = main(["correlations", "--n", "40", "--method", "krylov"])
+    code = main(["correlations", "--n", "40"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "physical memory" in capsys.readouterr().err
@@ -400,19 +418,17 @@ def test_main_rejects_non_finite_parameters(capsys):
     assert main(["gap", "--n", "2", "--j-range", "0:inf:3"]) == 1
     assert main(["ep", "--n", "2", "--bracket", "0:nan"]) == 1
     assert "finite" in capsys.readouterr().err
-    # steps, tolerances and budgets must also be > 0
-    assert main(["qfi", "--n", "2", "--j", "0.3", "--h", "0.1", "--delta", "0"]) == 1
+    # tolerances must also be > 0
     assert main(["correlations", "--tol", "-1"]) == 1
-    assert main(["correlations", "--max-iters", "0"]) == 1
     assert main(["ep", "--n", "2", "--h", "0.1", "--tol-j", "-1"]) == 1
     assert main(["scaling", "--tol-j", "inf"]) == 1
     err = capsys.readouterr().err
-    assert err.count("> 0") == 3 and "integer >= 1" in err and "finite" in err
+    assert err.count("> 0") == 2 and "finite" in err
     # an invalid chain or seed is a usage error, not a numerical failure
     assert main(["gap", "--n", "0"]) == 1
     assert main(["ep", "--n", "1"]) == 1
-    assert main(["correlations", "--n", "3", "--seed", "-1"]) == 1
-    assert main(["correlations", "--n", "6", "--seed", "-1"]) == 1
+    assert main(["evolve", "--n", "3", "--seed", "-1"]) == 1
+    assert main(["evolve", "--n", "6", "--seed", "-1"]) == 1
     assert main(["gap", "--gamma", "-1"]) == 1
     assert main(["correlations", "--n", "3", "--h", "-0.1"]) == 1
     err = capsys.readouterr().err
@@ -426,9 +442,6 @@ def test_main_rejects_non_finite_parameters(capsys):
     err = capsys.readouterr().err
     assert "axis n must start at >= 2" in err and "axis j must start" in err
     assert "axis h must start" in err
-    # a dense solve above its size limit, as spectrum already refuses it
-    assert main(["correlations", "--n", "13", "--method", "dense"]) == 1
-    assert "dense path supports dimension" in capsys.readouterr().err
 
 
 def test_main_numerical_failure_exit_code(capsys):
@@ -485,6 +498,12 @@ def test_axis_validation():
         ("spectrum --method dense", "--method"),
         ("ep --method dense", "--method"),
         ("scaling --method krylov", "--method"),
+        ("qfi --method dense", "--method"),
+        ("qfi --delta 2e-4", "--delta"),
+        ("qfi --seed 3", "--seed"),
+        ("correlations --method krylov", "--method"),
+        ("correlations --max-iters 100", "--max-iters"),
+        ("evolve --method dense", "--method"),
         ("gap --j-r 0:0.1:2", "--j-r"),  # abbreviation of --j-range
     ],
 )
@@ -509,27 +528,25 @@ GOLDEN_COMMENTS = [
         "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2 --theta 0.7",
         [
             "# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003 "
-            "theta=0.69999999999999996 target=h axis=y method=auto delta=0.001 "
-            "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.0001 "
+            "theta=0.69999999999999996 target=h axis=y "
+            "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
             "bracket=0:0.59999999999999998 t_range=0:50:101",
         ],
     ),
     (
         "gap --n 2 --j-range 0:0.4:5 --h-range 0:0.2:3",
         [
-            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y method=auto delta=0.001 "
-            "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.0001 "
+            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y "
+            "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
             "bracket=0:0.59999999999999998 t_range=0:50:101",
             "# sweep j=0:0.40000000000000002:5 h=0:0.20000000000000001:3",
         ],
     ),
     (
-        "qfi --n 2 --j 0.3 --h 0.1 --target theta --delta 2e-4 --tol 1e-10 "
-        "--max-iters 300 --seed 11 --method dense --theta-range 0:1:2",
+        "qfi --n 2 --j 0.3 --h 0.1 --target theta --theta-range 0:1:2",
         [
             "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=theta axis=y method=dense delta=0.00020000000000000001 "
-            "tol=1e-10 max_iters=300 seed=11 tol_j=0.0001 "
+            "target=theta axis=y tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
             "bracket=0:0.59999999999999998 t_range=0:50:101",
             "# sweep theta=0:1:2",
         ],
@@ -537,8 +554,8 @@ GOLDEN_COMMENTS = [
     (
         "ep --n 2 --h-range 0:0.2:3 --tol-j 1e-3 --bracket 0:0.55",
         [
-            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y method=auto delta=0.001 "
-            "tol=1.0000000000000001e-09 max_iters=500 seed=7 tol_j=0.001 "
+            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y "
+            "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 "
             "bracket=0:0.55000000000000004 t_range=0:50:101",
             "# sweep h=0:0.20000000000000001:3",
         ],
@@ -547,8 +564,7 @@ GOLDEN_COMMENTS = [
         "scaling --h 0.05 --tol-j 1e-3 --n-range 2:5:4",
         [
             "# n=2 j=0 gamma=1 h=0.050000000000000003 theta=0 target=h axis=y "
-            "method=auto delta=0.001 tol=1.0000000000000001e-09 max_iters=500 "
-            "seed=7 tol_j=0.001 bracket=0:0.59999999999999998 t_range=0:50:101",
+            "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 bracket=0:0.59999999999999998 t_range=0:50:101",
             "# sweep n=2:5:4",
             "# points N=2:0.49013671874999992 N=3:0.35009765625 "
             "N=4:0.30732421874999999 N=5:0.28740234375000001",
@@ -556,19 +572,17 @@ GOLDEN_COMMENTS = [
         ],
     ),
     (
-        "correlations --n 3 --j 0.2 --h 0.1 --axis x --method dense --seed 3 "
-        "--tol 1e-10 --max-iters 100",
+        "correlations --n 3 --j 0.2 --h 0.1 --axis x --tol 1e-10",
         [
             "# n=3 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=h axis=x method=dense delta=0.001 tol=1e-10 max_iters=100 "
-            "seed=3 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:50:101",
+            "target=h axis=x tol=1e-10 seed=7 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:50:101",
         ],
     ),
     (
         "evolve --n 2 --j 0.2 --h 0.1 --t-range 0:5:3 --seed 5 --tol 1e-8",
         [
             "# n=2 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=h axis=y method=auto delta=0.001 tol=1e-08 max_iters=500 "
+            "target=h axis=y tol=1e-08 "
             "seed=5 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:5:3",
         ],
     ),
@@ -616,24 +630,3 @@ def test_main_takes_a_range_that_starts_with_a_minus(tmp_path, capsys):
     _, _, rows = parse_csv(spaced.read_text())
     assert [float(r[3]) for r in rows] == [-1.0, 0.0, 1.0]
 
-
-def test_main_prefixes_package_warnings_once(capsys):
-    argv = ["qfi", "--n", "2", "--j", "0.3", "--h", "0.1"]
-    argv += ["--target", "theta", "--delta", "2.5", "--method", "dense"]
-    spec = SweepSpec(
-        subcommand="qfi", n=2, j=0.3, h=0.1, target="theta", delta=2.5, method="dense"
-    )
-    expected = run_qfi_sweep(spec).to_string()
-    capsys.readouterr()
-    for _ in range(2):
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.out == expected
-        # one prefixed line per unreliable point, however often main ran
-        assert captured.err.splitlines() == [
-            "nhchain: warning: QFI theta unreliable: richardson_diff 0.0853, "
-            "ChainParams(N=2, J=0.3, gamma=1.0, h=0.1, theta=0.0)"
-        ]
-    handlers = logging.getLogger("nhchain").handlers
-    assert len(handlers) == 1
-    assert handlers[0].level == logging.WARNING

@@ -51,6 +51,7 @@ def test_gap_matches_dense(n, j, h, theta):
         (4, 0.4, 0.05, 2.0, 1.0),
         (4, 0.3, 0.2, 0.5, 2.0),
         (5, 0.23, 0.2, 1.1, 1.0),
+        (10, 0.23, 0.2, 0.7, 1.0),
     ],
 )
 def test_many_body_spectrum_from_modes(n, j, h, theta, gamma, multiset_distance):

@@ -5,7 +5,6 @@ import pytest
 from scipy.sparse import csr_array
 
 from nhchain import spectral
-from nhchain.cli import SweepSpec, run_qfi_sweep
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import majorana_gap
@@ -346,8 +345,6 @@ def test_no_steady_state_at_an_exact_exceptional_point():
     assert 0.0 <= err.value.gap <= 1e-6
     with pytest.raises(EPProximityError):
         qfi_fidelity(p, "h", method="krylov")
-    rows = run_qfi_sweep(SweepSpec("qfi", n=2, j=0.3, h=0.2, method="krylov")).rows
-    assert [row[-1] for row in rows] == ["ep_proximity"]
 
 
 @pytest.mark.parametrize("N", [2, 4])
