@@ -4,12 +4,13 @@ The imaginary-part gap is non-negative and identically zero beyond the
 coalescence boundary (the merging pair separates in real part, not in
 imaginary part), so the boundary is bisected on the indicator
 ``gap > tol_gap`` rather than on a sign change.  ``tol_gap = 1e-6 * gamma``
-sits well above solver noise (~1e-14 away from the closure, ~1e-8 at an exact
-exceptional point) and well below every physical gap of interest (~1e-1).
+sits well above solver noise (~1e-14 away from the closure, up to ~2e-8 at an
+exact exceptional point) and well below every physical gap of interest
+(~1e-1).
 
 Every gap comes from the (2N+1)-dimensional free-fermion matrix of
-:mod:`nhchain.majorana`, so a bisection step costs one small eigensolve at
-any N (0.1 ms at N = 5) and no 2^N-dimensional operator is built.
+:mod:`nhchain.majorana`, so a bisection step costs one small real eigensolve
+at any N (0.05-0.07 ms at N = 5) and no 2^N-dimensional operator is built.
 """
 
 import warnings

@@ -16,6 +16,8 @@ into ``-i gamma N / 4 + sum_{j<k} A_jk g_j g_k`` with, for j < k,
 matrix ``B = 2 A[1:, 1:]`` is antisymmetric of odd size 2N+1: its eigenvalues
 are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
+B is similar to a real matrix (:func:`majorana_modes`), whose one real
+eigensolve gives the modes and the gap.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
@@ -37,7 +39,7 @@ import math
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.lapack import zgesv, ztrsyl, ztrtrs
+from scipy.linalg.lapack import dgeev, zgesv, ztrsyl, ztrtrs
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
@@ -58,15 +60,24 @@ def _majorana_matrix(p: ChainParams) -> np.ndarray:
             "Majorana matrix B would contain infs or NaNs: its entries "
             f"gamma/2, J and 2h must be finite, got h = {p.h:g}"
         )
-    A = np.zeros((2 * p.N + 2, 2 * p.N + 2), dtype=complex)
-    site = np.arange(1, p.N + 1)
-    bond = site[:-1]
-    A[2 * site, 2 * site + 1] = -0.25 * p.gamma
-    A[2 * bond + 1, 2 * bond + 2] = -0.5j * p.J
-    A[2 * bond, 2 * bond + 3] = -0.5j * p.J
-    A[1, 2] = -1j * p.h * np.cos(p.theta)
-    A[1, 3] = -1j * p.h * np.sin(p.theta)
-    return 2.0 * (A - A.T)[1:, 1:]
+    n = 2 * p.N + 1
+    B = np.zeros((n, n), dtype=complex)
+    # row r holds g_{r+1}; element r of `sup1` and `sup3` is B[r, r+1] and
+    # B[r, r+3], strided views of the flat matrix (`sup3` stops at row n-4,
+    # where its stride would wrap into column 0)
+    flat = B.reshape(-1)
+    sup1, sup3 = flat[1 :: n + 1], flat[3 : (n - 3) * (n + 1) : n + 1]
+    sup1[1::2] = -0.5 * p.gamma  # g_{2k} g_{2k+1}, site k
+    sup1[2::2] = -1j * p.J  # g_{2k+1} g_{2k+2}, bond (k, k+1)
+    sup3[1::2] = -1j * p.J  # g_{2k} g_{2k+3}, bond (k, k+1)
+    B[0, 1] = -2j * p.h * np.cos(p.theta)
+    B[0, 2] = -2j * p.h * np.sin(p.theta)
+    # antisymmetrise: every entry above the diagonal is on those two bands
+    # or is B[0, 2]
+    flat[n :: n + 1] = -sup1
+    flat[3 * n :: n + 1] = -sup3
+    B[2, 0] = -B[0, 2]
+    return B
 
 
 def majorana_modes(p: ChainParams) -> np.ndarray:
@@ -77,8 +88,24 @@ def majorana_modes(p: ChainParams) -> np.ndarray:
     ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over the 2^N sign choices, the
     steady state takes every s_k = +1, and the imaginary-part gap is
     ``Im eps_0``.
+
+    The eigenvalues come from one real ``dgeev`` on ``R = D B D^-1``, with
+    ``D = diag(i^m_r)`` and m_r the parity of the site of the Majorana in
+    row r (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).
+    Every imaginary entry of B couples neighbouring sites and picks up a
+    factor +-i, every real one couples a site to itself, so R is real.
     """
-    return _modes(la.eigvals(_majorana_matrix(p)))
+    B = _majorana_matrix(p)
+    # rows 0, 1, 2, ... hold Majoranas of sites 0, 1, 1, 2, 2, ...
+    d = np.ones(B.shape[0], dtype=complex)
+    d[1::4] = d[2::4] = 1j
+    # B is finite by construction, so no check_finite pass
+    wr, wi, _, _, info = dgeev(
+        (B * np.outer(d, d.conj())).real, compute_vl=0, compute_vr=0, overwrite_a=1
+    )
+    if info != 0:
+        raise la.LinAlgError("dgeev failed to converge")
+    return _modes(wr + 1j * wi)
 
 
 def _modes(c: np.ndarray) -> np.ndarray:
@@ -88,7 +115,8 @@ def _modes(c: np.ndarray) -> np.ndarray:
     # point the three form a 3x3 Jordan block whose eigenvalues scatter by
     # eps_machine^(1/3), but the sum of their squares, 2 eps^2, stays well
     # conditioned.  The other pairs are adjacent in this order because both
-    # members of a pair have the same computed modulus.
+    # members of a pair have the same modulus up to rounding (exactly, for
+    # the conjugate pair +-i y that a real eigensolve returns).
     eps = np.concatenate(([np.sqrt(np.sum(c[:3] ** 2) / 2.0)], c[3::2]))
     eps = np.where(eps.imag < 0, -eps, eps)
     return eps[np.argsort(eps.imag, kind="stable")]
@@ -98,8 +126,8 @@ def majorana_gap(p: ChainParams) -> float:
     """Imaginary-part gap ``min_k Im eps_k`` of the many-body spectrum, >= 0.
 
     Flipping the sign of the slowest mode is the cheapest step down from the
-    steady state.  At an exact exceptional point the result is ~1e-9 to
-    1e-8, the rounding floor of a double-precision eigensolve there.
+    steady state.  At an exact exceptional point the result is 0 to ~2e-8,
+    the rounding floor of a double-precision eigensolve there.
     """
     return float(majorana_modes(p)[0].imag)
 

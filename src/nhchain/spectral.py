@@ -8,12 +8,12 @@ state with a Krylov approximation of ``exp(-i H t)``: it exponentiates the
 small Arnoldi matrix every ``EXPM_STRIDE`` orders and accepts an order on
 Saad's a-posteriori estimate of the local error.
 
-Eigenvalue ordering everywhere: descending imaginary part, ties broken by
-ascending real part.  The steady state is the first eigenvalue in this
-order; the gap is the difference of the top two imaginary parts.  Both
-solvers share one contract: a gap at or below ``default_tol_gap(gamma)``
-raises ``EPProximityError``, because no steady state is isolated at an
-exceptional point.
+Eigenvalue ordering everywhere: descending imaginary part, ties (to within
+``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
+state is the first eigenvalue in this order; the gap is the difference of
+the top two imaginary parts.  Both solvers share one contract: a gap at or
+below ``default_tol_gap(gamma)`` raises ``EPProximityError``, because no
+steady state is isolated at an exceptional point.
 
 Returned steady-state vectors have unit Euclidean norm and a fixed phase
 gauge: the largest-magnitude amplitude is real and positive (magnitude ties
@@ -70,8 +70,21 @@ def default_tol_gap(gamma: float) -> float:
 
 
 def spectral_order(w: np.ndarray) -> np.ndarray:
-    """Permutation sorting eigenvalues by descending Im, then ascending Re."""
-    return np.lexsort((w.real, -w.imag))
+    """Permutation sorting eigenvalues by descending Im, then ascending Re.
+
+    Neighbours in descending Im whose imaginary parts differ by at most
+    ``1e-9 max(1, max |lambda|)`` are tied, and a run of such ties is one
+    group ordered by Re.  Past the boundary ``lambda`` and
+    ``-conj(lambda)`` share one imaginary part, which two eigensolvers
+    round differently.  The tolerance is far above that rounding and, for
+    gamma above ~1e-2, far below ``default_tol_gap(gamma)``, so a tie at
+    the top is refused as an exceptional point before its order matters.
+    """
+    order = np.argsort(-w.imag, kind="stable")
+    im = w.imag[order]
+    tol = 1e-9 * max(1.0, np.abs(w).max())
+    group = np.concatenate(([0], np.cumsum(im[:-1] - im[1:] > tol)))
+    return order[np.lexsort((w.real[order], group))]
 
 
 def phase_gauge(v: np.ndarray) -> np.ndarray:
@@ -197,7 +210,10 @@ def _steady_state(
     """Steady state from eigenpairs (columns of ``v``); raises at an EP."""
     tol_gap = default_tol_gap(p.gamma)
     order = spectral_order(w)
-    gap = float(w.imag[order[0]] - w.imag[order[1]])
+    # read off the sorted parts: within a tie, order[0] need not have the
+    # largest Im, and the gap stays >= 0
+    im = np.sort(w.imag)
+    gap = float(im[-1] - im[-2])
     if gap <= tol_gap:
         raise EPProximityError(gap, tol_gap)
     return SteadyState(

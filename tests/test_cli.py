@@ -90,6 +90,17 @@ def test_spectrum_from_modes_matches_dense_at_twelve_sites(monkeypatch):
     assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
 
+def test_spectrum_orders_ties_past_the_boundary_by_real_part():
+    # past the boundary lambda and -conj(lambda) share one imaginary part,
+    # which the two eigensolves round differently; spectral_order takes such
+    # a group as a tie and orders it by Re, so the orders agree here too
+    p = ChainParams(N=6, J=0.4, h=0.2, theta=0.7)
+    dense = dense_eigenvalues(build_total(p))
+    spec = SweepSpec(subcommand="spectrum", n=6, j=0.4, h=0.2, theta=0.7)
+    got = np.array([complex(r[1], r[2]) for r in run_spectrum(spec).rows])
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
 def test_spectrum_decoupled_chain():
     table = run_spectrum(SweepSpec(subcommand="spectrum", n=2, j=0.0, h=0.0))
     ims = [row[2] for row in table.rows]

@@ -5,19 +5,40 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.linalg
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import nhchain.critical as critical
+import nhchain.majorana as majorana
 from nhchain.critical import find_ep_J, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
-from nhchain.majorana import majorana_gap, majorana_modes
+from nhchain.majorana import _majorana_matrix, _modes, majorana_gap, majorana_modes
 from nhchain.spectral import default_tol_gap, dense_eigenvalues
 
 
 def size_boundary(n: int, gamma: float = 1.0) -> float:
     """Exact h = 0 gap closure J_c(N) = gamma / (4 cos(pi / (N + 1)))."""
     return gamma / (4.0 * math.cos(math.pi / (n + 1)))
+
+
+def padded_majorana_matrix(p: ChainParams) -> np.ndarray:
+    """B = 2 (A - A^T)[1:, 1:] from the coefficients A_jk of g_j g_k, j < k."""
+    A = np.zeros((2 * p.N + 2, 2 * p.N + 2), dtype=complex)
+    site = np.arange(1, p.N + 1)
+    bond = site[:-1]
+    A[2 * site, 2 * site + 1] = -0.25 * p.gamma
+    A[2 * bond + 1, 2 * bond + 2] = -0.5j * p.J
+    A[2 * bond, 2 * bond + 3] = -0.5j * p.J
+    A[1, 2] = -1j * p.h * np.cos(p.theta)
+    A[1, 3] = -1j * p.h * np.sin(p.theta)
+    return 2.0 * (A - A.T)[1:, 1:]
+
+
+def parity_phases(n: int) -> np.ndarray:
+    """diag(D) = i^m_r, m_r the parity of the site of the Majorana in row r."""
+    site = (np.arange(n) + 1) // 2
+    return np.where(site % 2, 1j, 1.0)
 
 
 def dense_gap(p: ChainParams) -> float:
@@ -81,6 +102,33 @@ def test_gap_at_exact_two_site_exceptional_points(j, theta):
     assert majorana_gap(ChainParams(N=2, J=j, h=h, theta=theta)) < 5e-8
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_gap_at_exact_zero_field_exceptional_points(n, theta):
+    # at h = 0 the slowest pair closes at J_c(N) for every N; the real form
+    # keeps the gap at the same rounding floor as the two-site EPs above
+    p = ChainParams(N=n, J=size_boundary(n), h=0.0, theta=theta)
+    assert majorana_gap(p) < 5e-8
+
+
+def test_modes_make_one_real_eigensolve(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dtype)
+        return dgeev(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("complex eigensolve on the gap path")
+
+    dgeev = majorana.dgeev
+    monkeypatch.setattr(majorana, "dgeev", counted)
+    for name in ("eig", "eigvals", "schur"):
+        monkeypatch.setattr(majorana.la, name, refused)
+    majorana_gap(ChainParams(N=7, J=0.23, h=0.2, theta=0.7))
+    assert calls == [np.float64]
+
+
 def test_auto_gap_builds_no_many_body_operator():
     # the gap module does not import the 2^N generator, and at
     # N = 200 the memory guard would refuse to build it
@@ -109,3 +157,46 @@ def test_dense_gap_closes_at_the_bisected_boundary():
             assert dense_gap(ChainParams(N=n, J=j_c - tol_J, h=h)) > tol_gap, (n, h)
             assert dense_gap(ChainParams(N=n, J=j_c + tol_J, h=h)) <= tol_gap, (n, h)
     assert abs(find_ep_J(6, 0.0, tol_J=tol_J) - size_boundary(6)) <= tol_J
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_majorana_matrix_matches_the_padded_construction(n):
+    p = ChainParams(N=n, J=0.37, gamma=1.3, h=0.21, theta=0.7)
+    assert np.array_equal(_majorana_matrix(p), padded_majorana_matrix(p))
+
+
+# the fixture is a pure function, so sharing it across examples is safe
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n=st.integers(2, 64),
+    j=st.floats(0.0, 0.6),
+    gamma=st.floats(0.05, 2.0),
+    h=st.floats(0.0, 0.4),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_modes_from_the_real_form_match_the_complex_eigensolve(
+    n, j, gamma, h, theta, multiset_distance
+):
+    # with J up to 0.6 and gamma down to 0.05 most draws are past the
+    # boundary (J_c -> gamma / 4 at large N), where real modes tie in Im
+    p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
+    B = _majorana_matrix(p)
+    d = parity_phases(B.shape[0])
+    assert np.all((d[:, None] * B * d.conj()).imag == 0)
+    eps = majorana_modes(p)
+    # near an exceptional point (a mode near zero) both eigensolves lose
+    # digits, and a second small mode is outside the sum-of-squares rule
+    assume(np.abs(eps).min() > 1e-2)
+    ref = _modes(scipy.linalg.eigvals(B))
+    assert np.sort(eps.imag) == pytest.approx(np.sort(ref.imag), abs=1e-12)
+    # a real mode is +-eps either way, and ties in Im leave the order open:
+    # compare the multisets of +-eps, each value relative to max(1, |eps|)
+    scaled = [np.concatenate((e, -e)) for e in (eps, ref)]
+    scaled = [z / np.maximum(1.0, np.abs(z)) for z in scaled]
+    assert multiset_distance(*scaled) < 1e-12
