@@ -16,19 +16,19 @@ into ``-i gamma N / 4 + sum_{j<k} A_jk g_j g_k`` with, for j < k,
 matrix ``B = 2 A[1:, 1:]`` is antisymmetric of odd size 2N+1: its eigenvalues
 are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
-B is similar to a real matrix (:func:`majorana_modes`), whose one real
-eigensolve gives the modes and the gap.
+B is similar to a real matrix R (:func:`_real_form`), whose one real
+eigensolve gives the modes, the gap and, with right vectors, the QFI.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
 vector of B, ``z^T z = 1``); :func:`majorana_qfi_matrix` differentiates the
 projector onto that annihilator space exactly, which gives the steady-state
-QFI matrix about (h, theta) at any N from (2N+2)-dimensional matrices.
+QFI matrix about (h, theta) at any N from (2N+1)-dimensional matrices.
 
 Only ``B[0, 1:3]`` moves with h or theta, so the derivative of the projector
-is linear in that 2-vector: one Schur form per parameter point gives a 2x2
-Gram matrix from which both diagonal entries and the off-diagonal
-``F_h,theta`` follow (the latter vanishes to rounding).
+is linear in that 2-vector: one eigendecomposition of R per parameter point
+gives a 2x2 Gram matrix from which both diagonal entries and the
+off-diagonal ``F_h,theta`` follow (the latter vanishes to rounding).
 :func:`majorana_qfi` reads one diagonal entry.  The Gram matrix of the last
 point is kept (a memo of size one), so asking for ``h`` and then ``theta``
 at the same point factorises once.
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.lapack import dgeev, zgesv, ztrsyl, ztrtrs
+from scipy.linalg.lapack import dgeev, zgeqrf, zgesv, zungqr
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
@@ -80,6 +80,22 @@ def _majorana_matrix(p: ChainParams) -> np.ndarray:
     return B
 
 
+def _real_form(p: ChainParams) -> np.ndarray:
+    """The real matrix ``R = D B D^-1``, similar to B by a unitary D.
+
+    ``D = diag(i^m_r)``, m_r the parity of the site of the Majorana in row r
+    (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).  Every
+    imaginary entry of B couples neighbouring sites and picks up a factor
+    +-i, every real one couples a site to itself, so R is real, and B's
+    eigenvectors are ``D^-1`` times R's.
+    """
+    B = _majorana_matrix(p)
+    # rows 0, 1, 2, ... hold Majoranas of sites 0, 1, 1, 2, 2, ...
+    d = np.ones(B.shape[0], dtype=complex)
+    d[1::4] = d[2::4] = 1j
+    return (B * np.outer(d, d.conj())).real
+
+
 def majorana_modes(p: ChainParams) -> np.ndarray:
     """Single-particle energies eps_k, k = 1..N, one per +-eps pair.
 
@@ -87,22 +103,12 @@ def majorana_modes(p: ChainParams) -> np.ndarray:
     ascending imaginary part.  The many-body spectrum is
     ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over the 2^N sign choices, the
     steady state takes every s_k = +1, and the imaginary-part gap is
-    ``Im eps_0``.
-
-    The eigenvalues come from one real ``dgeev`` on ``R = D B D^-1``, with
-    ``D = diag(i^m_r)`` and m_r the parity of the site of the Majorana in
-    row r (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).
-    Every imaginary entry of B couples neighbouring sites and picks up a
-    factor +-i, every real one couples a site to itself, so R is real.
+    ``Im eps_0``.  The eigenvalues come from one real ``dgeev`` on the
+    matrix R of :func:`_real_form`.
     """
-    B = _majorana_matrix(p)
-    # rows 0, 1, 2, ... hold Majoranas of sites 0, 1, 1, 2, 2, ...
-    d = np.ones(B.shape[0], dtype=complex)
-    d[1::4] = d[2::4] = 1j
-    # B is finite by construction, so no check_finite pass
-    wr, wi, _, _, info = dgeev(
-        (B * np.outer(d, d.conj())).real, compute_vl=0, compute_vr=0, overwrite_a=1
-    )
+    R = _real_form(p)
+    # R is finite by construction, so no check_finite pass
+    wr, wi, _, _, info = dgeev(R, compute_vl=0, compute_vr=0, overwrite_a=1)
     if info != 0:
         raise la.LinAlgError("dgeev failed to converge")
     return _modes(wr + 1j * wi)
@@ -136,69 +142,50 @@ def majorana_gap(p: ChainParams) -> float:
 def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     """Read-only Gram matrix ``G_ab = <W_a, W_b>`` of the two unit responses.
 
-    ``W = (I - P) dL R^-1`` is linear in the edge derivative
-    ``d = dB[0, 1:3]``, so one factorisation serves every direction:
-    ``W_0`` is the response to ``d = dB[0, 1:3] / dh`` and ``W_1`` to
-    ``dB[0, 1:3] / dtheta / h``.  That basis keeps each diagonal entry of
-    the QFI a squared norm, with no cancellation at small h.  The memo holds
-    the last point only, so the one reuse is a second target at the same
-    point; ``EPProximityError`` is raised on every call and never stored.
+    ``W = (I - P) dL T^-1`` for ``L = [V_S, z] = QT`` and ``P = QQ^H`` is
+    linear in the edge derivative of R, so one ``dgeev`` with right vectors
+    serves every direction: ``W_0`` is the response to ``d/dh`` and ``W_1``
+    to ``d/dtheta / h``.  That basis keeps each diagonal entry of the QFI a
+    squared norm, with no cancellation at small h.  The memo holds the last
+    point only, so the one reuse is a second target at the same point;
+    ``EPProximityError`` is raised on every call and never stored.
     """
-    B = _majorana_matrix(p)
-    n = B.shape[0]
-    T, Z, k = la.schur(B, output="complex", sort=lambda x: x.imag > 0.5 * tol_gap)
-    t = np.diag(T)
-    gap = float(_modes(t)[0].imag)
+    wr, wi, _, vr, info = dgeev(_real_form(p), compute_vl=0, overwrite_a=1)
+    if info != 0:
+        raise la.LinAlgError("dgeev failed to converge")
+    lam = wr + 1j * wi
+    gap = float(_modes(lam)[0].imag)
+    # a conjugate pair of R is stored as columns j (Im > 0) and j + 1
+    S = np.flatnonzero(wi > 0.5 * tol_gap)
+    k = S.size
     if gap <= tol_gap or k != p.N:
         raise EPProximityError(gap, tol_gap)
-    # the columns of D are the two directions: orthogonal, of equal length,
-    # and the only entries above B's diagonal that move with h or theta
-    c, s = np.cos(p.theta), np.sin(p.theta)
-    D = 2j * np.array([[-c, s], [-s, -c]])
-    Z1, Z2 = Z[:, :k], Z[:, k:]
-    # dB = e_0 dv^T - dv e_0^T with dv = (0, d_0, d_1, 0, ...) has rank two;
-    # both columns of D go through one Sylvester solve against diag(T11, T11)
-    E21 = np.einsum("i,aj->iaj", Z2[0].conj(), D.T @ Z1[1:3])
-    E21 -= np.einsum("ia,j->iaj", Z2[1:3].conj().T @ D, Z1[0])
-    T11 = np.zeros((2 * k, 2 * k), dtype=complex)
-    T11[:k, :k] = T11[k:, k:] = T[:k, :k]
-    X, scale, _ = ztrsyl(T[k:, k:], T11, -E21.reshape(n - k, 2 * k), isgn=-1)
-    # null vector: the eigenvector of T for its zero diagonal entry
-    j = k + int(np.argmin(np.abs(t[k:])))
-    y = np.zeros(n, dtype=complex)
-    y[j] = 1.0
-    y[:j], info = ztrtrs(T[:j, :j], -T[:j, j])
+    # D is unitary, so the response is taken in R's basis.  The columns of V
+    # are the annihilated modes, the zero mode and the conjugate modes.
+    vs = vr[:, S] + 1j * vr[:, S + 1]
+    V = np.hstack((vs, vr[:, np.argmin(np.abs(lam)), None], vs.conj()))
+    lam = np.concatenate((lam[S], [0.0], lam[S].conj()))
+    # only R[:3, :3] moves with h or theta: E_0 is its derivative in h and
+    # E_1 in theta over h, and three columns of V^-1 give M_a = V^-1 dR_a V
+    c, s = 2.0 * np.cos(p.theta), 2.0 * np.sin(p.theta)
+    E = np.array(
+        [[[0, -c, -s], [-c, 0, 0], [-s, 0, 0]], [[0, s, -c], [s, 0, 0], [-c, 0, 0]]]
+    )
+    *_, Y, info = zgesv(V, np.eye(V.shape[0], 3))
     if info != 0:
-        raise la.LinAlgError("singular Schur factor")
-    z = Z @ y
-    z /= np.sqrt(z @ z)
-    K = np.zeros((n + 1, n + 1), dtype=complex)
-    K[:n, :n] = B
-    K[:n, n] = K[n, :n] = z
-    rhs = np.zeros((n + 1, 2), dtype=complex)
-    rhs[0] = -z[1:3] @ D
-    rhs[1:3] = D * z[0]
-    *_, dz, info = zgesv(K, rhs, overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise la.LinAlgError("singular bordered system")
-    # L = [Z1, e_0 + i z] padded with the g_0 row.  Z1's columns are
-    # orthonormal, so L = QR is one Gram-Schmidt step on the last column:
-    # R = [[I, r], [0, rho]] and Q = [Z1, q].
-    r = 1j * (Z1.conj().T @ z)
-    q = np.empty(n + 1, dtype=complex)
-    q[0] = 1.0
-    q[1:] = 1j * z - Z1 @ r
-    rho = np.sqrt(np.vdot(q, q).real)
-    q /= rho
-    Q = np.zeros((n + 1, k + 1), dtype=complex)
-    Q[1:, :k] = Z1
-    Q[:, k] = q
-    # W = dL R^-1 for both columns, dL = [Z2 X, i dz] padded
-    W = np.zeros((2, n + 1, k + 1), dtype=complex)
-    W[:, 1:, :k] = (Z2 @ (X / scale)).reshape(n, 2, k).transpose(1, 0, 2)
-    W[:, 1:, k] = (1j * dz[:n].T - W[:, 1:, :k] @ r) / rho
-    W -= Q @ (Q.conj().T @ W)
-    W = W.reshape(2, -1)
+        raise la.LinAlgError("singular eigenvector matrix")
+    # dv_k = sum_j v_j M_jk / (lam_k - lam_j) for the columns k of L, with j
+    # over the conjugate modes only: components along L vanish under I - P,
+    # and no denominator does, even for clustered or degenerate modes
+    L, C = V[:, : k + 1], V[:, k + 1 :]
+    dL = C @ (Y[k + 1 :] @ (E @ L[:3]) / (lam[: k + 1] - lam[k + 1 :, None]))
+    # L = QT straight from LAPACK: at N = 2 the workspace queries and checks
+    # of scipy.linalg.qr cost more than the factorisation
+    qr, tau, _, _ = zgeqrf(L)
+    T = np.triu(qr[: k + 1])
+    Q, _, _ = zungqr(qr, tau, overwrite_a=1)
+    *_, T_inv, info = zgesv(T, np.eye(k + 1))
+    W = ((dL - Q @ (Q.conj().T @ dL)) @ T_inv).reshape(2, -1)
     G = W.conj() @ W.T
     G = (G + G.conj().T) / 2.0
     G.setflags(write=False)
@@ -209,18 +196,24 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     """Exact steady-state QFI matrix about (h, theta) at any N, shape (2, 2).
 
     ``F_ab = 1/4 Tr(d_a Gamma^T d_b Gamma)`` for the real covariance
-    ``Gamma = -i(I - 2P)``, in (h, theta) order; real and symmetric.  One
-    sorted complex Schur form ``B = Z T Z^H`` (the k = N modes with
-    ``Im eps > 0`` first) gives the gap, the annihilator space
-    ``L = [Z_1, e_0 + i z]`` padded with the g_0 row, and the null vector z
-    (from a triangular solve on T).  The derivative of the invariant
-    subspace is ``Z_2 X`` with ``T_22 X - X T_11 = -(Z_2^H dB Z_1)``
-    (Stewart and Sun, Matrix Perturbation Theory, 1990), and dz solves the
-    bordered system
-    ``[[B, z], [z^T, 0]] [dz; mu] = [-dB z; 0]``.  With ``L = QR`` and
-    ``P = QQ^H``, ``W = (I - P) dL R^-1`` and, as ``Q^H (I - P) = 0``,
-    ``F_ab = 2 Re <W_a, W_b>``.  In the basis of :func:`_gram` the two
-    targets are the directions (1, 0) and (0, h), so
+    ``Gamma = -i(I - 2P)``, P the projector onto the annihilator space
+    ``[V_S, e_0 + i z]`` padded with the g_0 row (V_S the k = N modes with
+    ``Im eps > 0``); in (h, theta) order, real and symmetric.  F is the
+    metric of that subspace: ``F_ab = 2 Re <W_a, W_b>`` with
+    ``W = (I - P) dL T^-1`` for any smooth basis ``L = QT`` of it.  The
+    metric does not depend on the weight of e_0.  The part of z orthogonal
+    to V_S is a fixed real vector u, orthogonal to V_S and its conjugate,
+    and a weight beta on e_0 splits the response along u between the mode
+    columns, ``1 / (1 + |beta|^2)``, and the zero-mode column,
+    ``|beta|^2 / (1 + |beta|^2)``.  So F is the metric of ``L = [V_S, z]``
+    in B's own 2N+1 dimensions, with z at any scale; that basis stays well
+    conditioned where ``z^T z -> 0`` at an EP.  One real ``dgeev`` on
+    ``R = D B D^-1`` (:func:`_real_form`) gives the gap and B's
+    eigenvectors, and first-order perturbation,
+    ``dv_k = sum_j v_j (V^-1 dB V)_jk / (lam_k - lam_j)``, gives dL; only
+    the modes outside L enter the sum, so clustered or degenerate modes
+    cost no accuracy.  In the basis of :func:`_gram` the two targets are
+    the directions (1, 0) and (0, h), so
     ``F = 2 Re(G) * outer((1, h), (1, h))`` for the Gram matrix G of
     :func:`_gram`.  Raises ``EPProximityError`` when the gap is at or below
     ``default_tol_gap(gamma)``, as the steady-state solvers do.

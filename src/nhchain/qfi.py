@@ -149,8 +149,8 @@ def qfi_fidelity(
     through to ``solve_steady_state``, reach only those two.
     """
     _check_target(target)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if method == "auto":
         return QfiEstimate(
             params=p,

@@ -293,8 +293,8 @@ def evolve(
     this call, so it stays below that size.  The result is not
     renormalized: the norm decays physically.
     """
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
     psi = np.ascontiguousarray(psi0, dtype=np.complex128).copy()
     if t == 0 or dznrm2(psi) == 0:
         return psi

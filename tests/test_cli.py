@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nhchain import __version__, cli
 from nhchain.cli import (
@@ -24,7 +25,7 @@ from nhchain.cli import (
     run_spectrum,
 )
 from nhchain.hamiltonian import ChainParams, build_total
-from nhchain.spectral import dense_eigenvalues, evolve, solve_steady_state
+from nhchain.spectral import dense_eigenvalues, evolve, solve_steady_state, spectral_order
 
 IM_REF = [
     -0.12679491924311226,
@@ -73,9 +74,24 @@ def test_spectrum_rejects_large_chain(monkeypatch):
 
 def test_spectrum_from_modes_matches_dense_at_twelve_sites(monkeypatch):
     # inside the gapped region every eigenvalue is purely imaginary up to
-    # rounding, so the two spectral orders agree element by element
+    # rounding, so the two spectral orders agree element by element.  The
+    # dense oracle is a real eigensolve: with site 1 the most significant bit
+    # and up spin bit 0, d_s = prod_{n up in s} phi_n for
+    # phi_n = i^[n odd] e^{i theta (-1)^(n+1)} makes diag(d) iH diag(d)^-1
+    # real, as every bond flip then picks up +-i and the edge flip loses
+    # its phase
     p = ChainParams(N=12, J=0.23, h=0.2, theta=0.7)
-    dense = dense_eigenvalues(build_total(p))
+    H = build_total(p).csr.tocoo()
+    n = np.arange(1, p.N + 1)
+    phi = np.where(n % 2, 1j, 1.0) * np.exp(1j * p.theta * (-1.0) ** (n + 1))
+    up = (np.arange(H.shape[0])[:, None] >> (p.N - n)) & 1 == 0
+    d = np.prod(np.where(up, phi, 1.0), axis=1)
+    entries = 1j * H.data * d[H.row] * d[H.col].conj()
+    assert np.abs(entries.imag).max() <= 1e-15
+    R = np.zeros(H.shape)
+    R[H.row, H.col] = entries.real
+    w = -1j * scipy.linalg.eigvals(R, overwrite_a=True)
+    dense = w[spectral_order(w)]
 
     def no_dense(*args):
         raise AssertionError("many-body operator built for a spectrum")

@@ -202,3 +202,12 @@ def test_evolve_exponentiates_every_stride_orders(substeps):
     assert max(m for m, _ in substeps) >= 3
     for m, calls in substeps:
         assert calls <= math.ceil(m / EXPM_STRIDE) + 1, (m, calls)
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_evolve_refuses_a_time_that_is_negative_or_not_finite(t):
+    # no substep loop can cover an infinite or NaN time, so the state must
+    # not come back unchanged
+    H = build_total(ChainParams(N=3, J=0.2, h=0.1))
+    with pytest.raises(ValueError, match="evolution time must be finite"):
+        evolve(H, random_state(8, 0), t)

@@ -6,16 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgesv, ztrsyl, ztrtrs
 
 from nhchain import majorana
 from nhchain.errors import EPProximityError
 from nhchain.hamiltonian import ChainParams
 from nhchain.majorana import majorana_gap, majorana_qfi, majorana_qfi_matrix
 from nhchain.qfi import fidelity_qfi_from_states, qfi_fidelity, qfi_two_site_analytic
-from nhchain.spectral import solve_steady_state
+from nhchain.spectral import default_tol_gap, solve_steady_state
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -152,21 +154,27 @@ def test_off_diagonal_against_a_joint_shift(n, sign):
     assert abs(value - exact) <= 1.5 * richardson_diff * exact
 
 
-def _count_schur(monkeypatch):
+def _count_dgeev(monkeypatch):
+    """Count the real eigensolves; a complex one raises."""
     calls = []
-    schur = majorana.la.schur
+    dgeev = majorana.dgeev
 
     def spy(*args, **kw):
         calls.append(1)
-        return schur(*args, **kw)
+        return dgeev(*args, **kw)
 
-    monkeypatch.setattr(majorana.la, "schur", spy)
+    def refused(*args, **kw):
+        raise AssertionError("complex eigensolve on the QFI path")
+
+    monkeypatch.setattr(majorana, "dgeev", spy)
+    for name in ("eig", "eigvals", "schur"):
+        monkeypatch.setattr(majorana.la, name, refused)
     majorana._gram.cache_clear()
     return calls
 
 
 def test_both_targets_share_one_factorisation(monkeypatch):
-    calls = _count_schur(monkeypatch)
+    calls = _count_dgeev(monkeypatch)
     p1 = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     p2 = replace(p1, h=0.1)
     majorana_qfi(p1, "h")
@@ -181,7 +189,7 @@ def test_both_targets_share_one_factorisation(monkeypatch):
 
 
 def test_memo_is_read_only(monkeypatch):
-    _count_schur(monkeypatch)
+    _count_dgeev(monkeypatch)
     p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     F = majorana_qfi_matrix(p)
     F[0, 0] = 0.0
@@ -191,7 +199,7 @@ def test_memo_is_read_only(monkeypatch):
 
 
 def test_exceptional_point_is_refused_on_every_call(monkeypatch):
-    calls = _count_schur(monkeypatch)
+    calls = _count_dgeev(monkeypatch)
     p = ChainParams(N=2, J=0.3, h=0.2)
     for _ in range(2):
         with pytest.raises(EPProximityError):
@@ -200,7 +208,7 @@ def test_exceptional_point_is_refused_on_every_call(monkeypatch):
 
 
 def test_a_raised_gap_tolerance_is_a_new_key(monkeypatch):
-    calls = _count_schur(monkeypatch)
+    calls = _count_dgeev(monkeypatch)
     p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     majorana_qfi(p, "h")
     monkeypatch.setattr("nhchain.spectral.TOL_GAP_FACTOR", 1.0)
@@ -217,3 +225,113 @@ def test_non_finite_matrix_is_refused():
         with pytest.raises(ValueError, match=r"infs or NaNs.*h = 1e\+308") as info:
             majorana_qfi(ChainParams(N=3, J=0.1, h=1e308), "h")
     assert not isinstance(info.value, LinAlgError)
+
+
+@pytest.mark.parametrize("dJ, rel", [(1e-7, 1e-6), (1e-9, 1e-5)])
+@pytest.mark.parametrize("h", [0.05, 0.2])
+def test_two_site_closed_forms_just_below_the_exceptional_point(h, dJ, rel):
+    # at J_c - J = dJ the slowest pair is about to merge with the structural
+    # zero into a 3x3 Jordan block, so the eigenvectors there are ill
+    # conditioned (the gap is 2-3e-4 at dJ = 1e-7 and 2-3e-5 at dJ = 1e-9)
+    p = ChainParams(N=2, J=math.sqrt(1.0 - 16.0 * h * h) / 2.0 - dJ, h=h, theta=0.7)
+    for target in ("h", "theta"):
+        ref = qfi_two_site_analytic(p, target)
+        assert majorana_qfi(p, target) == pytest.approx(ref, rel=rel), target
+
+
+def _schur_gram(p: ChainParams, tol_gap: float) -> np.ndarray:
+    """The Gram matrix of the two unit responses from a sorted complex Schur
+    form of B: a Sylvester solve for the invariant subspace, a bordered
+    solve for dz and one Gram-Schmidt step for the padded L = [Z1, e_0 + i z]
+    with z^T z = 1.  An oracle for ``majorana._gram``, which takes
+    [V_S, z] without the g_0 row from B's eigenvectors."""
+    B = majorana._majorana_matrix(p)
+    n = B.shape[0]
+    T, Z, k = la.schur(B, output="complex", sort=lambda x: x.imag > 0.5 * tol_gap)
+    t = np.diag(T)
+    gap = float(majorana._modes(t)[0].imag)
+    if gap <= tol_gap or k != p.N:
+        raise EPProximityError(gap, tol_gap)
+    # the columns of D are the two directions: orthogonal, of equal length,
+    # and the only entries above B's diagonal that move with h or theta
+    c, s = np.cos(p.theta), np.sin(p.theta)
+    D = 2j * np.array([[-c, s], [-s, -c]])
+    Z1, Z2 = Z[:, :k], Z[:, k:]
+    # dB = e_0 dv^T - dv e_0^T with dv = (0, d_0, d_1, 0, ...) has rank two;
+    # both columns of D go through one Sylvester solve against diag(T11, T11)
+    E21 = np.einsum("i,aj->iaj", Z2[0].conj(), D.T @ Z1[1:3])
+    E21 -= np.einsum("ia,j->iaj", Z2[1:3].conj().T @ D, Z1[0])
+    T11 = np.zeros((2 * k, 2 * k), dtype=complex)
+    T11[:k, :k] = T11[k:, k:] = T[:k, :k]
+    X, scale, _ = ztrsyl(T[k:, k:], T11, -E21.reshape(n - k, 2 * k), isgn=-1)
+    # null vector: the eigenvector of T for its zero diagonal entry
+    j = k + int(np.argmin(np.abs(t[k:])))
+    y = np.zeros(n, dtype=complex)
+    y[j] = 1.0
+    y[:j], info = ztrtrs(T[:j, :j], -T[:j, j])
+    if info != 0:
+        raise la.LinAlgError("singular Schur factor")
+    z = Z @ y
+    z /= np.sqrt(z @ z)
+    K = np.zeros((n + 1, n + 1), dtype=complex)
+    K[:n, :n] = B
+    K[:n, n] = K[n, :n] = z
+    rhs = np.zeros((n + 1, 2), dtype=complex)
+    rhs[0] = -z[1:3] @ D
+    rhs[1:3] = D * z[0]
+    *_, dz, info = zgesv(K, rhs, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise la.LinAlgError("singular bordered system")
+    # L = [Z1, e_0 + i z] padded with the g_0 row.  Z1's columns are
+    # orthonormal, so L = QR is one Gram-Schmidt step on the last column:
+    # R = [[I, r], [0, rho]] and Q = [Z1, q].
+    r = 1j * (Z1.conj().T @ z)
+    q = np.empty(n + 1, dtype=complex)
+    q[0] = 1.0
+    q[1:] = 1j * z - Z1 @ r
+    rho = np.sqrt(np.vdot(q, q).real)
+    q /= rho
+    Q = np.zeros((n + 1, k + 1), dtype=complex)
+    Q[1:, :k] = Z1
+    Q[:, k] = q
+    # W = dL R^-1 for both columns, dL = [Z2 X, i dz] padded
+    W = np.zeros((2, n + 1, k + 1), dtype=complex)
+    W[:, 1:, :k] = (Z2 @ (X / scale)).reshape(n, 2, k).transpose(1, 0, 2)
+    W[:, 1:, k] = (1j * dz[:n].T - W[:, 1:, :k] @ r) / rho
+    W -= Q @ (Q.conj().T @ W)
+    W = W.reshape(2, -1)
+    G = W.conj() @ W.T
+    G = (G + G.conj().T) / 2.0
+    G.setflags(write=False)
+    return G
+
+
+
+def _assert_same_gram(p):
+    tol_gap = default_tol_gap(p.gamma)
+    G, ref = majorana._gram(p, tol_gap), _schur_gram(p, tol_gap)
+    assert np.abs(G - ref).max() <= 1e-9 * np.abs(ref).max(), p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    j=st.floats(0.0, 0.3),
+    gamma=st.floats(0.05, 2.0),
+    h=st.floats(0.0, 0.3),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_gram_matches_the_schur_formulation(n, j, gamma, h, theta):
+    # J and h in units of gamma: the gap scales with gamma, and past
+    # J = gamma / 4 most chains are gapless
+    p = ChainParams(N=n, J=j * gamma, gamma=gamma, h=h * gamma, theta=theta)
+    assume(majorana_gap(p) >= 1e-2 * gamma)
+    _assert_same_gram(p)
+
+
+@pytest.mark.parametrize("n", [2, 8, 40])
+@pytest.mark.parametrize("J, h", [(0.0, 0.2), (0.23, 0.0), (0.0, 0.0)])
+def test_decoupled_and_fieldless_chains_match_the_schur_formulation(n, J, h):
+    # at J = 0 the sites decouple and the modes of sites 2..N coincide; at
+    # h = 0 the ancilla decouples and z = e_0
+    _assert_same_gram(ChainParams(N=n, J=J, h=h, theta=0.7))

@@ -166,6 +166,15 @@ def test_rejects_nonpositive_step():
         qfi_fidelity(P_REF, "h", delta=0.0, method="dense")
 
 
+@pytest.mark.parametrize("method", ["auto", "dense"])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1e-3])
+def test_rejects_a_step_that_is_not_finite_and_positive(delta, method):
+    # the exact path reads no step, but a NaN or infinite one is still a
+    # caller's mistake, refused on every path before any solve
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        qfi_fidelity(P_REF, "h", delta=delta, method=method)
+
+
 def test_positivity_clamp():
     # identical unit states have no overlap drop; values never come back
     # negative
