@@ -66,7 +66,7 @@ class ChainParams:
 # per-row values, columns and sort order, then the compacted CSR arrays);
 # tracemalloc measured 53.9-54.6 for build_total at N = 10..16.
 _BUILD_BYTES_PER_ENTRY = 58
-# Complex vectors of length 2^N that ARPACK keeps (scipy's default ncv).
+# Length-2^N vectors that ARPACK keeps: scipy's ncv, max(2k + 1, 20) at k = 2.
 _ARPACK_VECTORS = 20
 
 

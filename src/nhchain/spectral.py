@@ -1,12 +1,12 @@
 """Eigen-analysis of the non-Hermitian chain generator.
 
 Two solvers find the steady state.  The dense one diagonalizes the full
-matrix, up to dimension 4096 (N <= 12).  The matrix-free one takes the few
-eigenvalues of largest imaginary part from ARPACK (implicitly restarted
-Arnoldi, ``scipy.sparse.linalg.eigs(which="LI")``).  ``evolve`` propagates a
-state with a Krylov approximation of ``exp(-i H t)``: it exponentiates the
-small Arnoldi matrix every ``EXPM_STRIDE`` orders and accepts an order on
-Saad's a-posteriori estimate of the local error.
+matrix, up to dimension 4096 (N <= 12).  The matrix-free one refuses a
+closed free-fermion gap, then takes the two eigenvalues of largest
+imaginary part from ARPACK (``scipy.sparse.linalg.eigs(which="LI")``).
+``evolve`` applies a Krylov approximation of ``exp(-i H t)``: it
+exponentiates the small Arnoldi matrix every ``EXPM_STRIDE`` orders and
+accepts an order on Saad's a-posteriori estimate of the local error.
 
 Eigenvalue ordering everywhere: descending imaginary part, ties (to within
 ``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
@@ -40,11 +40,11 @@ DEFAULT_SEED = 7
 TOL_GAP_FACTOR = 1e-6
 DENSE_MAX_DIM = 4096
 # ``auto`` solves dense up to this dimension (N <= 5) and by ARPACK above.
-# Best of 7 solves at J = 0.23, h = 0.2, tol = 1e-9, dense vs ARPACK, on a
-# shared 2-core Xeon with numpy 2.4 and scipy 1.17 (OpenBLAS): with
-# default BLAS threads 1.36 vs 4.23 ms at N = 5, 19.9 vs 3.38 ms at N = 6 and
-# 94.5 vs 6.2 ms at N = 8; with OMP_NUM_THREADS=1 0.68 vs 2.48 ms at N = 5,
-# 4.05 vs 5.08 ms at N = 6 and 27.5 vs 6.5 ms at N = 7.
+# Best of 14 solves at J = 0.23, h = 0.2, tol = 1e-9, dense vs ARPACK (two
+# pairs), on a shared 2-core Xeon with numpy 2.4 and scipy 1.17 (OpenBLAS):
+# with default BLAS threads 0.73 vs 1.59 ms at N = 5, 5.9 vs 2.1 ms at N = 6
+# and 22.7 vs 3.0 ms at N = 7; with OMP_NUM_THREADS=1 0.68 vs 1.58 ms,
+# 3.6 vs 2.2 ms and 18.5 vs 3.4 ms.
 AUTO_DENSE_MAX_DIM = 32
 KRYLOV_DIM = 30
 # ``evolve`` keeps its n-length algebra (Gram-Schmidt, norms, the result) in
@@ -231,31 +231,45 @@ def steady_state_dense(H: SparseOperator, p: ChainParams) -> SteadyState:
     return _steady_state(p, w, v, "dense")
 
 
-def _arnoldi_step(H, psi, dt, tol, m_max):
-    """One Krylov substep of exp(-i H dt) @ psi.
+def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
+    """One Krylov substep of exp(-i H dt) @ psi, halved until it is accepted.
 
-    Returns (converged, result).  The basis grows one order at a time; two
-    passes of block classical Gram-Schmidt orthogonalize each new vector.
-    Every ``EXPM_STRIDE`` orders, at breakdown and at ``m_max``, one ``expm``
-    of the order-(m+1) Arnoldi matrix (its last column zero) gives both
-    ``c = beta * exp(-i dt H_m) e_1``, in its first column, and in its last
-    row Saad's leading term of the local error, ``beta * dt * h_{m+1,m} *
-    |e_m^T phi_1(-i dt H_m) e_1|`` (Saad, SIAM J. Numer. Anal. 29, 1992).
+    Returns (dt, result) for the substep taken.  The basis grows one order at
+    a time; two passes of block classical Gram-Schmidt orthogonalize each new
+    vector.  Every ``EXPM_STRIDE`` orders, at breakdown and at ``m_max``, one
+    ``expm`` of the order-(m+1) Arnoldi matrix (its last column zero) gives
+    both ``c = beta * exp(-i dt H_m) e_1``, in its first column, and in its
+    last row Saad's leading term of the local error, ``beta * dt * h_{m+1,m}
+    * |e_m^T phi_1(-i dt H_m) e_1|`` (Saad, SIAM J. Numer. Anal. 29, 1992).
     Order m is accepted when that term is at most ``tol * ||c||``, or at
     breakdown, where the Krylov space is invariant; only then is the
     n-length result ``V_m^T c`` formed.  Saad's shorter estimate
     ``h_{m+1,m} |c[m-1]|`` is not used: it reads the residual at the end of
     the substep only, and on a strongly damped substep (N = 5, J = 0.4,
-    h = 0.3, dt = 50) it accepted a result 300 times ``tol`` off.
+    h = 0.3, dt = 50) it accepted a result 300 times ``tol`` off.  When no
+    order passes, dt is halved (down to ``min_dt``) on the same basis, which
+    does not depend on dt, so a halved substep makes no matvec.
     """
     beta = dznrm2(psi)
     if beta == 0:
-        return True, psi.copy()
+        return dt, psi.copy()
     n = psi.shape[0]
     m_max = min(m_max, n)
     V = np.empty((m_max, n), dtype=np.complex128)
     Hm = np.zeros((m_max + 1, m_max + 1), dtype=np.complex128)
     V[0] = psi / beta
+
+    def accepted(m, breakdown=False):
+        # the order-(m+1) block as order m first saw it: its last column is
+        # filled only when order m+1 is built
+        A = -1j * dt * Hm[: m + 1, : m + 1]
+        A[:, m] = 0
+        E = la.expm(A)
+        c = beta * E[:m, 0]
+        if breakdown or beta * abs(E[m, 0]) <= tol * dznrm2(c):
+            return zgemv(1.0, V[:m].T, c)
+        return None
+
     for m in range(1, m_max + 1):
         # V[:m].T is F-contiguous, so zgemv reads the basis in place
         w = np.ascontiguousarray(H.matvec(V[m - 1]), dtype=np.complex128)
@@ -267,13 +281,20 @@ def _arnoldi_step(H, psi, dt, tol, m_max):
         Hm[m, m - 1] = hnext
         breakdown = hnext < 1e-14 * max(1.0, abs(Hm[: m + 1, :m]).max())
         if breakdown or m == m_max or m % EXPM_STRIDE == 0:
-            E = la.expm(-1j * dt * Hm[: m + 1, : m + 1])
-            c = beta * E[:m, 0]
-            if breakdown or beta * abs(E[m, 0]) <= tol * dznrm2(c):
-                return True, zgemv(1.0, V[:m].T, c)
+            if (result := accepted(m, breakdown)) is not None:
+                return dt, result
         if m < m_max:
             V[m] = w / hnext
-    return False, None
+    # breakdown always accepts, so no order of this basis broke down
+    orders = [*range(EXPM_STRIDE, m_max, EXPM_STRIDE), m_max]
+    while True:
+        dt *= 0.5
+        log.debug("evolve: Krylov substep halved to %g", dt)
+        if dt < min_dt:
+            raise ConvergenceError("Krylov propagation substep underflow", residual=dt)
+        for m in orders:
+            if (result := accepted(m)) is not None:
+                return dt, result
 
 
 def evolve(
@@ -288,9 +309,10 @@ def evolve(
     ``tol`` times the norm of its result (see ``_arnoldi_step``); the errors
     of successive substeps add up.  The substep is halved, with a DEBUG
     record on the ``nhchain`` logger, whenever the Krylov space of size
-    ``KRYLOV_DIM`` cannot meet that tolerance.  Each accepted substep
-    doubles it again, but at most halfway to the last size that failed in
-    this call, so it stays below that size.  The result is not
+    ``KRYLOV_DIM`` cannot meet that tolerance; the halved substep re-reads
+    the Arnoldi matrix of the same basis, with no new matvec.  Each accepted
+    substep doubles it again, but at most halfway to the last size that
+    failed in this call, so it stays below that size.  The result is not
     renormalized: the norm decays physically.
     """
     if not 0 <= t < np.inf:
@@ -300,21 +322,12 @@ def evolve(
         return psi
     remaining = float(t)
     dt = remaining
-    min_dt = t * 1e-12
     failed = np.inf
     while remaining > t * 1e-14:
-        dt = min(dt, remaining)
-        ok, result = _arnoldi_step(H, psi, dt, tol, KRYLOV_DIM)
-        if not ok:
-            failed = dt
-            dt *= 0.5
-            log.debug("evolve: Krylov substep halved to %g", dt)
-            if dt < min_dt:
-                raise ConvergenceError(
-                    "Krylov propagation substep underflow", residual=dt
-                )
-            continue
-        psi = result
+        want = min(dt, remaining)
+        dt, psi = _arnoldi_step(H, psi, want, tol, KRYLOV_DIM, t * 1e-12)
+        if dt < want:
+            failed = 2.0 * dt
         remaining -= dt
         dt = min(2.0 * dt, 0.5 * (dt + failed))
     return psi
@@ -329,20 +342,27 @@ def steady_state_krylov(
 ) -> SteadyState:
     """Steady state and gap from ARPACK's implicitly restarted Arnoldi.
 
-    ``scipy.sparse.linalg.eigs(which="LI")`` computes the ``min(4, dim - 2)``
-    eigenvalues of largest imaginary part matrix-free through ``H.matvec``,
-    from a start vector drawn from ``default_rng(seed)``, within at most
-    ``max_iters`` implicit restarts.  The first pair in spectral order is the
-    steady state and the gap is the difference of the top two imaginary
-    parts.  The pair is accepted only if its eigen-residual
-    ``||H v - lambda v||`` is at most ``tol * max(1, |lambda|)``; otherwise,
-    or when the restart budget runs out, ``ConvergenceError`` carries that
-    residual (``inf`` when no pair converged at all).  A pair that passes the
-    gate with a gap at or below ``default_tol_gap(gamma)`` raises
-    ``EPProximityError``, as the dense solver does.
+    A free-fermion gap ``majorana_gap(p)`` at or below ``default_tol_gap``
+    raises ``EPProximityError`` before ARPACK runs: there many eigenvalues
+    share the top imaginary part, and ARPACK can spend its restart budget
+    failing to choose among them.  Otherwise ``eigs(which="LI")`` computes
+    the two eigenvalues of largest imaginary part, all that the steady
+    state and the gap read, matrix-free through ``H.matvec``, from a start
+    vector drawn from ``default_rng(seed)``, within at most ``max_iters``
+    implicit restarts.  The first pair in spectral order is the steady
+    state.  It is accepted only if its eigen-residual ``||H v - lambda v||``
+    is at most ``tol * max(1, |lambda|)``; otherwise, or when the restart
+    budget runs out, ``ConvergenceError`` carries that residual (``inf``
+    when no pair converged at all).  ARPACK's own gap at or below
+    ``default_tol_gap(gamma)`` also raises ``EPProximityError``.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
+    from .majorana import majorana_gap  # majorana imports this module
+
+    tol_gap = default_tol_gap(p.gamma)
+    if (gap := majorana_gap(p)) <= tol_gap:
+        raise EPProximityError(gap, tol_gap)
     dim = H.dim
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -355,7 +375,7 @@ def steady_state_krylov(
     try:
         w, v = eigs(
             A,
-            k=min(4, dim - 2),
+            k=2,
             which="LI",
             v0=v0,
             tol=ARPACK_TOL_FACTOR * tol,

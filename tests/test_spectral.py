@@ -363,6 +363,80 @@ def test_hermitian_limit_has_gaps_but_no_steady_state(N):
     assert err.value.gap == pytest.approx(0.0, abs=1e-12)
 
 
+# gapless points where ARPACK, asked for the top pairs, spent its restart
+# budget failing to pick among eigenvalues of one imaginary part
+GAPLESS_ARPACK_FAILURES = [
+    ChainParams(N=7, J=0.359, h=0.0587, theta=0.39),
+    ChainParams(N=7, J=0.3869, h=0.2267, theta=1.8823),
+    ChainParams(N=8, J=0.5, h=0.1887, theta=0.9547),
+]
+
+
+@pytest.mark.parametrize("p", GAPLESS_ARPACK_FAILURES)
+def test_krylov_refuses_a_gapless_point_from_its_free_fermion_gap(p):
+    with pytest.raises(EPProximityError) as err:
+        steady_state_krylov(build_total(p), p)
+    assert err.value.gap == majorana_gap(p)
+    with pytest.raises(EPProximityError):
+        solve_steady_state(p, method="krylov")
+
+
+def test_krylov_refuses_a_gapless_point_before_arpack(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK called at a gapless point")
+
+    monkeypatch.setattr(sla, "eigs", no_arpack)
+    p = GAPLESS_ARPACK_FAILURES[0]
+    with pytest.raises(EPProximityError):
+        steady_state_krylov(build_total(p), p)
+
+
+def test_krylov_asks_arpack_for_two_pairs(monkeypatch):
+    # the steady state and the gap read only the top two eigenvalues
+    import scipy.sparse.linalg as sla
+
+    exact_eigs, asked = sla.eigs, []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["k"])
+        return exact_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigs", spy)
+    p = ChainParams(N=6, J=0.23, h=0.2)
+    steady_state_krylov(build_total(p), p)
+    assert asked == [2]
+
+
+def test_krylov_and_dense_refuse_and_agree_on_random_points():
+    # inside the gapless region many eigenvalues share the top imaginary
+    # part; both solvers must refuse there, and agree everywhere else
+    rng = np.random.default_rng(11)
+    refused = 0
+    for _ in range(100):
+        N = int(rng.integers(3, 10))
+        J = float(rng.uniform(0.0, 0.6))
+        h = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.3))
+        p = ChainParams(N=N, J=J, h=h, theta=float(rng.uniform(0.0, 2 * np.pi)))
+        H = build_total(p)
+        try:
+            dense = steady_state_dense(H, p)
+        except EPProximityError:
+            refused += 1
+            with pytest.raises(EPProximityError):
+                steady_state_krylov(H, p)
+            continue
+        kry = steady_state_krylov(H, p)
+        # below a gap of ~1e-4 the dense eigenvalues are themselves
+        # ill-conditioned, so the tight bounds do not apply
+        if dense.gap > 1e-4:
+            assert abs(dense.eigenvalue - kry.eigenvalue) <= 1e-9, p
+            assert abs(dense.gap - kry.gap) <= 1e-9, p
+            assert 1.0 - fidelity(dense.vector, kry.vector) ** 2 <= 1e-9, p
+    assert 0 < refused < 100
+
+
 def test_krylov_gauge_convention():
     kry = steady_state_krylov(build_total(P_REF), P_REF, tol=1e-10)
     k = int(np.argmax(np.abs(kry.vector)))
