@@ -115,8 +115,6 @@ def fmt(x) -> str:
     """Render one CSV cell; floats at 17 significant digits, tuples as a:b."""
     if isinstance(x, tuple):
         return ":".join(fmt(v) for v in x)
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import ChainParams
-from .majorana import majorana_gap
-from .spectral import default_tol_gap
+from .majorana import default_tol_gap, majorana_gap
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,11 @@ def gap_at(p: ChainParams) -> float:
 
 
 def _check_bisection(bracket, tol_J) -> None:
-    """Refuse a J bracket unless ``0 <= lo < hi``, and a ``tol_J`` unless it is
-    finite and > 0, before any gap is evaluated."""
+    """Refuse a J bracket unless ``0 <= lo < hi`` with hi finite, and a
+    ``tol_J`` unless it is finite and > 0, before any gap is evaluated."""
     lo, hi = bracket
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid bracket {bracket}: need 0 <= lo < hi")
+    if not 0 <= lo < hi < np.inf:
+        raise ValueError(f"invalid bracket {bracket}: need 0 <= lo < hi < inf")
     if not 0 < tol_J < np.inf:
         raise ValueError(f"tol_J must be finite and > 0, got {tol_J}")
 
@@ -97,8 +96,8 @@ def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, g_lo=None):
             f"bracket [{lo}, {hi}] does not enclose the gap closure: "
             f"gap({lo}) = {g_lo:.3e}, gap({hi}) = {g_hi:.3e}, tol_gap = {tol_gap:.3e}"
         )
-    while hi - lo > tol_J:
-        mid = 0.5 * (lo + hi)
+    # stop too where no double lies strictly between lo and hi
+    while hi - lo > tol_J and lo < (mid := 0.5 * (lo + hi)) < hi:
         if gap(mid) > tol_gap:
             lo = mid
         else:
@@ -119,8 +118,9 @@ def find_ep_J(
     Requires ``0 <= bracket[0] < bracket[1]``, a finite ``tol_J > 0`` and
     ``gap(bracket[0]) > tol_gap >= gap(bracket[1])`` with the threshold
     ``tol_gap = 1e-6 * gamma`` (:func:`default_tol_gap`); returns the
-    midpoint of the final bracket of width <= tol_J.  Each step evaluates
-    the free-fermion :func:`gap_at`, so any N is cheap (about 15
+    midpoint of the final bracket: of width <= tol_J, or of two adjacent
+    doubles for a tol_J below their spacing.  Each step evaluates the
+    free-fermion :func:`gap_at`, so any N is cheap (about 15
     (2N+1)-dimensional eigensolves at the default bracket and tol_J).
     """
     _check_bisection(bracket, tol_J)
@@ -189,6 +189,8 @@ def fit_inverse_poly(points, degree: int = 2) -> ScalingFit:
     pts = [(int(n), float(j)) for n, j in points]
     sizes = np.array([n for n, _ in pts], dtype=float)
     values = np.array([j for _, j in pts])
+    if not np.isfinite(values).all():
+        raise ValueError(f"every J_c must be finite, got {values.tolist()}")
     if len(set(int(n) for n in sizes)) < 4:
         raise ValueError("fit requires at least 4 distinct chain sizes")
     if degree < 1:

@@ -16,8 +16,10 @@ into ``-i gamma N / 4 + sum_{j<k} A_jk g_j g_k`` with, for j < k,
 matrix ``B = 2 A[1:, 1:]`` is antisymmetric of odd size 2N+1: its eigenvalues
 are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
-B is similar to a real matrix R (:func:`_real_form`), whose one real
-eigensolve gives the modes, the gap and, with right vectors, the QFI.
+
+B itself is never built: :func:`_real_form` writes the real matrix
+``R = D B D^-1``, D a diagonal unitary, whose one real eigensolve gives the
+modes, the gap and, with right vectors (B's are ``D^-1`` times R's), the QFI.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
@@ -25,13 +27,13 @@ vector of B, ``z^T z = 1``); :func:`majorana_qfi_matrix` differentiates the
 projector onto that annihilator space exactly, which gives the steady-state
 QFI matrix about (h, theta) at any N from (2N+1)-dimensional matrices.
 
-Only ``B[0, 1:3]`` moves with h or theta, so the derivative of the projector
-is linear in that 2-vector: one eigendecomposition of R per parameter point
-gives a 2x2 Gram matrix from which both diagonal entries and the
-off-diagonal ``F_h,theta`` follow (the latter vanishes to rounding).
-:func:`majorana_qfi` reads one diagonal entry.  The Gram matrix of the last
-point is kept (a memo of size one), so asking for ``h`` and then ``theta``
-at the same point factorises once.
+Only the edge entries ``R[0, 1:3]`` (and their mirror) move with h or
+theta, so the derivative of the projector is linear in that 2-vector: one
+eigendecomposition of R per parameter point gives a 2x2 Gram matrix from
+which both diagonal entries and the off-diagonal ``F_h,theta`` follow (the
+latter vanishes to rounding).  :func:`majorana_qfi` reads one diagonal
+entry.  The Gram matrix of the last point is kept (a memo of size one), so
+asking for ``h`` and then ``theta`` at the same point factorises once.
 """
 
 import functools
@@ -43,17 +45,30 @@ from scipy.linalg.lapack import dgeev, zgeqrf, zgesv, zungqr
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
-from .spectral import default_tol_gap
 
 # the order of the rows and columns of the QFI matrix
 TARGETS = ("h", "theta")
+TOL_GAP_FACTOR = 1e-6
 
 
-def _majorana_matrix(p: ChainParams) -> np.ndarray:
-    """The (2N+1)-dimensional antisymmetric single-particle matrix B.
+def default_tol_gap(gamma: float) -> float:
+    """Gap threshold at or below which every path refuses an exceptional point."""
+    return TOL_GAP_FACTOR * (gamma if gamma > 0 else 1.0)
 
-    Its entries are at most gamma / 2, J and 2 h in modulus; a finite
-    ``ChainParams`` can overflow only the last, which raises ValueError.
+
+def _real_form(p: ChainParams) -> np.ndarray:
+    """The real single-particle matrix ``R = D B D^-1`` of size 2N+1.
+
+    ``D = diag(i^m_r)``, m_r the parity of the site of the Majorana in row r
+    (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).  With row
+    r holding g_{r+1}, R's nonzero entries are
+
+        R[2k-1, 2k] = -R[2k, 2k-1] = -gamma / 2      site k = 1..N,
+        R[2k, 2k+1] = R[2k-1, 2k+2] = (-1)^(k-1) J   bond (k, k+1),
+        R[0, 1] = -2 h cos(theta),  R[0, 2] = -2 h sin(theta),
+
+    with the bond and edge entries mirrored: R[c, r] = R[r, c].  A finite
+    ``ChainParams`` can overflow only 2 h, which raises ValueError.
     """
     if not math.isfinite(2.0 * p.h):
         raise ValueError(
@@ -61,39 +76,31 @@ def _majorana_matrix(p: ChainParams) -> np.ndarray:
             f"gamma/2, J and 2h must be finite, got h = {p.h:g}"
         )
     n = 2 * p.N + 1
-    B = np.zeros((n, n), dtype=complex)
-    # row r holds g_{r+1}; element r of `sup1` and `sup3` is B[r, r+1] and
-    # B[r, r+3], strided views of the flat matrix (`sup3` stops at row n-4,
-    # where its stride would wrap into column 0)
-    flat = B.reshape(-1)
-    sup1, sup3 = flat[1 :: n + 1], flat[3 : (n - 3) * (n + 1) : n + 1]
-    sup1[1::2] = -0.5 * p.gamma  # g_{2k} g_{2k+1}, site k
-    sup1[2::2] = -1j * p.J  # g_{2k+1} g_{2k+2}, bond (k, k+1)
-    sup3[1::2] = -1j * p.J  # g_{2k} g_{2k+3}, bond (k, k+1)
-    B[0, 1] = -2j * p.h * np.cos(p.theta)
-    B[0, 2] = -2j * p.h * np.sin(p.theta)
-    # antisymmetrise: every entry above the diagonal is on those two bands
-    # or is B[0, 2]
-    flat[n :: n + 1] = -sup1
-    flat[3 * n :: n + 1] = -sup3
-    B[2, 0] = -B[0, 2]
-    return B
+    R = np.zeros((n, n))
+    # element r of `sup1` and `sup3` is R[r, r+1] and R[r, r+3], and of `sub1`
+    # and `sub3` R[r+1, r] and R[r+3, r]: strided views of the flat matrix
+    # (the third bands stop at r = n-4, where the stride would wrap a row)
+    flat = R.reshape(-1)
+    sup1, sub1 = flat[1 :: n + 1], flat[n :: n + 1]
+    sup3, sub3 = flat[3 : (n - 3) * (n + 1) : n + 1], flat[3 * n :: n + 1]
+    sup1[1::2], sub1[1::2] = -0.5 * p.gamma, 0.5 * p.gamma  # g_{2k} g_{2k+1}
+    # g_{2k+1} g_{2k+2} and g_{2k} g_{2k+3}, bond (k, k+1): (-1)^(k-1) J
+    sup1[2::2] = sub1[2::2] = sup3[1::2] = sub3[1::2] = p.J
+    sup1[4::4] = sub1[4::4] = sup3[3::4] = sub3[3::4] = -p.J
+    R[0, 1] = R[1, 0] = -2.0 * p.h * np.cos(p.theta)
+    R[0, 2] = R[2, 0] = -2.0 * p.h * np.sin(p.theta)
+    return R
 
 
-def _real_form(p: ChainParams) -> np.ndarray:
-    """The real matrix ``R = D B D^-1``, similar to B by a unitary D.
-
-    ``D = diag(i^m_r)``, m_r the parity of the site of the Majorana in row r
-    (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).  Every
-    imaginary entry of B couples neighbouring sites and picks up a factor
-    +-i, every real one couples a site to itself, so R is real, and B's
-    eigenvectors are ``D^-1`` times R's.
-    """
-    B = _majorana_matrix(p)
-    # rows 0, 1, 2, ... hold Majoranas of sites 0, 1, 1, 2, 2, ...
-    d = np.ones(B.shape[0], dtype=complex)
-    d[1::4] = d[2::4] = 1j
-    return (B * np.outer(d, d.conj())).real
+def _eig(p: ChainParams, vectors: int) -> tuple[np.ndarray, np.ndarray]:
+    """R's eigenvalues from one real ``dgeev``, and right vectors if asked."""
+    # R is finite by construction, so no check_finite pass
+    wr, wi, _, vr, info = dgeev(
+        _real_form(p), compute_vl=0, compute_vr=vectors, overwrite_a=1
+    )
+    if info != 0:
+        raise la.LinAlgError("dgeev failed to converge")
+    return wr + 1j * wi, vr
 
 
 def majorana_modes(p: ChainParams) -> np.ndarray:
@@ -106,12 +113,7 @@ def majorana_modes(p: ChainParams) -> np.ndarray:
     ``Im eps_0``.  The eigenvalues come from one real ``dgeev`` on the
     matrix R of :func:`_real_form`.
     """
-    R = _real_form(p)
-    # R is finite by construction, so no check_finite pass
-    wr, wi, _, _, info = dgeev(R, compute_vl=0, compute_vr=0, overwrite_a=1)
-    if info != 0:
-        raise la.LinAlgError("dgeev failed to converge")
-    return _modes(wr + 1j * wi)
+    return _modes(_eig(p, vectors=0)[0])
 
 
 def _modes(c: np.ndarray) -> np.ndarray:
@@ -150,13 +152,10 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     point only, so the one reuse is a second target at the same point;
     ``EPProximityError`` is raised on every call and never stored.
     """
-    wr, wi, _, vr, info = dgeev(_real_form(p), compute_vl=0, overwrite_a=1)
-    if info != 0:
-        raise la.LinAlgError("dgeev failed to converge")
-    lam = wr + 1j * wi
+    lam, vr = _eig(p, vectors=1)
     gap = float(_modes(lam)[0].imag)
     # a conjugate pair of R is stored as columns j (Im > 0) and j + 1
-    S = np.flatnonzero(wi > 0.5 * tol_gap)
+    S = np.flatnonzero(lam.imag > 0.5 * tol_gap)
     k = S.size
     if gap <= tol_gap or k != p.N:
         raise EPProximityError(gap, tol_gap)
@@ -207,9 +206,9 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     columns, ``1 / (1 + |beta|^2)``, and the zero-mode column,
     ``|beta|^2 / (1 + |beta|^2)``.  So F is the metric of ``L = [V_S, z]``
     in B's own 2N+1 dimensions, with z at any scale; that basis stays well
-    conditioned where ``z^T z -> 0`` at an EP.  One real ``dgeev`` on
-    ``R = D B D^-1`` (:func:`_real_form`) gives the gap and B's
-    eigenvectors, and first-order perturbation,
+    conditioned where ``z^T z -> 0`` at an EP.  One real ``dgeev`` on R
+    (:func:`_real_form`) gives the gap and B's eigenvectors, ``D^-1`` times
+    R's, and first-order perturbation,
     ``dv_k = sum_j v_j (V^-1 dB V)_jk / (lam_k - lam_j)``, gives dL; only
     the modes outside L enter the sum, so clustered or degenerate modes
     cost no accuracy.  In the basis of :func:`_gram` the two targets are

@@ -64,10 +64,10 @@ class QfiEstimate:
 
 def cramer_rao(fisher: float, rounds: int) -> float:
     """Precision floor 1/sqrt(rounds * fisher) for unbiased estimation."""
-    if fisher <= 0:
-        raise ValueError("Fisher information must be > 0")
-    if rounds < 1:
-        raise ValueError("number of measurement rounds must be >= 1")
+    if not 0 < fisher < np.inf:
+        raise ValueError(f"Fisher information must be finite and > 0, got {fisher}")
+    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ValueError(f"measurement rounds must be an integer >= 1, got {rounds}")
     return 1.0 / np.sqrt(rounds * fisher)
 
 

@@ -12,8 +12,8 @@ Eigenvalue ordering everywhere: descending imaginary part, ties (to within
 ``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
 state is the first eigenvalue in this order; the gap is the difference of
 the top two imaginary parts.  Both solvers share one contract: a gap at or
-below ``default_tol_gap(gamma)`` raises ``EPProximityError``, because no
-steady state is isolated at an exceptional point.
+below ``majorana.default_tol_gap(gamma)`` raises ``EPProximityError``,
+because no steady state is isolated at an exceptional point.
 
 Returned steady-state vectors have unit Euclidean norm and a fixed phase
 gauge: the largest-magnitude amplitude is real and positive (magnitude ties
@@ -32,12 +32,12 @@ from scipy.linalg.blas import dznrm2, zgemv
 
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_total
+from .majorana import default_tol_gap, majorana_gap
 from .operators import SparseOperator
 
 log = logging.getLogger("nhchain")
 
 DEFAULT_SEED = 7
-TOL_GAP_FACTOR = 1e-6
 DENSE_MAX_DIM = 4096
 # ``auto`` solves dense up to this dimension (N <= 5) and by ARPACK above.
 # Best of 14 solves at J = 0.23, h = 0.2, tol = 1e-9, dense vs ARPACK (two
@@ -62,11 +62,6 @@ EXPM_STRIDE = 4
 # ARPACK stops on its own Ritz estimate; asking it for three more digits than
 # the caller leaves headroom for the independent residual gate at ``tol``
 ARPACK_TOL_FACTOR = 1e-3
-
-
-def default_tol_gap(gamma: float) -> float:
-    """Gap threshold below which the steady state counts as EP-degenerate."""
-    return TOL_GAP_FACTOR * (gamma if gamma > 0 else 1.0)
 
 
 def spectral_order(w: np.ndarray) -> np.ndarray:
@@ -119,19 +114,15 @@ def _two_site_roots(p: ChainParams) -> tuple[complex, complex]:
     return np.sqrt(complex(a2)), np.sqrt(complex(a2 - 16.0 * p.h * p.h))
 
 
-def two_site_gapped(p: ChainParams) -> bool:
-    """True strictly inside the gapped region of the two-site chain."""
-    return p.gamma**2 - 4.0 * p.J**2 - 16.0 * p.h**2 > 0
-
-
 def _gapped_two_site_roots(p: ChainParams, what: str) -> tuple[float, float]:
     """Real roots (a, b) for the closed-form ``what`` of a gapped two-site chain.
 
-    Raises ValueError unless N = 2 and :func:`two_site_gapped` holds.
+    Raises ValueError unless N = 2 and the point is strictly inside the
+    gapped region.
     """
     if p.N != 2:
         raise ValueError(f"closed-form {what} requires N = 2")
-    if not two_site_gapped(p):
+    if not p.gamma**2 - 4.0 * p.J**2 - 16.0 * p.h**2 > 0:
         raise ValueError(
             f"closed-form {what} is defined only in the gapped region "
             "(gamma^2 - 4J^2 - 16h^2 > 0)"
@@ -313,10 +304,13 @@ def evolve(
     the Arnoldi matrix of the same basis, with no new matvec.  Each accepted
     substep doubles it again, but at most halfway to the last size that
     failed in this call, so it stays below that size.  The result is not
-    renormalized: the norm decays physically.
+    renormalized: the norm decays physically.  A ``tol`` that is not finite
+    and > 0 raises ValueError: at 0 no substep would pass.
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     psi = np.ascontiguousarray(psi0, dtype=np.complex128).copy()
     if t == 0 or dznrm2(psi) == 0:
         return psi
@@ -342,23 +336,25 @@ def steady_state_krylov(
 ) -> SteadyState:
     """Steady state and gap from ARPACK's implicitly restarted Arnoldi.
 
-    A free-fermion gap ``majorana_gap(p)`` at or below ``default_tol_gap``
-    raises ``EPProximityError`` before ARPACK runs: there many eigenvalues
-    share the top imaginary part, and ARPACK can spend its restart budget
-    failing to choose among them.  Otherwise ``eigs(which="LI")`` computes
-    the two eigenvalues of largest imaginary part, all that the steady
-    state and the gap read, matrix-free through ``H.matvec``, from a start
-    vector drawn from ``default_rng(seed)``, within at most ``max_iters``
-    implicit restarts.  The first pair in spectral order is the steady
-    state.  It is accepted only if its eigen-residual ``||H v - lambda v||``
-    is at most ``tol * max(1, |lambda|)``; otherwise, or when the restart
-    budget runs out, ``ConvergenceError`` carries that residual (``inf``
-    when no pair converged at all).  ARPACK's own gap at or below
-    ``default_tol_gap(gamma)`` also raises ``EPProximityError``.
+    A ``tol`` that is not finite and > 0 raises ValueError.  A free-fermion
+    gap ``majorana_gap(p)`` at or below the threshold
+    ``majorana.default_tol_gap(gamma)`` raises ``EPProximityError`` before
+    ARPACK runs: there many eigenvalues share the top imaginary part, and
+    ARPACK can spend its restart budget failing to choose among them.
+    Otherwise ``eigs(which="LI")`` computes the two eigenvalues of largest
+    imaginary part, all that the steady state and the gap read, matrix-free
+    through ``H.matvec``, from a start vector drawn from
+    ``default_rng(seed)``, within at most ``max_iters`` implicit restarts.
+    The first pair in spectral order is the steady state.  It is accepted
+    only if its eigen-residual ``||H v - lambda v||`` is at most
+    ``tol * max(1, |lambda|)``; otherwise, or when the restart budget runs
+    out, ``ConvergenceError`` carries that residual (``inf`` when no pair
+    converged at all).  ARPACK's own gap at or below the threshold also
+    raises ``EPProximityError``.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
-    from .majorana import majorana_gap  # majorana imports this module
 
     tol_gap = default_tol_gap(p.gamma)
     if (gap := majorana_gap(p)) <= tol_gap:

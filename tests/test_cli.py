@@ -434,7 +434,7 @@ def test_main_refuses_a_chain_beyond_physical_memory(monkeypatch, capsys):
     def no_memory(p):
         raise MemoryError("Unable to allocate 596. GiB")
 
-    monkeypatch.setattr(majorana, "_majorana_matrix", no_memory)
+    monkeypatch.setattr(majorana, "_real_form", no_memory)
     assert main(["gap", "--n", "100000"]) == 1
     assert "Unable to allocate" in capsys.readouterr().err
 
@@ -657,3 +657,21 @@ def test_main_takes_a_range_that_starts_with_a_minus(tmp_path, capsys):
     _, _, rows = parse_csv(spaced.read_text())
     assert [float(r[3]) for r in rows] == [-1.0, 0.0, 1.0]
 
+
+
+def test_ep_below_the_spacing_of_doubles_returns(monkeypatch, capsys):
+    # a bisection width below the spacing of the doubles near J_c is never
+    # reached; the spy turns a bisection that does not stop into a failure
+    from nhchain import critical
+
+    real_gap_at, calls = critical.gap_at, []
+
+    def spy(p):
+        calls.append(p)
+        assert len(calls) <= 200, "bisection did not stop"
+        return real_gap_at(p)
+
+    monkeypatch.setattr(critical, "gap_at", spy)
+    assert main(["ep", "--n", "2", "--h", "0.1", "--tol-j", "1e-20"]) == 0
+    j_c = float(capsys.readouterr().out.strip().splitlines()[-1].split(",")[-1])
+    assert j_c == pytest.approx(np.sqrt(1.0 - 16.0 * 0.1**2) / 2.0, abs=1e-9)

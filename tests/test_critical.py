@@ -1,5 +1,7 @@
 """Gap closure location and inverse-size scaling fits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,9 @@ def test_find_ep_invalid_bracket():
         find_ep_J(N=2, h=0.2, bracket=(0.0, 0.1))  # gapped at both ends
 
 
-@pytest.mark.parametrize("bracket", [(0.6, 0.0), (0.6, 0.6), (-0.1, 0.6)])
+@pytest.mark.parametrize(
+    "bracket", [(0.6, 0.0), (0.6, 0.6), (-0.1, 0.6), (0.0, float("inf"))]
+)
 def test_invalid_bracket_is_refused_before_any_gap(bracket, monkeypatch):
     # refused ahead of ep_curve's gapless-edge shortcut, which would report
     # j_c = bracket[0] at every h
@@ -66,25 +70,44 @@ def test_invalid_bracket_is_refused_before_any_gap(bracket, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("tol_J", [0.0, -1.0, float("nan"), float("inf")])
-def test_invalid_tol_j_is_refused_before_any_gap(tol_J, monkeypatch):
-    # tol_J <= 0 would bisect forever and nan or inf would stop at once; the
-    # spy turns a bisection that does not stop into a failure, not a hang
+def _bounded_gap_at(monkeypatch, limit=200):
+    """Make ``critical.gap_at`` raise after ``limit`` calls, so that a
+    bisection that does not stop fails instead of hanging."""
     calls = []
     real_gap_at = critical.gap_at
 
     def spy(p):
         calls.append(p)
-        if len(calls) > 100:
-            raise RuntimeError("bisection did not stop after 100 gaps")
+        if len(calls) > limit:
+            raise RuntimeError(f"bisection did not stop after {limit} gaps")
         return real_gap_at(p)
 
     monkeypatch.setattr(critical, "gap_at", spy)
+    return calls
+
+
+@pytest.mark.parametrize("tol_J", [0.0, -1.0, float("nan"), float("inf")])
+def test_invalid_tol_j_is_refused_before_any_gap(tol_J, monkeypatch):
+    # tol_J <= 0 would bisect forever and nan or inf would stop at once
+    calls = _bounded_gap_at(monkeypatch)
     with pytest.raises(ValueError, match="tol_J"):
         find_ep_J(2, 0.2, tol_J=tol_J)
     with pytest.raises(ValueError, match="tol_J"):
         ep_curve(2, [0.0, 0.1], tol_J=tol_J)
     assert calls == []
+
+
+def test_bisection_below_the_spacing_of_doubles_stops(monkeypatch):
+    # near J_c ~ 0.458 the doubles are 5.6e-17 apart, so the midpoint stops
+    # moving long before hi - lo <= 1e-300; the bisection then ends on two
+    # adjacent doubles, and the indicator closes ~1e-12 before the EP
+    _bounded_gap_at(monkeypatch)
+    exact = math.sqrt(1.0 - 16.0 * 0.1**2) / 2.0
+    assert find_ep_J(2, 0.1, tol_J=1e-300) == pytest.approx(exact, abs=1e-9)
+    (point,) = ep_curve(2, [0.1], tol_J=1e-300).points
+    lo, hi = point.bracket
+    assert hi == np.nextafter(lo, np.inf)
+    assert abs(point.j_c - exact) <= 1e-9
 
 
 def test_ep_curve_two_site_matches_analytic_boundary():
@@ -179,6 +202,12 @@ def test_fit_residual_improves_with_degree():
 def test_fit_requires_four_distinct_sizes():
     with pytest.raises(ValueError, match="4 distinct"):
         fit_inverse_poly([(2, 0.5), (2, 0.5), (3, 0.35), (4, 0.31)])
+
+
+def test_fit_refuses_a_point_that_is_not_finite():
+    # a NaN J_c would give a fit of NaN coefficients
+    with pytest.raises(ValueError, match="finite"):
+        fit_inverse_poly([(2, 0.5), (3, float("nan")), (4, 0.31), (5, 0.29)])
 
 
 def test_fit_rejects_bad_degree():

@@ -13,32 +13,20 @@ import nhchain.critical as critical
 import nhchain.majorana as majorana
 from nhchain.critical import find_ep_J, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
-from nhchain.majorana import _majorana_matrix, _modes, majorana_gap, majorana_modes
-from nhchain.spectral import default_tol_gap, dense_eigenvalues
+from nhchain.majorana import (
+    _modes,
+    _real_form,
+    default_tol_gap,
+    majorana_gap,
+    majorana_modes,
+)
+from nhchain.spectral import dense_eigenvalues
+from reference import padded_majorana_matrix, parity_phases
 
 
 def size_boundary(n: int, gamma: float = 1.0) -> float:
     """Exact h = 0 gap closure J_c(N) = gamma / (4 cos(pi / (N + 1)))."""
     return gamma / (4.0 * math.cos(math.pi / (n + 1)))
-
-
-def padded_majorana_matrix(p: ChainParams) -> np.ndarray:
-    """B = 2 (A - A^T)[1:, 1:] from the coefficients A_jk of g_j g_k, j < k."""
-    A = np.zeros((2 * p.N + 2, 2 * p.N + 2), dtype=complex)
-    site = np.arange(1, p.N + 1)
-    bond = site[:-1]
-    A[2 * site, 2 * site + 1] = -0.25 * p.gamma
-    A[2 * bond + 1, 2 * bond + 2] = -0.5j * p.J
-    A[2 * bond, 2 * bond + 3] = -0.5j * p.J
-    A[1, 2] = -1j * p.h * np.cos(p.theta)
-    A[1, 3] = -1j * p.h * np.sin(p.theta)
-    return 2.0 * (A - A.T)[1:, 1:]
-
-
-def parity_phases(n: int) -> np.ndarray:
-    """diag(D) = i^m_r, m_r the parity of the site of the Majorana in row r."""
-    site = (np.arange(n) + 1) // 2
-    return np.where(site % 2, 1j, 1.0)
 
 
 def dense_gap(p: ChainParams) -> float:
@@ -161,8 +149,14 @@ def test_dense_gap_closes_at_the_bisected_boundary():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_majorana_matrix_matches_the_padded_construction(n):
+    # R is built directly; D B D^-1 of the independently padded B is
+    # exactly real and equal to it
     p = ChainParams(N=n, J=0.37, gamma=1.3, h=0.21, theta=0.7)
-    assert np.array_equal(_majorana_matrix(p), padded_majorana_matrix(p))
+    B = padded_majorana_matrix(p)
+    d = parity_phases(B.shape[0])
+    DBD = d[:, None] * B * d.conj()
+    assert np.all(DBD.imag == 0)
+    assert np.array_equal(_real_form(p), DBD.real)
 
 
 # the fixture is a pure function, so sharing it across examples is safe
@@ -186,7 +180,7 @@ def test_modes_from_the_real_form_match_the_complex_eigensolve(
     # with J up to 0.6 and gamma down to 0.05 most draws are past the
     # boundary (J_c -> gamma / 4 at large N), where real modes tie in Im
     p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
-    B = _majorana_matrix(p)
+    B = padded_majorana_matrix(p)
     d = parity_phases(B.shape[0])
     assert np.all((d[:, None] * B * d.conj()).imag == 0)
     eps = majorana_modes(p)

@@ -15,9 +15,15 @@ from scipy.linalg.lapack import zgesv, ztrsyl, ztrtrs
 from nhchain import majorana
 from nhchain.errors import EPProximityError
 from nhchain.hamiltonian import ChainParams
-from nhchain.majorana import majorana_gap, majorana_qfi, majorana_qfi_matrix
+from nhchain.majorana import (
+    default_tol_gap,
+    majorana_gap,
+    majorana_qfi,
+    majorana_qfi_matrix,
+)
 from nhchain.qfi import fidelity_qfi_from_states, qfi_fidelity, qfi_two_site_analytic
-from nhchain.spectral import default_tol_gap, solve_steady_state
+from nhchain.spectral import solve_steady_state
+from reference import padded_majorana_matrix
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -211,14 +217,14 @@ def test_a_raised_gap_tolerance_is_a_new_key(monkeypatch):
     calls = _count_dgeev(monkeypatch)
     p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     majorana_qfi(p, "h")
-    monkeypatch.setattr("nhchain.spectral.TOL_GAP_FACTOR", 1.0)
+    monkeypatch.setattr("nhchain.majorana.TOL_GAP_FACTOR", 1.0)
     with pytest.raises(EPProximityError):
         majorana_qfi(p, "theta")
     assert len(calls) == 2
 
 
 def test_non_finite_matrix_is_refused():
-    # h = 1e308 is finite, but B's edge entry 2h is not; _majorana_matrix
+    # h = 1e308 is finite, but R's edge entry 2h is not; _real_form
     # refuses it, naming h, before numpy overflows or LAPACK sees it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -244,8 +250,8 @@ def _schur_gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     form of B: a Sylvester solve for the invariant subspace, a bordered
     solve for dz and one Gram-Schmidt step for the padded L = [Z1, e_0 + i z]
     with z^T z = 1.  An oracle for ``majorana._gram``, which takes
-    [V_S, z] without the g_0 row from B's eigenvectors."""
-    B = majorana._majorana_matrix(p)
+    [V_S, z] without the g_0 row from R's eigenvectors."""
+    B = padded_majorana_matrix(p)
     n = B.shape[0]
     T, Z, k = la.schur(B, output="complex", sort=lambda x: x.imag > 0.5 * tol_gap)
     t = np.diag(T)

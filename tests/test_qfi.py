@@ -216,3 +216,11 @@ def test_cramer_rao_validation():
         cramer_rao(0.0, 10)
     with pytest.raises(ValueError, match="rounds"):
         cramer_rao(1.0, 0)
+    # a NaN or infinite Fisher information would give nan or 0.0, and a
+    # fractional number of rounds a floor for no real experiment
+    for fisher in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="Fisher"):
+            cramer_rao(fisher, 10)
+    for rounds in (2.5, 10.0, -3):
+        with pytest.raises(ValueError, match="rounds"):
+            cramer_rao(1.0, rounds)

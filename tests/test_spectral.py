@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from nhchain import spectral
+from nhchain import majorana, spectral
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import majorana_gap
@@ -326,7 +326,7 @@ def test_krylov_residual_gate_rejects_an_inaccurate_pair(monkeypatch):
 
 def test_krylov_raises_at_an_inflated_gap_threshold(monkeypatch):
     # the Krylov solver applies the dense EP rule and reports the gap it found
-    monkeypatch.setattr(spectral, "TOL_GAP_FACTOR", 1.0)
+    monkeypatch.setattr(majorana, "TOL_GAP_FACTOR", 1.0)
     with pytest.raises(EPProximityError) as err:
         steady_state_krylov(build_total(P_REF), P_REF, tol=1e-9)
     assert err.value.gap == pytest.approx(GAP_REF, abs=1e-7)
@@ -550,3 +550,26 @@ def test_public_names_resolve():
         assert "tol_gap" not in params(fn)
         assert "method" not in params(fn)
     assert params(nhchain.gap_at) == ["p"]
+
+
+class _NoMatvec:
+    """An operator that fails any matvec, so a refused call cannot run long."""
+
+    dim = 64
+
+    def matvec(self, v):
+        raise AssertionError("matvec before the tol check")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_krylov_paths_refuse_a_tol_that_is_not_finite_and_positive(tol):
+    # at tol = 0 Saad's test passes only where its error term underflows,
+    # and at inf any ARPACK residual would pass the gate
+    p = ChainParams(N=6, J=0.23, h=0.2)
+    psi = np.ones(64, dtype=complex)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        evolve(_NoMatvec(), psi, 5.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        steady_state_krylov(_NoMatvec(), p, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_steady_state(p, method="krylov", H=_NoMatvec(), tol=tol)
