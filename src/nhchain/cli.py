@@ -6,7 +6,8 @@ flags its runner reads (``SUBCOMMAND_FLAGS``), and any other flag, or an
 abbreviated one, is a usage error.  Each subcommand has one method:
 spectra (N <= 16), gaps, exceptional points and the QFI come from the
 free-fermion modes, and correlations and evolve solve for the steady state
-dense up to N = 5 and by ARPACK above.  Defaults live only in
+dense up to N = 5 and by ARPACK above.  Only those two load scipy; the
+free-fermion subcommands run on numpy alone.  Defaults live only in
 ``SweepSpec``; ``nhchain SUB --help`` shows them.
 
 Output format: UTF-8, comma-separated, ``\\n`` line endings, ``#`` comment
@@ -30,7 +31,6 @@ import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.blas import dznrm2, zdotc
 
 from . import __version__
 from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
@@ -297,6 +297,8 @@ def run_evolve(spec: SweepSpec) -> CsvTable:
     Reports the decaying norm of the evolved (never renormalized) state and
     its overlap with the steady state on the requested time grid.
     """
+    from scipy.linalg.blas import dznrm2, zdotc
+
     t0, t1, count = spec.t_range
     if count < 1:
         raise CliUsageError("t-range count must be >= 1")

@@ -9,8 +9,9 @@ exact exceptional point) and well below every physical gap of interest
 (~1e-1).
 
 Every gap comes from the (2N+1)-dimensional free-fermion matrix of
-:mod:`nhchain.majorana`, so a bisection step costs one small real eigensolve
-at any N (0.05-0.07 ms at N = 5) and no 2^N-dimensional operator is built.
+:mod:`nhchain.majorana`, so a bisection step costs one small real eigensolve,
+numpy.linalg (LAPACK ``dgeev``), at any N (0.05-0.07 ms at N = 5); no
+2^N-dimensional operator is built and scipy is not imported.
 """
 
 import warnings

@@ -18,8 +18,9 @@ are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
 
 B itself is never built: :func:`_real_form` writes the real matrix
-``R = D B D^-1``, D a diagonal unitary, whose one real eigensolve gives the
-modes, the gap and, with right vectors (B's are ``D^-1`` times R's), the QFI.
+``R = D B D^-1``, D a diagonal unitary, whose one real eigensolve,
+numpy.linalg (LAPACK ``dgeev``), gives the modes, the gap and, with right
+vectors (B's are ``D^-1`` times R's), the QFI.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
@@ -36,12 +37,12 @@ entry.  The Gram matrix of the last point is kept (a memo of size one), so
 asking for ``h`` and then ``theta`` at the same point factorises once.
 """
 
+import cmath
 import functools
 import math
 
 import numpy as np
-import scipy.linalg as la
-from scipy.linalg.lapack import dgeev, zgeqrf, zgesv, zungqr
+from numpy.linalg import eig, eigvals, qr, solve
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
@@ -56,6 +57,28 @@ def default_tol_gap(gamma: float) -> float:
     return TOL_GAP_FACTOR * (gamma if gamma > 0 else 1.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _bands(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in R (size 2N+1) of its loss and bond entries, and
+    which of ``(-gamma/2, gamma/2, J, -J)`` each one holds."""
+    n = 2 * N + 1
+    code = np.zeros(n * n, dtype=np.int8)
+    # element r of `sup1` and `sup3` is R[r, r+1] and R[r, r+3], and of `sub1`
+    # and `sub3` R[r+1, r] and R[r+3, r]: strided views of the flat matrix
+    # (the third bands stop at r = n-4, where the stride would wrap a row)
+    sup1, sub1 = code[1 :: n + 1], code[n :: n + 1]
+    sup3, sub3 = code[3 : (n - 3) * (n + 1) : n + 1], code[3 * n :: n + 1]
+    sup1[1::2], sub1[1::2] = 1, 2  # g_{2k} g_{2k+1}: -gamma/2 and gamma/2
+    # g_{2k+1} g_{2k+2} and g_{2k} g_{2k+3}, bond (k, k+1): (-1)^(k-1) J
+    sup1[2::2] = sub1[2::2] = sup3[1::2] = sub3[1::2] = 3
+    sup1[4::4] = sub1[4::4] = sup3[3::4] = sub3[3::4] = 4
+    where = np.flatnonzero(code)
+    which = code[where] - 1
+    where.setflags(write=False)
+    which.setflags(write=False)
+    return where, which
+
+
 def _real_form(p: ChainParams) -> np.ndarray:
     """The real single-particle matrix ``R = D B D^-1`` of size 2N+1.
 
@@ -67,7 +90,9 @@ def _real_form(p: ChainParams) -> np.ndarray:
         R[2k, 2k+1] = R[2k-1, 2k+2] = (-1)^(k-1) J   bond (k, k+1),
         R[0, 1] = -2 h cos(theta),  R[0, 2] = -2 h sin(theta),
 
-    with the bond and edge entries mirrored: R[c, r] = R[r, c].  A finite
+    with the bond and edge entries mirrored: R[c, r] = R[r, c].  The
+    positions of the loss and bond entries depend on N only and are kept
+    (:func:`_bands`), so one fancy assignment writes them.  A finite
     ``ChainParams`` can overflow only 2 h, which raises ValueError.
     """
     if not math.isfinite(2.0 * p.h):
@@ -76,31 +101,13 @@ def _real_form(p: ChainParams) -> np.ndarray:
             f"gamma/2, J and 2h must be finite, got h = {p.h:g}"
         )
     n = 2 * p.N + 1
-    R = np.zeros((n, n))
-    # element r of `sup1` and `sup3` is R[r, r+1] and R[r, r+3], and of `sub1`
-    # and `sub3` R[r+1, r] and R[r+3, r]: strided views of the flat matrix
-    # (the third bands stop at r = n-4, where the stride would wrap a row)
-    flat = R.reshape(-1)
-    sup1, sub1 = flat[1 :: n + 1], flat[n :: n + 1]
-    sup3, sub3 = flat[3 : (n - 3) * (n + 1) : n + 1], flat[3 * n :: n + 1]
-    sup1[1::2], sub1[1::2] = -0.5 * p.gamma, 0.5 * p.gamma  # g_{2k} g_{2k+1}
-    # g_{2k+1} g_{2k+2} and g_{2k} g_{2k+3}, bond (k, k+1): (-1)^(k-1) J
-    sup1[2::2] = sub1[2::2] = sup3[1::2] = sub3[1::2] = p.J
-    sup1[4::4] = sub1[4::4] = sup3[3::4] = sub3[3::4] = -p.J
+    where, which = _bands(p.N)
+    R = np.zeros(n * n)
+    R[where] = np.array((-0.5 * p.gamma, 0.5 * p.gamma, p.J, -p.J))[which]
+    R = R.reshape(n, n)
     R[0, 1] = R[1, 0] = -2.0 * p.h * np.cos(p.theta)
     R[0, 2] = R[2, 0] = -2.0 * p.h * np.sin(p.theta)
     return R
-
-
-def _eig(p: ChainParams, vectors: int) -> tuple[np.ndarray, np.ndarray]:
-    """R's eigenvalues from one real ``dgeev``, and right vectors if asked."""
-    # R is finite by construction, so no check_finite pass
-    wr, wi, _, vr, info = dgeev(
-        _real_form(p), compute_vl=0, compute_vr=vectors, overwrite_a=1
-    )
-    if info != 0:
-        raise la.LinAlgError("dgeev failed to converge")
-    return wr + 1j * wi, vr
 
 
 def majorana_modes(p: ChainParams) -> np.ndarray:
@@ -110,24 +117,28 @@ def majorana_modes(p: ChainParams) -> np.ndarray:
     ascending imaginary part.  The many-body spectrum is
     ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over the 2^N sign choices, the
     steady state takes every s_k = +1, and the imaginary-part gap is
-    ``Im eps_0``.  The eigenvalues come from one real ``dgeev`` on the
-    matrix R of :func:`_real_form`.
+    ``Im eps_0``.  The eigenvalues come from one real eigensolve,
+    numpy.linalg (LAPACK ``dgeev``), of the matrix R of :func:`_real_form`.
     """
-    return _modes(_eig(p, vectors=0)[0])
+    eps = _modes(eigvals(_real_form(p)))
+    return eps[np.argsort(eps.imag, kind="stable")]
 
 
 def _modes(c: np.ndarray) -> np.ndarray:
-    """``majorana_modes`` from the 2N+1 eigenvalues ``c`` of B."""
-    c = c[np.argsort(np.abs(c))]
+    """The N modes, unsorted, with ``Im >= 0`` from the 2N+1 eigenvalues of B."""
+    # numpy returns a real array when every eigenvalue is real, as at gamma = 0
+    c = c.astype(complex, copy=False)
+    c = c[np.abs(c).argsort()]
     # c[:3] are the structural zero and the smallest pair.  At an exceptional
     # point the three form a 3x3 Jordan block whose eigenvalues scatter by
     # eps_machine^(1/3), but the sum of their squares, 2 eps^2, stays well
     # conditioned.  The other pairs are adjacent in this order because both
     # members of a pair have the same modulus up to rounding (exactly, for
     # the conjugate pair +-i y that a real eigensolve returns).
-    eps = np.concatenate(([np.sqrt(np.sum(c[:3] ** 2) / 2.0)], c[3::2]))
-    eps = np.where(eps.imag < 0, -eps, eps)
-    return eps[np.argsort(eps.imag, kind="stable")]
+    eps = c[1::2]
+    eps[0] = cmath.sqrt((c[:3] ** 2).sum() / 2.0)
+    eps[eps.imag < 0] *= -1
+    return eps
 
 
 def majorana_gap(p: ChainParams) -> float:
@@ -137,7 +148,7 @@ def majorana_gap(p: ChainParams) -> float:
     steady state.  At an exact exceptional point the result is 0 to ~2e-8,
     the rounding floor of a double-precision eigensolve there.
     """
-    return float(majorana_modes(p)[0].imag)
+    return float(_modes(eigvals(_real_form(p))).imag.min())
 
 
 @functools.lru_cache(maxsize=1)
@@ -145,23 +156,23 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     """Read-only Gram matrix ``G_ab = <W_a, W_b>`` of the two unit responses.
 
     ``W = (I - P) dL T^-1`` for ``L = [V_S, z] = QT`` and ``P = QQ^H`` is
-    linear in the edge derivative of R, so one ``dgeev`` with right vectors
-    serves every direction: ``W_0`` is the response to ``d/dh`` and ``W_1``
-    to ``d/dtheta / h``.  That basis keeps each diagonal entry of the QFI a
-    squared norm, with no cancellation at small h.  The memo holds the last
-    point only, so the one reuse is a second target at the same point;
-    ``EPProximityError`` is raised on every call and never stored.
+    linear in the edge derivative of R, so one eigendecomposition with right
+    vectors, numpy.linalg (LAPACK ``dgeev``), serves every direction:
+    ``W_0`` is the response to ``d/dh`` and ``W_1`` to ``d/dtheta / h``.
+    That basis keeps each diagonal entry of the QFI a squared norm, with no
+    cancellation at small h.  The memo holds the last point only, so the one
+    reuse is a second target at the same point; ``EPProximityError`` is
+    raised on every call and never stored.
     """
-    lam, vr = _eig(p, vectors=1)
-    gap = float(_modes(lam)[0].imag)
-    # a conjugate pair of R is stored as columns j (Im > 0) and j + 1
+    lam, vr = eig(_real_form(p))
+    gap = float(_modes(lam).imag.min())
     S = np.flatnonzero(lam.imag > 0.5 * tol_gap)
     k = S.size
     if gap <= tol_gap or k != p.N:
         raise EPProximityError(gap, tol_gap)
     # D is unitary, so the response is taken in R's basis.  The columns of V
     # are the annihilated modes, the zero mode and the conjugate modes.
-    vs = vr[:, S] + 1j * vr[:, S + 1]
+    vs = vr[:, S]
     V = np.hstack((vs, vr[:, np.argmin(np.abs(lam)), None], vs.conj()))
     lam = np.concatenate((lam[S], [0.0], lam[S].conj()))
     # only R[:3, :3] moves with h or theta: E_0 is its derivative in h and
@@ -170,21 +181,14 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     E = np.array(
         [[[0, -c, -s], [-c, 0, 0], [-s, 0, 0]], [[0, s, -c], [s, 0, 0], [-c, 0, 0]]]
     )
-    *_, Y, info = zgesv(V, np.eye(V.shape[0], 3))
-    if info != 0:
-        raise la.LinAlgError("singular eigenvector matrix")
+    Y = solve(V, np.eye(V.shape[0], 3))
     # dv_k = sum_j v_j M_jk / (lam_k - lam_j) for the columns k of L, with j
     # over the conjugate modes only: components along L vanish under I - P,
     # and no denominator does, even for clustered or degenerate modes
     L, C = V[:, : k + 1], V[:, k + 1 :]
     dL = C @ (Y[k + 1 :] @ (E @ L[:3]) / (lam[: k + 1] - lam[k + 1 :, None]))
-    # L = QT straight from LAPACK: at N = 2 the workspace queries and checks
-    # of scipy.linalg.qr cost more than the factorisation
-    qr, tau, _, _ = zgeqrf(L)
-    T = np.triu(qr[: k + 1])
-    Q, _, _ = zungqr(qr, tau, overwrite_a=1)
-    *_, T_inv, info = zgesv(T, np.eye(k + 1))
-    W = ((dL - Q @ (Q.conj().T @ dL)) @ T_inv).reshape(2, -1)
+    Q, T = qr(L)
+    W = ((dL - Q @ (Q.conj().T @ dL)) @ solve(T, np.eye(k + 1))).reshape(2, -1)
     G = W.conj() @ W.T
     G = (G + G.conj().T) / 2.0
     G.setflags(write=False)
@@ -206,9 +210,9 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     columns, ``1 / (1 + |beta|^2)``, and the zero-mode column,
     ``|beta|^2 / (1 + |beta|^2)``.  So F is the metric of ``L = [V_S, z]``
     in B's own 2N+1 dimensions, with z at any scale; that basis stays well
-    conditioned where ``z^T z -> 0`` at an EP.  One real ``dgeev`` on R
-    (:func:`_real_form`) gives the gap and B's eigenvectors, ``D^-1`` times
-    R's, and first-order perturbation,
+    conditioned where ``z^T z -> 0`` at an EP.  One real eigensolve of R
+    (:func:`_real_form`), numpy.linalg (LAPACK ``dgeev``), gives the gap and
+    B's eigenvectors, ``D^-1`` times R's, and first-order perturbation,
     ``dv_k = sum_j v_j (V^-1 dB V)_jk / (lam_k - lam_j)``, gives dL; only
     the modes outside L enter the sum, so clustered or degenerate modes
     cost no accuracy.  In the basis of :func:`_gram` the two targets are

@@ -21,7 +21,8 @@ building an operator.  Operators are built by :func:`flip_sum`; each wraps a
 canonical ``scipy.sparse.csr_array`` and exposes ``csr``, ``dim``, ``nnz``,
 ``dense()`` and ``matvec()``; it is immutable after construction and safe
 to share.  ``scipy.sparse`` is imported on the first operator built, so
-importing the package does not load it.
+importing the package does not load it; the free-fermion layer runs on
+numpy.linalg (LAPACK ``dgeev``) and loads no scipy at all.
 """
 
 from dataclasses import dataclass

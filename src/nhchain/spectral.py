@@ -1,12 +1,15 @@
 """Eigen-analysis of the non-Hermitian chain generator.
 
 Two solvers find the steady state.  The dense one diagonalizes the full
-matrix, up to dimension 4096 (N <= 12).  The matrix-free one refuses a
-closed free-fermion gap, then takes the two eigenvalues of largest
-imaginary part from ARPACK (``scipy.sparse.linalg.eigs(which="LI")``).
+matrix with numpy.linalg (LAPACK ``zgeev``), up to dimension 4096
+(N <= 12).  The matrix-free one refuses a closed free-fermion gap, then
+takes the two eigenvalues of largest imaginary part from ARPACK
+(``scipy.sparse.linalg.eigs(which="LI")``).
 ``evolve`` applies a Krylov approximation of ``exp(-i H t)``: it
 exponentiates the small Arnoldi matrix every ``EXPM_STRIDE`` orders and
 accepts an order on Saad's a-posteriori estimate of the local error.
+scipy is imported inside the Krylov solver and ``evolve`` only, so the
+free-fermion and dense paths never load it.
 
 Eigenvalue ordering everywhere: descending imaginary part, ties (to within
 ``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
@@ -27,8 +30,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
-from scipy.linalg.blas import dznrm2, zgemv
 
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_total
@@ -40,18 +41,18 @@ log = logging.getLogger("nhchain")
 DEFAULT_SEED = 7
 DENSE_MAX_DIM = 4096
 # ``auto`` solves dense up to this dimension (N <= 5) and by ARPACK above.
-# Best of 14 solves at J = 0.23, h = 0.2, tol = 1e-9, dense vs ARPACK (two
-# pairs), on a shared 2-core Xeon with numpy 2.4 and scipy 1.17 (OpenBLAS):
-# with default BLAS threads 0.73 vs 1.59 ms at N = 5, 5.9 vs 2.1 ms at N = 6
-# and 22.7 vs 3.0 ms at N = 7; with OMP_NUM_THREADS=1 0.68 vs 1.58 ms,
-# 3.6 vs 2.2 ms and 18.5 vs 3.4 ms.
+# Best of 14 solves at J = 0.23, h = 0.2, tol = 1e-9, dense (numpy.linalg)
+# vs ARPACK (two pairs), lower of two runs, on a shared 2-core Xeon with
+# numpy 2.4 and scipy 1.17 (OpenBLAS): with default BLAS threads 0.66 vs
+# 1.52 ms at N = 5, 3.6 vs 2.2 ms at N = 6 and 21.5 vs 2.9 ms at N = 7; with
+# OMP_NUM_THREADS=1 0.66 vs 2.2 ms, 4.4 vs 2.6 ms and 18.7 vs 4.5 ms.
 AUTO_DENSE_MAX_DIM = 32
 KRYLOV_DIM = 30
 # ``evolve`` keeps its n-length algebra (Gram-Schmidt, norms, the result) in
-# ``scipy.linalg.blas``, the OpenBLAS that ``la.expm`` also runs in.  numpy
-# bundles a second OpenBLAS with its own thread pool, and alternating between
-# the two stalled each small ``expm`` for 4-8 ms under default threads
-# (~0.1 ms now).  It still exponentiates its Krylov matrix only every this
+# ``scipy.linalg.blas``, the OpenBLAS that ``scipy.linalg.expm`` runs in.
+# numpy bundles a second OpenBLAS with its own thread pool, and alternating
+# between the two stalled each small ``expm`` for 4-8 ms under default
+# threads (~0.1 ms now).  It still exponentiates its Krylov matrix only every this
 # many orders: 20 steps of dt = 10 from a random state (best of 4-5 runs,
 # shared 2-core Xeon, numpy 2.4 and scipy 1.17) take 6.4 vs 3.7 ms at
 # N = 4, 22 vs 12 ms at N = 8, 82 vs 58 ms at N = 12 and 297 vs 253 ms at
@@ -59,6 +60,8 @@ KRYLOV_DIM = 30
 # 70 vs 55 and 314 vs 304 ms with one thread.  The relax-n14 benchmark reads
 # the same for strides 1, 2 and 4 (0.29-0.31 s, median of 6) and 0.34 s for 8.
 EXPM_STRIDE = 4
+# ``evolve``'s smallest accepted tol, the double-precision rounding unit
+TOL_MIN = float(np.finfo(float).eps)
 # ARPACK stops on its own Ritz estimate; asking it for three more digits than
 # the caller leaves headroom for the independent residual gate at ``tol``
 ARPACK_TOL_FACTOR = 1e-3
@@ -191,7 +194,7 @@ def _dense_matrix(H: SparseOperator) -> np.ndarray:
 
 def dense_eigenvalues(H: SparseOperator) -> np.ndarray:
     """All eigenvalues of H in spectral order, from a dense eigensolve."""
-    w = la.eigvals(_dense_matrix(H))
+    w = np.linalg.eigvals(_dense_matrix(H))
     return w[spectral_order(w)]
 
 
@@ -218,7 +221,7 @@ def _steady_state(
 
 def steady_state_dense(H: SparseOperator, p: ChainParams) -> SteadyState:
     """Slowest-decaying eigenpair from a dense eigendecomposition."""
-    w, v = la.eig(_dense_matrix(H))
+    w, v = np.linalg.eig(_dense_matrix(H))
     return _steady_state(p, w, v, "dense")
 
 
@@ -241,6 +244,9 @@ def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
     order passes, dt is halved (down to ``min_dt``) on the same basis, which
     does not depend on dt, so a halved substep makes no matvec.
     """
+    from scipy.linalg import expm
+    from scipy.linalg.blas import dznrm2, zgemv
+
     beta = dznrm2(psi)
     if beta == 0:
         return dt, psi.copy()
@@ -255,7 +261,7 @@ def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
         # filled only when order m+1 is built
         A = -1j * dt * Hm[: m + 1, : m + 1]
         A[:, m] = 0
-        E = la.expm(A)
+        E = expm(A)
         c = beta * E[:m, 0]
         if breakdown or beta * abs(E[m, 0]) <= tol * dznrm2(c):
             return zgemv(1.0, V[:m].T, c)
@@ -305,12 +311,19 @@ def evolve(
     substep doubles it again, but at most halfway to the last size that
     failed in this call, so it stays below that size.  The result is not
     renormalized: the norm decays physically.  A ``tol`` that is not finite
-    and > 0 raises ValueError: at 0 no substep would pass.
+    or is below the double-precision rounding unit ``np.finfo(float).eps``
+    raises ValueError before any matvec: Saad's test then passes only on a
+    substep so short that its error term underflows.
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not TOL_MIN <= tol < np.inf:
+        raise ValueError(
+            f"tol must be finite and > 0, and at least the rounding unit "
+            f"{TOL_MIN:.3g}, got {tol}"
+        )
+    from scipy.linalg.blas import dznrm2
+
     psi = np.ascontiguousarray(psi0, dtype=np.complex128).copy()
     if t == 0 or dznrm2(psi) == 0:
         return psi
@@ -423,3 +436,14 @@ def solve_steady_state(
     if method == "krylov":
         return steady_state_krylov(H, p, tol=tol, max_iters=max_iters, seed=seed)
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")
+
+
+def __getattr__(name):
+    # ``spectral.la`` is scipy.linalg, loaded on first access: code that
+    # wraps ``la.expm`` from outside (perfbench's tracer) still reaches the
+    # ``expm`` that ``evolve`` looks up on each substep
+    if name == "la":
+        import scipy.linalg
+
+        return scipy.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -101,7 +101,7 @@ def _rebuilding_evolve(H, psi0, t, tol):
 def substeps(monkeypatch):
     """Per state stepped from: [matvecs, expm calls], recorded through spies."""
     records = []
-    arnoldi_step, expm = spectral._arnoldi_step, spectral.la.expm
+    arnoldi_step, expm = spectral._arnoldi_step, la.expm
 
     def step(H, *args):
         before = H.matvecs
@@ -115,7 +115,7 @@ def substeps(monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(spectral, "_arnoldi_step", step)
-    monkeypatch.setattr(spectral.la, "expm", counted_expm)
+    monkeypatch.setattr(la, "expm", counted_expm)
     return records
 
 
@@ -291,3 +291,31 @@ def test_evolve_refuses_a_time_that_is_negative_or_not_finite(t):
     H = build_total(ChainParams(N=3, J=0.2, h=0.1))
     with pytest.raises(ValueError, match="evolution time must be finite"):
         evolve(H, random_state(8, 0), t)
+
+
+class BoundedOperator(CountingOperator):
+    """``H`` that raises after ``limit`` matvecs, so a would-be hang fails."""
+
+    def __init__(self, H, limit):
+        super().__init__(H)
+        self.limit = limit
+
+    def matvec(self, v):
+        if self.matvecs >= self.limit:
+            raise AssertionError(f"more than {self.limit} matvecs")
+        return super().matvec(v)
+
+
+def test_evolve_refuses_a_tol_below_the_rounding_unit():
+    # below eps Saad's test passes only on substeps so short that its error
+    # term underflows: at this point tol = 1e-200 never returned
+    H = BoundedOperator(build_total(ChainParams(N=6, J=0.23, h=0.2)), limit=1000)
+    psi = random_state(64, 0)
+    with pytest.raises(ValueError, match="rounding unit"):
+        evolve(H, psi, 5.0, tol=1e-200)
+    assert H.matvecs == 0
+    # eps itself is accepted and meets its tolerance in a few dozen matvecs
+    out = evolve(H, psi, 5.0, tol=np.finfo(float).eps)
+    assert 0 < H.matvecs < 1000
+    ref = dense_reference(H.H, psi, 5.0)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)

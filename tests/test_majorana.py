@@ -61,12 +61,16 @@ def test_gap_matches_dense(n, j, h, theta):
         (4, 0.3, 0.2, 0.5, 2.0),
         (5, 0.23, 0.2, 1.1, 1.0),
         (10, 0.23, 0.2, 0.7, 1.0),
+        # no loss: R is symmetric, and numpy returns its spectrum as reals
+        (4, 0.3, 0.2, 0.5, 0.0),
     ],
 )
 def test_many_body_spectrum_from_modes(n, j, h, theta, gamma, multiset_distance):
     p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
     eps = majorana_modes(p)
-    assert eps.shape == (n,)
+    assert eps.shape == (n,) and eps.dtype == np.complex128
+    if gamma == 0:
+        assert majorana_gap(p) == 0.0
     assert np.all(eps.imag >= 0) and np.all(np.diff(eps.imag) >= 0)
     offset = -0.25j * gamma * n
     rebuilt = [
@@ -104,15 +108,14 @@ def test_modes_make_one_real_eigensolve(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args[0].dtype)
-        return dgeev(*args, **kwargs)
+        return eigvals(*args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("complex eigensolve on the gap path")
+        raise AssertionError("eigenvectors on the gap path")
 
-    dgeev = majorana.dgeev
-    monkeypatch.setattr(majorana, "dgeev", counted)
-    for name in ("eig", "eigvals", "schur"):
-        monkeypatch.setattr(majorana.la, name, refused)
+    eigvals = majorana.eigvals
+    monkeypatch.setattr(majorana, "eigvals", counted)
+    monkeypatch.setattr(majorana, "eig", refused)
     majorana_gap(ChainParams(N=7, J=0.23, h=0.2, theta=0.7))
     assert calls == [np.float64]
 

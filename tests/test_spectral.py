@@ -488,10 +488,8 @@ def test_lossless_limit_via_operator_assembly():
     assert np.abs(w.imag).max() < 1e-10
 
 
-def test_import_does_not_load_arpack():
-    # the sparse eigensolver is imported on the first Krylov solve and
-    # scipy.sparse on the first operator built, so the free-fermion path
-    # (no operator at all) does not pay for either
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this nhchain."""
     import os
     import subprocess
     import sys
@@ -499,14 +497,56 @@ def test_import_does_not_load_arpack():
     import nhchain
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nhchain.__file__)))
-    code = (
-        "import sys, nhchain; "
-        "print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.split() == ["False", "False"]
+    return out.stdout
+
+
+def test_import_does_not_load_arpack():
+    # the sparse eigensolver is imported on the first Krylov solve, scipy.sparse
+    # on the first operator built and scipy.linalg on the first evolve, so the
+    # free-fermion path (numpy.linalg only) loads no scipy module at all
+    out = _fresh_python(
+        "import sys, nhchain; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert out.split() == ["[]"]
+
+
+def test_free_fermion_paths_run_without_scipy():
+    # with scipy unimportable, every free-fermion function and CLI subcommand
+    # still runs; a scipy import on any of these paths raises ImportError
+    out = _fresh_python(
+        """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from nhchain import ChainParams, ep_curve, find_ep_J, gap_at, majorana_modes
+from nhchain.cli import main
+from nhchain.majorana import majorana_qfi_matrix
+
+p = ChainParams(N=6, J=0.23, h=0.2, theta=0.7)
+find_ep_J(6, 0.1, tol_J=1e-6)
+ep_curve(2, [0.0, 0.1], tol_J=1e-6)
+gap_at(p)
+majorana_modes(p)
+majorana_qfi_matrix(p)
+runs = [
+    ["spectrum", "--n", "4", "--j", "0.23", "--h", "0.2"],
+    ["gap", "--n", "64", "--j", "0.2", "--h", "0.1"],
+    ["qfi", "--n", "32", "--j", "0.23", "--h", "0.2"],
+    ["ep", "--n", "8", "--h-range", "0:0.2:3"],
+    ["scaling", "--n-range", "3:6:4", "--tol-j", "1e-6"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+loaded = [m for m, mod in sys.modules.items() if mod and m.split(".")[0] == "scipy"]
+print(codes, loaded)
+"""
+    )
+    assert out.strip() == "[0, 0, 0, 0, 0] []"
 
 
 def test_public_names_resolve():
