@@ -29,6 +29,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import product
 
 import numpy as np
 
@@ -196,11 +197,8 @@ def run_spectrum(spec: SweepSpec) -> CsvTable:
 
 def run_gap_sweep(spec: SweepSpec) -> CsvTable:
     """Imaginary-part gap over a (J, h) grid, row-major J then h."""
-    rows = []
-    for j in spec.axis_for("j").values():
-        for h in spec.axis_for("h").values():
-            g = gap_at(_chain_params(spec, J=float(j), h=float(h)))
-            rows.append((float(j), float(h), g))
+    grid = product(*(spec.axis_for(name).values().tolist() for name in ("j", "h")))
+    rows = [(j, h, gap_at(_chain_params(spec, J=j, h=h))) for j, h in grid]
     return CsvTable(_provenance(spec), ["J", "h", "gap"], rows)
 
 
@@ -211,22 +209,19 @@ def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
     points are emitted with qfi = nan and an error tag.
     """
     rows = []
-    for n in spec.axis_for("n").int_values():
-        for j in spec.axis_for("j").values():
-            for h in spec.axis_for("h").values():
-                for theta in spec.axis_for("theta").values():
-                    p = _chain_params(
-                        spec, N=n, J=float(j), h=float(h), theta=float(theta)
-                    )
-                    try:
-                        row_tail = (majorana_qfi(p, spec.target), "")
-                    except EPProximityError:
-                        row_tail = (np.nan, "ep_proximity")
-                    except ValueError:  # a Majorana matrix that overflows
-                        row_tail = (np.nan, "domain")
-                    rows.append(
-                        (n, float(j), float(h), float(theta), spec.target) + row_tail
-                    )
+    grid = product(
+        spec.axis_for("n").int_values(),
+        *(spec.axis_for(name).values().tolist() for name in ("j", "h", "theta")),
+    )
+    for n, j, h, theta in grid:
+        p = _chain_params(spec, N=n, J=j, h=h, theta=theta)
+        try:
+            row_tail = (majorana_qfi(p, spec.target), "")
+        except EPProximityError:
+            row_tail = (np.nan, "ep_proximity")
+        except ValueError:  # a Majorana matrix that overflows
+            row_tail = (np.nan, "domain")
+        rows.append((n, j, h, theta, spec.target) + row_tail)
     header = ["N", "J", "h", "theta", "target", "qfi", "error"]
     return CsvTable(_provenance(spec), header, rows)
 

@@ -17,8 +17,10 @@ matrix elements equal to J.
 
 State vectors are plain 1-D complex numpy arrays of length ``2**N``.
 :func:`on_site` applies a 2x2 matrix to one site of such a vector without
-building an operator.  Operators are built by :func:`flip_sum`; each wraps a
-canonical ``scipy.sparse.csr_array`` and exposes ``csr``, ``dim``, ``nnz``,
+building an operator.  Operators are built by :func:`flip_sum`, which lays
+out the same number of candidate entries in every row and leaves scipy to
+drop the zeros and sort the rows.  Each operator wraps a canonical
+``scipy.sparse.csr_array`` and exposes ``csr``, ``dim``, ``nnz``,
 ``dense()`` and ``matvec()``; it is immutable after construction and safe
 to share.  ``scipy.sparse`` is imported on the first operator built, so
 importing the package does not load it; the free-fermion layer runs on
@@ -58,9 +60,10 @@ class SparseOperator:
     """Complex square matrix held as a canonical scipy CSR array.
 
     Column indices are sorted within each row, entries are unique, no zero
-    is stored, and the data, index and pointer arrays are read-only.  A
-    matrix given in another form is copied and canonicalised; a canonical
-    one is kept, and its arrays are made read-only in place.
+    is stored, the data and index arrays hold exactly ``nnz`` entries each,
+    and the data, index and pointer arrays are read-only.  A matrix given in
+    another form is copied and canonicalised; a canonical one is kept, and
+    its arrays are made read-only in place.
     """
 
     csr: "scipy.sparse.csr_array"
@@ -71,6 +74,8 @@ class SparseOperator:
             csr = self.csr.copy()
             csr.sum_duplicates()
             csr.eliminate_zeros()
+            # not views of the longer arrays (see flip_sum)
+            csr.data, csr.indices = csr.data.copy(), csr.indices.copy()
             object.__setattr__(self, "csr", csr)
         for arr in (self.csr.data, self.csr.indices, self.csr.indptr):
             arr.setflags(write=False)
@@ -93,20 +98,6 @@ class SparseOperator:
 def _index_dtype(n: int) -> type:
     """The CSR index type scipy keeps for arrays of up to ``n`` entries."""
     return np.int32 if n < 1 << 31 else np.int64
-
-
-def _from_rows(vals: np.ndarray, cols: np.ndarray) -> SparseOperator:
-    """Operator whose row i holds ``vals[i]`` at the strictly ascending
-    columns ``cols[i]`` (both of shape (dim, k)); zero values are dropped."""
-    from scipy.sparse import csr_array
-
-    dim, k = vals.shape
-    kept = np.flatnonzero(vals != 0)
-    indptr = np.zeros(dim + 1, dtype=cols.dtype)
-    np.cumsum(np.bincount(kept // k, minlength=dim), out=indptr[1:])
-    csr = csr_array((vals.take(kept), cols.take(kept), indptr), shape=(dim, dim))
-    csr.has_canonical_format = True  # canonical by construction; spares scipy's scan
-    return SparseOperator(csr)
 
 
 def on_site(op: np.ndarray, site: int, psi: np.ndarray) -> np.ndarray:
@@ -135,22 +126,25 @@ def flip_sum(N: int, terms: list[tuple[tuple[int, ...], np.ndarray]]) -> SparseO
     for ``()``: the diagonal).  The site sets must be distinct, so no two
     terms share a column; zero values are dropped.
     """
-    dim = 1 << N
-    idx = _index_dtype(dim * len(terms))
+    from scipy.sparse import csr_array
+
+    dim, k = 1 << N, len(terms)
+    idx = _index_dtype(dim * k)
     masks = np.array(
         [sum(1 << (N - s) for s in sites) for sites, _ in terms], dtype=idx
     )
     cols = np.arange(dim, dtype=idx)[:, None] ^ masks
     vals = np.empty(cols.shape, dtype=np.complex128)
-    for k, (_, values) in enumerate(terms):
-        vals[:, k] = values
-    # sort each row by column; take() reads the flattened arrays
-    order = np.argsort(cols, axis=1)
-    order += np.arange(0, cols.size, len(terms), dtype=order.dtype)[:, None]
-    vals = vals.take(order)
-    cols = cols.take(order)
-    del order  # not held while _from_rows compacts; lowers the peak memory
-    return _from_rows(vals, cols)
+    for j, (_, values) in enumerate(terms):
+        vals[:, j] = values
+    indptr = np.arange(0, dim * k + 1, k, dtype=idx)
+    csr = csr_array((vals.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    # scipy's prune keeps views of the full (dim, k) buffers when it drops
+    # fewer than half of the entries; the operator owns just its nnz
+    csr.data, csr.indices = csr.data.copy(), csr.indices.copy()
+    return SparseOperator(csr)
 
 
 def op_matvec(a: SparseOperator, v: np.ndarray) -> np.ndarray:

@@ -423,10 +423,13 @@ def solve_steady_state(
     (ARPACK, :func:`steady_state_krylov`) above, the faster of the two on
     each side (see ``AUTO_DENSE_MAX_DIM``); pass ``method`` explicitly to
     override.  ``tol``, ``max_iters`` (the ARPACK restart budget) and
-    ``seed`` reach only the Krylov path.  Both paths raise
+    ``seed`` reach only the Krylov path, but a ``tol`` that is not finite
+    and > 0 raises ValueError on either.  Both paths raise
     ``EPProximityError`` when the gap is at or below
     ``default_tol_gap(gamma)``.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if H is None:
         H = build_total(p)
     if method == "auto":

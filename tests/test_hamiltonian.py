@@ -63,6 +63,38 @@ def test_build_total_refuses_a_size_beyond_physical_memory():
         assert err.value.N == 40 and err.value.required > err.value.available
 
 
+@pytest.mark.parametrize("N", [12, 14])
+def test_memory_estimate_bounds_the_build_and_the_krylov_solvers(N):
+    import tracemalloc
+
+    from nhchain.hamiltonian import memory_estimate
+    from nhchain.spectral import evolve, steady_state_krylov
+
+    p = ChainParams(N=N, J=0.23, h=0.2)
+    psi = np.zeros(p.dim, dtype=complex)
+    psi[-1] = 1.0
+    # a first pass outside the trace loads scipy's modules, which are not 2^N
+    steady_state_krylov(build_total(p), p)
+    evolve(build_total(p), psi, 10.0)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        H = build_total(p)
+        peaks["build"] = tracemalloc.get_traced_memory()[1]
+        # the operator stays held while each solver runs
+        tracemalloc.reset_peak()
+        steady_state_krylov(H, p)
+        peaks["arpack"] = tracemalloc.get_traced_memory()[1]
+        # evolve keeps a 30-vector Krylov basis, more than ARPACK's 20
+        tracemalloc.reset_peak()
+        evolve(H, psi, 10.0)
+        peaks["evolve"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name, peak in peaks.items():
+        assert peak <= memory_estimate(N), name
+
+
 def test_h0_two_site_fixture():
     got = build_total(ChainParams(N=2, J=0.3, gamma=1.0)).dense()
     assert np.allclose(got, two_site_matrix(0.3, 1.0, 0.0, 0.0), atol=1e-15)

@@ -173,12 +173,20 @@ def test_operators_are_immutable():
         op.csr.data[0] = 5.0
 
 
+def buffer_entries(arr):
+    """Entries in the buffer that ``arr`` keeps alive (a view keeps its base)."""
+    base = arr if arr.base is None else arr.base
+    return base.nbytes // arr.itemsize
+
+
 def assert_canonical(op):
-    """Sorted unique columns per row, no stored zeros, read-only arrays."""
+    """Sorted unique columns per row, no stored zeros, data and indices that
+    own exactly nnz entries, read-only arrays."""
     c = op.csr
-    # scipy scans a fresh array; the builders mark their own output canonical
+    # scipy scans a fresh array, not a flag cached on the operator's
     assert csr_array((c.data, c.indices, c.indptr), shape=c.shape).has_canonical_format
     assert np.all(op.csr.data != 0)
+    assert buffer_entries(c.data) == buffer_entries(c.indices) == c.nnz
     for arr in (op.csr.data, op.csr.indices, op.csr.indptr):
         assert not arr.flags.writeable
 

@@ -613,3 +613,10 @@ def test_krylov_paths_refuse_a_tol_that_is_not_finite_and_positive(tol):
         steady_state_krylov(_NoMatvec(), p, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         solve_steady_state(p, method="krylov", H=_NoMatvec(), tol=tol)
+    # the dense path takes no tol, but an invalid one is refused there too
+    small = ChainParams(N=3, J=0.2, h=0.1)
+    for method in ("auto", "dense"):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_steady_state(small, method=method, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        qfi_fidelity(small, "h", method="dense", tol=tol)
