@@ -37,7 +37,7 @@ from . import __version__
 from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
 from .errors import ConvergenceError, EPProximityError
 from .hamiltonian import ChainParams, build_total
-from .majorana import majorana_modes, majorana_qfi
+from .majorana import TARGETS, majorana_modes, majorana_qfi
 from .observables import correlation_profile
 from .spectral import DEFAULT_SEED, evolve, solve_steady_state, spectral_order
 
@@ -65,6 +65,8 @@ class SweepAxis:
             raise CliUsageError("axis count must be >= 1")
         if self.start > self.stop:
             raise CliUsageError("axis start must be <= stop")
+        if self.count == 1 and self.start != self.stop:
+            raise CliUsageError("a one-point axis needs start == stop")
         lowest = {"n": 2, "j": 0, "h": 0}.get(self.name)
         if lowest is not None and self.start < lowest:
             raise CliUsageError(f"axis {self.name} must start at >= {lowest}")
@@ -98,7 +100,6 @@ class SweepSpec:
     tol: float = 1e-9
     seed: int = DEFAULT_SEED
     tol_j: float = 1e-4
-    bracket: tuple[float, float] = (0.0, 0.6)
     t_range: tuple[float, float, int] = (0.0, 50.0, 101)
     axes: tuple[SweepAxis, ...] = field(default_factory=tuple)
     out: str | None = None
@@ -236,7 +237,6 @@ def run_ep(spec: SweepSpec) -> CsvTable:
             gamma=spec.gamma,
             theta=spec.theta,
             tol_J=spec.tol_j,
-            bracket=spec.bracket,
         )
         merged = [(pt.h, pt.j_c) for pt in curve.points]
         merged += [(h, np.nan) for h, _ in curve.failures]
@@ -255,7 +255,6 @@ def run_scaling(spec: SweepSpec) -> CsvTable:
             h=spec.h,
             gamma=spec.gamma,
             theta=spec.theta,
-            bracket=spec.bracket,
             tol_J=spec.tol_j,
         )
         points.append((n, j_c))
@@ -387,13 +386,6 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return _finite(parts[0]), _finite(parts[1]), count
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return _finite(parts[0]), _finite(parts[1])
-
-
 # One declaration per flag: its argparse type (or tuple of choices) and help.
 FLAGS = {
     "n": (_int_at_least(2), "number of sites"),
@@ -401,12 +393,11 @@ FLAGS = {
     "gamma": (_non_negative, "loss rate"),
     "h": (_non_negative, "field amplitude"),
     "theta": (_finite, "field angle (rad)"),
-    "target": (("h", "theta"), "QFI target"),
+    "target": (TARGETS, "QFI target"),
     "axis": (("x", "y", "z"), "correlation axis"),
     "tol": (_positive, "solver tolerance"),
     "seed": (_int_at_least(0), "random seed"),
     "tol-j": (_positive, "bisection width"),
-    "bracket": (_parse_pair, "J bracket lo:hi"),
     "t-range": (_parse_range, "time grid lo:hi:count"),
     "n-range": (_parse_range, "sweep n over lo:hi:count"),
     "j-range": (_parse_range, "sweep j over lo:hi:count"),
@@ -422,8 +413,8 @@ SUBCOMMAND_FLAGS = {
     "spectrum": _CHAIN,
     "gap": f"{_CHAIN} j-range h-range",
     "qfi": f"{_CHAIN} target n-range j-range h-range theta-range",
-    "ep": "n gamma h theta tol-j bracket n-range h-range",
-    "scaling": "gamma h theta tol-j bracket n-range",
+    "ep": "n gamma h theta tol-j n-range h-range",
+    "scaling": "gamma h theta tol-j n-range",
     "correlations": f"{_CHAIN} axis tol",
     "evolve": f"{_CHAIN} tol seed t-range",
 }

@@ -12,6 +12,9 @@ Every gap comes from the (2N+1)-dimensional free-fermion matrix of
 :mod:`nhchain.majorana`, so a bisection step costs one small real eigensolve,
 numpy.linalg (LAPACK ``dgeev``), at any N (0.05-0.07 ms at N = 5); no
 2^N-dimensional operator is built and scipy is not imported.
+
+Every search bisects J on ``[0, 0.6 * gamma]``, worked out from gamma; no
+caller sets a bracket.
 """
 
 import warnings
@@ -21,6 +24,12 @@ import numpy as np
 
 from .hamiltonian import ChainParams
 from .majorana import default_tol_gap, majorana_gap
+
+# Upper edge of every J bisection, in units of gamma.  The gapped set in J
+# is [0, J_c), and J_c(N, h, theta) <= J_c(2, 0) = gamma / 2, so 0.6 * gamma
+# is gapless at every N, h and theta (tests/test_critical.py checks both);
+# at gamma = 1 the bracket is (0, 0.6).
+_J_MAX_PER_GAMMA = 0.6
 
 
 @dataclass(frozen=True)
@@ -72,23 +81,21 @@ def gap_at(p: ChainParams) -> float:
     return majorana_gap(p)
 
 
-def _check_bisection(bracket, tol_J) -> None:
-    """Refuse a J bracket unless ``0 <= lo < hi`` with hi finite, and a
-    ``tol_J`` unless it is finite and > 0, before any gap is evaluated."""
-    lo, hi = bracket
-    if not 0 <= lo < hi < np.inf:
-        raise ValueError(f"invalid bracket {bracket}: need 0 <= lo < hi < inf")
+def _check_tol_J(tol_J) -> None:
+    """Refuse a ``tol_J`` unless it is finite and > 0, before any gap is
+    evaluated."""
     if not 0 < tol_J < np.inf:
         raise ValueError(f"tol_J must be finite and > 0, got {tol_J}")
 
 
-def _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap, g_lo=None):
-    """Bisect the gap closure; ``g_lo`` is the gap at ``bracket[0]`` if known."""
+def _bisect_ep(N, h, gamma, theta, tol_J, tol_gap, g_lo=None):
+    """Bisect the gap closure on ``[0, _J_MAX_PER_GAMMA * gamma]``; ``g_lo``
+    is the gap at J = 0 if known."""
 
     def gap(J):
         return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta))
 
-    lo, hi = bracket
+    lo, hi = 0.0, _J_MAX_PER_GAMMA * gamma
     if g_lo is None:
         g_lo = gap(lo)
     g_hi = gap(hi)
@@ -111,22 +118,23 @@ def find_ep_J(
     h: float,
     gamma: float = 1.0,
     theta: float = 0.0,
-    bracket: tuple[float, float] = (0.0, 0.6),
     tol_J: float = 1e-4,
 ) -> float:
     """Bisection for the coupling J_c where the imaginary-part gap closes.
 
-    Requires ``0 <= bracket[0] < bracket[1]``, a finite ``tol_J > 0`` and
-    ``gap(bracket[0]) > tol_gap >= gap(bracket[1])`` with the threshold
-    ``tol_gap = 1e-6 * gamma`` (:func:`default_tol_gap`); returns the
-    midpoint of the final bracket: of width <= tol_J, or of two adjacent
-    doubles for a tol_J below their spacing.  Each step evaluates the
-    free-fermion :func:`gap_at`, so any N is cheap (about 15
-    (2N+1)-dimensional eigensolves at the default bracket and tol_J).
+    Bisects on ``[0, 0.6 * gamma]``.  Requires a finite ``tol_J > 0`` and
+    ``gap(0) > tol_gap >= gap(0.6 * gamma)`` with the threshold
+    ``tol_gap = 1e-6 * gamma`` (:func:`default_tol_gap`), else raises
+    ValueError: so at h >= gamma / 4, where the gap is closed already at
+    J = 0, and at gamma = 0.  Returns the midpoint of the final bracket: of
+    width <= tol_J, or of two adjacent doubles for a tol_J below their
+    spacing.  Each step evaluates the free-fermion :func:`gap_at`, so any N
+    is cheap (about 15 (2N+1)-dimensional eigensolves at gamma = 1 and the
+    default tol_J).
     """
-    _check_bisection(bracket, tol_J)
+    _check_tol_J(tol_J)
     tol_gap = default_tol_gap(gamma)
-    j_c, _ = _bisect_ep(N, h, gamma, theta, bracket, tol_J, tol_gap)
+    j_c, _ = _bisect_ep(N, h, gamma, theta, tol_J, tol_gap)
     return j_c
 
 
@@ -136,33 +144,30 @@ def ep_curve(
     gamma: float = 1.0,
     theta: float = 0.0,
     tol_J: float = 1e-4,
-    bracket: tuple[float, float] = (0.0, 0.6),
 ) -> EpCurve:
     """Locate J_c over a grid of field amplitudes.
 
-    A grid point whose lower bracket edge is already gapless reports
-    ``j_c = bracket[0]`` (the gapped region has closed entirely); other
-    per-point failures are recorded and leave a hole in the curve.  J_c is
-    expected to decrease with h; violations raise a warning, not an error.
-    Gaps come from the free-fermion :func:`gap_at` and are compared with
+    Bisects on ``[0, 0.6 * gamma]`` as :func:`find_ep_J` does.  A grid point
+    that is already gapless at J = 0 reports ``j_c = 0`` with the bracket
+    ``(0, 0)`` (the gapped region has closed entirely); other per-point
+    failures are recorded and leave a hole in the curve.  J_c is expected to
+    decrease with h; violations raise a warning, not an error.  Gaps come
+    from the free-fermion :func:`gap_at` and are compared with
     ``default_tol_gap(gamma)``, recorded as the result's ``tol_gap``.  An
-    invalid bracket or ``tol_J`` raises ValueError before any gap is
-    evaluated, as in :func:`find_ep_J`.
+    invalid ``tol_J`` raises ValueError before any gap is evaluated.
     """
-    _check_bisection(bracket, tol_J)
+    _check_tol_J(tol_J)
     tol_gap = default_tol_gap(gamma)
     points: list[EpPoint] = []
     failures: list[tuple[float, str]] = []
     for h in np.atleast_1d(np.asarray(h_grid, dtype=float)):
         h = float(h)
-        lo_gap = gap_at(ChainParams(N=N, J=bracket[0], gamma=gamma, h=h, theta=theta))
+        lo_gap = gap_at(ChainParams(N=N, J=0.0, gamma=gamma, h=h, theta=theta))
         if lo_gap <= tol_gap:
-            points.append(EpPoint(h=h, j_c=bracket[0], bracket=(bracket[0], bracket[0])))
+            points.append(EpPoint(h=h, j_c=0.0, bracket=(0.0, 0.0)))
             continue
         try:
-            j_c, final = _bisect_ep(
-                N, h, gamma, theta, bracket, tol_J, tol_gap, g_lo=lo_gap
-            )
+            j_c, final = _bisect_ep(N, h, gamma, theta, tol_J, tol_gap, g_lo=lo_gap)
         except ValueError as exc:
             failures.append((h, str(exc)))
             continue

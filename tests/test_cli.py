@@ -253,6 +253,20 @@ def test_ep_runner_two_site_boundary():
         assert j_c == pytest.approx(np.sqrt(1 - 16 * h**2) / 2.0, abs=1e-4)
 
 
+def test_ep_and_scaling_follow_gamma(tmp_path):
+    # the J bracket is [0, 0.6 gamma], so a loss rate above 1.2 still
+    # encloses every closure
+    out = tmp_path / "ep.csv"
+    argv = ["ep", "--n", "2", "--gamma", "2", "--h-range", "0:0.4:3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    _, header, rows = parse_csv(out.read_text())
+    assert header == ["N", "h", "J_c"] and len(rows) == 3
+    for _, h, j_c in rows:
+        expected = np.sqrt(4 - 16 * float(h) ** 2) / 2
+        assert float(j_c) == pytest.approx(expected, abs=1e-4)
+    assert main(["scaling", "--gamma", "2", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_scaling_runner_reference_comment_and_fit():
     spec = SweepSpec(
         subcommand="scaling",
@@ -443,7 +457,6 @@ def test_main_rejects_non_finite_parameters(capsys):
     assert main(["qfi", "--n", "2", "--j", "nan", "--h", "0.1"]) == 1
     assert main(["gap", "--n", "2", "--h", "inf"]) == 1
     assert main(["gap", "--n", "2", "--j-range", "0:inf:3"]) == 1
-    assert main(["ep", "--n", "2", "--bracket", "0:nan"]) == 1
     assert "finite" in capsys.readouterr().err
     # tolerances must also be > 0
     assert main(["correlations", "--tol", "-1"]) == 1
@@ -478,16 +491,6 @@ def test_main_numerical_failure_exit_code(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["ep", "scaling"])
-@pytest.mark.parametrize("bracket", ["0.6:0", "0.6:0.6"])
-def test_main_refuses_an_invalid_bracket(subcommand, bracket, capsys):
-    # a numerical failure, not a table with J_c = 0.6 on every row
-    assert main([subcommand, "--bracket", bracket]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "invalid bracket" in captured.err
-
-
 @pytest.mark.parametrize("t_range", ["50:0:3", "-5:0:2", "0:5:0", "0:5:-1"])
 def test_main_refuses_an_invalid_time_grid(t_range, monkeypatch, capsys):
     # a usage error raised before the generator is built
@@ -510,6 +513,15 @@ def test_axis_validation():
         SweepAxis("j", 1.0, 0.0, 5)
     with pytest.raises(CliUsageError, match="integer"):
         SweepAxis("n", 2, 5, 3).int_values()
+
+
+def test_one_point_axis_refuses_a_stop_it_would_drop(capsys):
+    # linspace(0, 0.4, 1) is [0]: the stop would be echoed but never computed
+    assert main(["gap", "--n", "2", "--j-range", "0:0.4:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one-point axis" in captured.err
+    assert SweepAxis("j", 0.4, 0.4, 1).values().tolist() == [0.4]
 
 
 @pytest.mark.parametrize(
@@ -557,7 +569,7 @@ GOLDEN_COMMENTS = [
             "# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003 "
             "theta=0.69999999999999996 target=h axis=y "
             "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
-            "bracket=0:0.59999999999999998 t_range=0:50:101",
+            "t_range=0:50:101",
         ],
     ),
     (
@@ -565,7 +577,7 @@ GOLDEN_COMMENTS = [
         [
             "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y "
             "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
-            "bracket=0:0.59999999999999998 t_range=0:50:101",
+            "t_range=0:50:101",
             "# sweep j=0:0.40000000000000002:5 h=0:0.20000000000000001:3",
         ],
     ),
@@ -574,16 +586,16 @@ GOLDEN_COMMENTS = [
         [
             "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 theta=0 "
             "target=theta axis=y tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
-            "bracket=0:0.59999999999999998 t_range=0:50:101",
+            "t_range=0:50:101",
             "# sweep theta=0:1:2",
         ],
     ),
     (
-        "ep --n 2 --h-range 0:0.2:3 --tol-j 1e-3 --bracket 0:0.55",
+        "ep --n 2 --h-range 0:0.2:3 --tol-j 1e-3",
         [
             "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y "
             "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 "
-            "bracket=0:0.55000000000000004 t_range=0:50:101",
+            "t_range=0:50:101",
             "# sweep h=0:0.20000000000000001:3",
         ],
     ),
@@ -591,7 +603,7 @@ GOLDEN_COMMENTS = [
         "scaling --h 0.05 --tol-j 1e-3 --n-range 2:5:4",
         [
             "# n=2 j=0 gamma=1 h=0.050000000000000003 theta=0 target=h axis=y "
-            "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 bracket=0:0.59999999999999998 t_range=0:50:101",
+            "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 t_range=0:50:101",
             "# sweep n=2:5:4",
             "# points N=2:0.49013671874999992 N=3:0.35009765625 "
             "N=4:0.30732421874999999 N=5:0.28740234375000001",
@@ -602,7 +614,7 @@ GOLDEN_COMMENTS = [
         "correlations --n 3 --j 0.2 --h 0.1 --axis x --tol 1e-10",
         [
             "# n=3 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=h axis=x tol=1e-10 seed=7 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:50:101",
+            "target=h axis=x tol=1e-10 seed=7 tol_j=0.0001 t_range=0:50:101",
         ],
     ),
     (
@@ -610,7 +622,7 @@ GOLDEN_COMMENTS = [
         [
             "# n=2 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
             "target=h axis=y tol=1e-08 "
-            "seed=5 tol_j=0.0001 bracket=0:0.59999999999999998 t_range=0:5:3",
+            "seed=5 tol_j=0.0001 t_range=0:5:3",
         ],
     ),
 ]

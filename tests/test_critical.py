@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhchain import critical
 from nhchain.critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.majorana import default_tol_gap
 from nhchain.spectral import dense_eigenvalues, steady_state_krylov
 
 GAP_REF = 0.34641016151377546  # b/2 at J=0.3, h=0.1, gamma=1
@@ -51,23 +54,47 @@ def test_find_ep_two_site_reference_points():
 
 
 def test_find_ep_invalid_bracket():
-    with pytest.raises(ValueError, match="gap"):
-        find_ep_J(N=2, h=0.2, bracket=(0.0, 0.1))  # gapped at both ends
+    # at h > gamma / 4 the gap is closed already at J = 0
+    with pytest.raises(ValueError, match="does not enclose the gap closure"):
+        find_ep_J(N=2, h=0.3)
+    with pytest.raises(ValueError, match="does not enclose the gap closure"):
+        find_ep_J(N=5, h=0.6, gamma=2.0)
 
 
-@pytest.mark.parametrize(
-    "bracket", [(0.6, 0.0), (0.6, 0.6), (-0.1, 0.6), (0.0, float("inf"))]
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 2.0, 3.0])
+def test_find_ep_scales_with_gamma(gamma):
+    # the bracket [0, 0.6 gamma] follows gamma: both closed forms hold away
+    # from gamma = 1
+    tol_J = 1e-5
+    h = 0.1 * gamma
+    expected = math.sqrt(gamma**2 - 16 * h**2) / 2
+    assert abs(find_ep_J(2, h, gamma=gamma, tol_J=tol_J) - expected) <= tol_J
+    for n in range(2, 10):
+        expected = gamma / (4 * math.cos(math.pi / (n + 1)))
+        assert abs(find_ep_J(n, 0.0, gamma=gamma, tol_J=tol_J) - expected) <= tol_J, n
+
+
+# 25 draws, most of them at N > 20, take under 1 s: a gap at N = 40 is an
+# 81-dimensional eigensolve of ~3 ms on a 2-core Xeon
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    gamma=st.floats(0.05, 3.0),
+    h_frac=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, 2 * math.pi),
 )
-def test_invalid_bracket_is_refused_before_any_gap(bracket, monkeypatch):
-    # refused ahead of ep_curve's gapless-edge shortcut, which would report
-    # j_c = bracket[0] at every h
-    calls = []
-    monkeypatch.setattr(critical, "gap_at", lambda p: calls.append(p))
-    with pytest.raises(ValueError, match="invalid bracket"):
-        find_ep_J(N=2, h=0.0, bracket=bracket)
-    with pytest.raises(ValueError, match="invalid bracket"):
-        ep_curve(2, [0.0, 0.1], bracket=bracket)
-    assert calls == []
+def test_gap_closes_once_inside_the_bracket(n, gamma, h_frac, theta):
+    # the premise of the bracket [0, 0.6 gamma]: its upper edge is gapless,
+    # and the gapped set in J is one interval [0, J_c), so the indicator
+    # gap > tol_gap turns off at most once on the way up
+    h = h_frac * gamma
+    tol_gap = default_tol_gap(gamma)
+    gapped = [
+        gap_at(ChainParams(N=n, J=float(J), gamma=gamma, h=h, theta=theta)) > tol_gap
+        for J in np.linspace(0.0, 0.6 * gamma, 41)
+    ]
+    assert not gapped[-1]
+    assert not any(gapped[gapped.index(False) :])
 
 
 def _bounded_gap_at(monkeypatch, limit=200):
@@ -156,10 +183,11 @@ def test_ep_curve_bracket_indicator_consistency():
     assert gap_at(ChainParams(N=2, J=hi, h=0.1)) <= curve.tol_gap
 
 
-def test_ep_curve_records_per_point_failures():
-    # a bracket that is still gapped at its upper edge cannot be bisected;
-    # the point is recorded as a failure and the curve keeps going
-    curve = ep_curve(N=2, h_grid=[0.0, 0.2], bracket=(0.0, 0.25), tol_J=1e-3)
+def test_ep_curve_records_per_point_failures(monkeypatch):
+    # a gap still open at the upper bracket edge cannot be bisected; the
+    # point is recorded as a failure and the curve keeps going
+    monkeypatch.setattr(critical, "gap_at", lambda p: 1.0)
+    curve = ep_curve(N=2, h_grid=[0.0, 0.2], tol_J=1e-3)
     assert len(curve.failures) == 2
     assert all("bracket" in msg for _, msg in curve.failures)
     assert not curve.points

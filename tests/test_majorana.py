@@ -133,7 +133,7 @@ def test_auto_gap_builds_no_many_body_operator():
 @pytest.mark.parametrize("n, gamma", [(20, 1.0), (50, 1.0), (100, 1.0), (20, 2.0)])
 def test_zero_field_boundary_at_large_size(n, gamma):
     tol_J = 1e-4
-    j_c = find_ep_J(n, 0.0, gamma=gamma, bracket=(0.0, 0.6 * gamma), tol_J=tol_J)
+    j_c = find_ep_J(n, 0.0, gamma=gamma, tol_J=tol_J)
     assert abs(j_c - size_boundary(n, gamma)) <= tol_J
 
 

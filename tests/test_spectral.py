@@ -577,8 +577,8 @@ def test_public_names_resolve():
     methods = ("from_" "entries", "entries", "vals", "conj_" "transpose")
     for gone in methods + ("__" "add__", "__" "rmul__", "__" "matmul__"):
         assert not hasattr(nhchain.SparseOperator, gone)
-    # and the solver knobs no caller set: every gap is free-fermion and every
-    # EP threshold is default_tol_gap(gamma)
+    # and the solver knobs no caller set: every gap is free-fermion, every
+    # EP threshold is default_tol_gap(gamma) and every J bracket [0, 0.6 gamma]
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -589,6 +589,7 @@ def test_public_names_resolve():
     for fn in (nhchain.find_ep_J, nhchain.ep_curve):
         assert "tol_gap" not in params(fn)
         assert "method" not in params(fn)
+        assert "bracket" not in params(fn)
     assert params(nhchain.gap_at) == ["p"]
 
 
