@@ -6,8 +6,9 @@ flags its runner reads (``SUBCOMMAND_FLAGS``), and any other flag, or an
 abbreviated one, is a usage error.  Each subcommand has one method:
 spectra (N <= 16), gaps, exceptional points and the QFI come from the
 free-fermion modes, and correlations and evolve solve for the steady state
-dense up to N = 5 and by ARPACK above.  Only those two load scipy; the
-free-fermion subcommands run on numpy alone.  Defaults live only in
+dense up to N = 5 and by ARPACK above.  Only evolve, and correlations
+above N = 5, load scipy; the free-fermion subcommands and correlations up
+to N = 5 run on numpy alone.  Defaults live only in
 ``SweepSpec``; ``nhchain SUB --help`` shows them.
 
 Output format: UTF-8, comma-separated, ``\\n`` line endings, ``#`` comment
@@ -298,6 +299,9 @@ def run_evolve(spec: SweepSpec) -> CsvTable:
         raise CliUsageError("t-range count must be >= 1")
     if not 0 <= t0 <= t1:
         raise CliUsageError("t-range needs 0 <= start <= stop")
+    if count == 1 and t0 != t1:
+        # linspace(t0, t1, 1) is [t0]: the stop would be echoed, never computed
+        raise CliUsageError("a one-point t-range needs start == stop")
     p = _chain_params(spec)
     H = build_total(p)
     ss = solve_steady_state(p, H=H, tol=spec.tol, seed=spec.seed)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MemoryLimitError
-from .operators import SparseOperator, flip_sum, spins_up
+from .operators import FlipTerms, SparseOperator, flip_sum, flip_sum_dense, spins_up
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,19 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _terms(p: ChainParams) -> FlipTerms:
+    """The generator's matrix elements as spin-flip terms (see ``flip_sum``)."""
+    up = spins_up(p.N)
+    # -i (gamma/4) (sz_n + 1) is -i gamma/2 on every up spin
+    terms = [((), -0.5j * p.gamma * np.count_nonzero(up, axis=1))]
+    # sp sp + sm sm flips both spins of a bond when they agree
+    terms += [((n, n + 1), p.J * (up[:, n - 1] == up[:, n])) for n in range(1, p.N)]
+    # h (cos(theta) sx_1 + sin(theta) sy_1) flips site 1; <u|.|d> = h e^{-i theta}
+    phase = np.exp(-1j * p.theta)
+    terms.append(((1,), p.h * np.where(up[:, 0], phase, phase.conjugate())))
+    return terms
+
+
 def build_total(p: ChainParams) -> SparseOperator:
     """Chain generator H0 + H1, assembled in one pass from its matrix elements.
 
@@ -103,12 +116,13 @@ def build_total(p: ChainParams) -> SparseOperator:
     required = memory_estimate(p.N)
     if available is not None and required > available:
         raise MemoryLimitError(p.N, required, available)
-    up = spins_up(p.N)
-    # -i (gamma/4) (sz_n + 1) is -i gamma/2 on every up spin
-    terms = [((), -0.5j * p.gamma * np.count_nonzero(up, axis=1))]
-    # sp sp + sm sm flips both spins of a bond when they agree
-    terms += [((n, n + 1), p.J * (up[:, n - 1] == up[:, n])) for n in range(1, p.N)]
-    # h (cos(theta) sx_1 + sin(theta) sy_1) flips site 1; <u|.|d> = h e^{-i theta}
-    phase = np.exp(-1j * p.theta)
-    terms.append(((1,), p.h * np.where(up[:, 0], phase, phase.conjugate())))
-    return flip_sum(p.N, terms)
+    return flip_sum(p.N, _terms(p))
+
+
+def build_dense(p: ChainParams) -> np.ndarray:
+    """``build_total(p).dense()``, bit for bit, assembled by numpy alone.
+
+    It allocates the full 2^N x 2^N array: the dense solvers bound N first
+    (``spectral.DENSE_MAX_DIM``).
+    """
+    return flip_sum_dense(p.N, _terms(p))

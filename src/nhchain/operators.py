@@ -19,12 +19,13 @@ State vectors are plain 1-D complex numpy arrays of length ``2**N``.
 :func:`on_site` applies a 2x2 matrix to one site of such a vector without
 building an operator.  Operators are built by :func:`flip_sum`, which lays
 out the same number of candidate entries in every row and leaves scipy to
-drop the zeros and sort the rows.  Each operator wraps a canonical
+drop the zeros and sort the rows; :func:`flip_sum_dense` adds the same
+entries into a zero numpy array instead.  Each operator wraps a canonical
 ``scipy.sparse.csr_array`` and exposes ``csr``, ``dim``, ``nnz``,
 ``dense()`` and ``matvec()``; it is immutable after construction and safe
-to share.  ``scipy.sparse`` is imported on the first operator built, so
-importing the package does not load it; the free-fermion layer runs on
-numpy.linalg (LAPACK ``dgeev``) and loads no scipy at all.
+to share.  ``scipy.sparse`` is imported only by :func:`flip_sum`, so
+importing the package does not load it, and neither the dense path nor the
+free-fermion layer (numpy.linalg, LAPACK ``dgeev``) loads any scipy.
 """
 
 from dataclasses import dataclass
@@ -118,7 +119,26 @@ def spins_up(N: int) -> np.ndarray:
     return (i >> np.arange(N - 1, -1, -1)) & 1 == 0
 
 
-def flip_sum(N: int, terms: list[tuple[tuple[int, ...], np.ndarray]]) -> SparseOperator:
+FlipTerms = list[tuple[tuple[int, ...], np.ndarray]]
+
+
+def _flip_layout(N: int, terms: FlipTerms) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values, both (2^N, len(terms)), of the candidate entries:
+    row i, slot j is basis state i with the spins at ``terms[j]``'s sites
+    flipped."""
+    dim = 1 << N
+    idx = _index_dtype(dim * len(terms))
+    masks = np.array(
+        [sum(1 << (N - s) for s in sites) for sites, _ in terms], dtype=idx
+    )
+    cols = np.arange(dim, dtype=idx)[:, None] ^ masks
+    vals = np.empty(cols.shape, dtype=np.complex128)
+    for j, (_, values) in enumerate(terms):
+        vals[:, j] = values
+    return cols, vals
+
+
+def flip_sum(N: int, terms: FlipTerms) -> SparseOperator:
     """Operator given row by row through spin flips.
 
     For each ``(sites, values)`` in ``terms``, row i holds ``values[i]`` at
@@ -128,16 +148,9 @@ def flip_sum(N: int, terms: list[tuple[tuple[int, ...], np.ndarray]]) -> SparseO
     """
     from scipy.sparse import csr_array
 
-    dim, k = 1 << N, len(terms)
-    idx = _index_dtype(dim * k)
-    masks = np.array(
-        [sum(1 << (N - s) for s in sites) for sites, _ in terms], dtype=idx
-    )
-    cols = np.arange(dim, dtype=idx)[:, None] ^ masks
-    vals = np.empty(cols.shape, dtype=np.complex128)
-    for j, (_, values) in enumerate(terms):
-        vals[:, j] = values
-    indptr = np.arange(0, dim * k + 1, k, dtype=idx)
+    cols, vals = _flip_layout(N, terms)
+    dim, k = cols.shape
+    indptr = np.arange(0, dim * k + 1, k, dtype=cols.dtype)
     csr = csr_array((vals.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
     csr.eliminate_zeros()
     csr.sort_indices()
@@ -145,6 +158,20 @@ def flip_sum(N: int, terms: list[tuple[tuple[int, ...], np.ndarray]]) -> SparseO
     # fewer than half of the entries; the operator owns just its nnz
     csr.data, csr.indices = csr.data.copy(), csr.indices.copy()
     return SparseOperator(csr)
+
+
+def flip_sum_dense(N: int, terms: FlipTerms) -> np.ndarray:
+    """``flip_sum(N, terms).dense()`` without scipy: the same candidate
+    entries added into a zero (2^N, 2^N) array.
+
+    Adding, as scipy's ``toarray`` does, rather than assigning turns a
+    value's -0.0 parts into +0.0, so the two arrays are bit-identical.
+    """
+    dim = 1 << N
+    cols, vals = _flip_layout(N, terms)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[np.arange(dim)[:, None], cols] += vals
+    return out
 
 
 def op_matvec(a: SparseOperator, v: np.ndarray) -> np.ndarray:

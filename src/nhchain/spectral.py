@@ -8,8 +8,11 @@ takes the two eigenvalues of largest imaginary part from ARPACK
 ``evolve`` applies a Krylov approximation of ``exp(-i H t)``: it
 exponentiates the small Arnoldi matrix every ``EXPM_STRIDE`` orders and
 accepts an order on Saad's a-posteriori estimate of the local error.
-scipy is imported inside the Krylov solver and ``evolve`` only, so the
-free-fermion and dense paths never load it.
+scipy is imported by the sparse generator (``build_total``), the Krylov
+solver and ``evolve`` only.  ``solve_steady_state`` without an operator
+builds the sparse generator for the Krylov path alone and hands the dense
+path a numpy array (``build_dense``), so the free-fermion and dense paths
+never load scipy.
 
 Eigenvalue ordering everywhere: descending imaginary part, ties (to within
 ``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
-from .hamiltonian import ChainParams, build_total
+from .hamiltonian import ChainParams, build_dense, build_total
 from .majorana import default_tol_gap, majorana_gap
 from .operators import SparseOperator
 
@@ -41,11 +44,13 @@ log = logging.getLogger("nhchain")
 DEFAULT_SEED = 7
 DENSE_MAX_DIM = 4096
 # ``auto`` solves dense up to this dimension (N <= 5) and by ARPACK above.
-# Best of 14 solves at J = 0.23, h = 0.2, tol = 1e-9, dense (numpy.linalg)
-# vs ARPACK (two pairs), lower of two runs, on a shared 2-core Xeon with
-# numpy 2.4 and scipy 1.17 (OpenBLAS): with default BLAS threads 0.66 vs
-# 1.52 ms at N = 5, 3.6 vs 2.2 ms at N = 6 and 21.5 vs 2.9 ms at N = 7; with
-# OMP_NUM_THREADS=1 0.66 vs 2.2 ms, 4.4 vs 2.6 ms and 18.7 vs 4.5 ms.
+# Best of 14 ``solve_steady_state`` calls at J = 0.23, h = 0.2, tol = 1e-9,
+# dense (numpy-built matrix, numpy.linalg) vs ARPACK (CSR operator, two
+# pairs), lower of two runs, on a shared 2-core Xeon with numpy 2.4 and
+# scipy 1.17 (OpenBLAS), quietest of three such measurements: with default
+# BLAS threads 0.81 vs 2.2 ms at N = 5, 4.3 vs 2.8 ms at N = 6 and 27 vs
+# 3.9 ms at N = 7; with OMP_NUM_THREADS=1 0.84 vs 2.0 ms, 4.6 vs 3.0 ms and
+# 22 vs 4.1 ms.
 AUTO_DENSE_MAX_DIM = 32
 KRYLOV_DIM = 30
 # ``evolve`` keeps its n-length algebra (Gram-Schmidt, norms, the result) in
@@ -183,12 +188,16 @@ def steady_state_two_site(p: ChainParams) -> np.ndarray:
     )
 
 
-def _dense_matrix(H: SparseOperator) -> np.ndarray:
-    if H.dim > DENSE_MAX_DIM:
+def _check_dense_size(dim: int) -> None:
+    if dim > DENSE_MAX_DIM:
         raise DenseSizeError(
-            f"dense path supports dimension <= {DENSE_MAX_DIM}, got {H.dim}; "
+            f"dense path supports dimension <= {DENSE_MAX_DIM}, got {dim}; "
             "use the Krylov solver"
         )
+
+
+def _dense_matrix(H: SparseOperator) -> np.ndarray:
+    _check_dense_size(H.dim)
     return H.dense()
 
 
@@ -219,10 +228,14 @@ def _steady_state(
     )
 
 
+def _eig_steady_state(A: np.ndarray, p: ChainParams) -> SteadyState:
+    w, v = np.linalg.eig(A)
+    return _steady_state(p, w, v, "dense")
+
+
 def steady_state_dense(H: SparseOperator, p: ChainParams) -> SteadyState:
     """Slowest-decaying eigenpair from a dense eigendecomposition."""
-    w, v = np.linalg.eig(_dense_matrix(H))
-    return _steady_state(p, w, v, "dense")
+    return _eig_steady_state(_dense_matrix(H), p)
 
 
 def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
@@ -422,21 +435,27 @@ def solve_steady_state(
     ``method='auto'`` picks the dense path for N <= 5 and the Krylov path
     (ARPACK, :func:`steady_state_krylov`) above, the faster of the two on
     each side (see ``AUTO_DENSE_MAX_DIM``); pass ``method`` explicitly to
-    override.  ``tol``, ``max_iters`` (the ARPACK restart budget) and
-    ``seed`` reach only the Krylov path, but a ``tol`` that is not finite
-    and > 0 raises ValueError on either.  Both paths raise
-    ``EPProximityError`` when the gap is at or below
+    override.  Without ``H``, the dense path assembles the generator as a
+    numpy array (``build_dense``, bit-identical to ``build_total(p).dense()``)
+    and loads no scipy; a dimension above ``DENSE_MAX_DIM`` raises
+    ``DenseSizeError`` before anything is allocated.  ``tol``, ``max_iters``
+    (the ARPACK restart budget) and ``seed`` reach only the Krylov path, but
+    a ``tol`` that is not finite and > 0 raises ValueError on either.  Both
+    paths raise ``EPProximityError`` when the gap is at or below
     ``default_tol_gap(gamma)``.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if H is None:
-        H = build_total(p)
     if method == "auto":
-        method = "dense" if H.dim <= AUTO_DENSE_MAX_DIM else "krylov"
+        method = "dense" if p.dim <= AUTO_DENSE_MAX_DIM else "krylov"
     if method == "dense":
-        return steady_state_dense(H, p)
+        if H is not None:
+            return steady_state_dense(H, p)
+        _check_dense_size(p.dim)
+        return _eig_steady_state(build_dense(p), p)
     if method == "krylov":
+        if H is None:
+            H = build_total(p)
         return steady_state_krylov(H, p, tol=tol, max_iters=max_iters, seed=seed)
     raise ValueError(f"unknown method {method!r}; expected auto, dense or krylov")
 

@@ -491,9 +491,10 @@ def test_main_numerical_failure_exit_code(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_range", ["50:0:3", "-5:0:2", "0:5:0", "0:5:-1"])
+@pytest.mark.parametrize("t_range", ["50:0:3", "-5:0:2", "0:5:0", "0:5:-1", "0:5:1"])
 def test_main_refuses_an_invalid_time_grid(t_range, monkeypatch, capsys):
-    # a usage error raised before the generator is built
+    # a usage error raised before the generator is built; a one-point grid
+    # would echo its stop but compute only its start
     def no_build(p):
         raise AssertionError("generator built for an invalid time grid")
 
@@ -502,6 +503,15 @@ def test_main_refuses_an_invalid_time_grid(t_range, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "t-range" in captured.err
+
+
+def test_one_point_time_grid_at_its_start_runs(capsys):
+    assert main(["evolve", "--n", "2", "--j", "0.2", "--h", "0.1", "--t-range", "0:0:1"]) == 0
+    out = capsys.readouterr().out
+    assert "t_range=0:0:1" in out
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows[0] == "t,norm,fidelity_to_ss"
+    assert len(rows) == 2 and rows[1].startswith("0,1,")
 
 
 def test_axis_validation():

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from nhchain import majorana, spectral
 from nhchain.errors import ConvergenceError, DenseSizeError, EPProximityError
-from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.hamiltonian import ChainParams, build_dense, build_total
 from nhchain.majorana import majorana_gap
 from nhchain.operators import SparseOperator, kron_chain, pauli
 from nhchain.qfi import qfi_fidelity
@@ -99,6 +101,49 @@ def test_dense_eigenvalues_diagonal_case():
 def test_dense_size_guard():
     with pytest.raises(DenseSizeError):
         dense_eigenvalues(build_total(ChainParams(N=13, J=0.1)))
+
+
+def test_dense_solve_refuses_a_size_beyond_the_cap_before_building(monkeypatch):
+    def no_build(p):
+        raise AssertionError("generator built beyond the dense size cap")
+
+    monkeypatch.setattr(spectral, "build_dense", no_build)
+    monkeypatch.setattr(spectral, "build_total", no_build)
+    with pytest.raises(DenseSizeError):
+        solve_steady_state(ChainParams(N=13, J=0.1, h=0.1), method="dense")
+
+
+def _zero_or(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+def _steady_bits(solve):
+    """The solver's eigenvalue, vector and gap as bytes, or its EP refusal."""
+    try:
+        ss = solve()
+    except EPProximityError as err:
+        return "ep", err.gap
+    return np.array([ss.eigenvalue, ss.gap]).tobytes(), ss.vector.tobytes(), ss.method
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    J=_zero_or(st.floats(0.0, 0.5)),
+    gamma=st.floats(0.0, 2.0),
+    h=_zero_or(st.floats(0.0, 0.5)),
+    theta=st.floats(-7.0, 7.0),
+)
+def test_dense_assembly_and_solve_match_the_sparse_generator_exactly(N, J, gamma, h, theta):
+    # solve_steady_state assembles the dense path without scipy.sparse; the
+    # matrix and every digit of the steady state (or of its EP refusal:
+    # gamma = 0 is always one) match the CSR route
+    p = ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta)
+    H = build_total(p)
+    assert build_dense(p).tobytes() == H.dense().tobytes()
+    assert _steady_bits(lambda: solve_steady_state(p, method="dense")) == _steady_bits(
+        lambda: steady_state_dense(H, p)
+    )
 
 
 def test_dense_eigenvalues_sort_and_determinism():
@@ -505,8 +550,10 @@ def _fresh_python(code: str) -> str:
 
 def test_import_does_not_load_arpack():
     # the sparse eigensolver is imported on the first Krylov solve, scipy.sparse
-    # on the first operator built and scipy.linalg on the first evolve, so the
-    # free-fermion path (numpy.linalg only) loads no scipy module at all
+    # on the first SparseOperator built (build_total, which the dense steady
+    # state without an operator does not call) and scipy.linalg on the first
+    # evolve, so the free-fermion and dense paths (numpy.linalg only) load no
+    # scipy module at all
     out = _fresh_python(
         "import sys, nhchain; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -515,13 +562,17 @@ def test_import_does_not_load_arpack():
 
 
 def test_free_fermion_paths_run_without_scipy():
-    # with scipy unimportable, every free-fermion function and CLI subcommand
-    # still runs; a scipy import on any of these paths raises ImportError
+    # with scipy unimportable, every free-fermion function and CLI subcommand,
+    # and the dense steady state with its observables up to N = 5, still run;
+    # a scipy import on any of these paths raises ImportError
     out = _fresh_python(
         """
 import contextlib, io, sys
 sys.modules["scipy"] = None
-from nhchain import ChainParams, ep_curve, find_ep_J, gap_at, majorana_modes
+from nhchain import (
+    ChainParams, correlation_profile, ep_curve, find_ep_J, gap_at, majorana_modes,
+    qfi_fidelity, site_magnetizations, solve_steady_state,
+)
 from nhchain.cli import main
 from nhchain.majorana import majorana_qfi_matrix
 
@@ -531,12 +582,23 @@ ep_curve(2, [0.0, 0.1], tol_J=1e-6)
 gap_at(p)
 majorana_modes(p)
 majorana_qfi_matrix(p)
+for n in range(2, 6):
+    q = ChainParams(N=n, J=0.23, h=0.2, theta=0.7)
+    for method in ("auto", "dense"):
+        ss = solve_steady_state(q, method=method)
+    site_magnetizations(ss)
+    for axis in "xyz":
+        correlation_profile(ss, axis)
+    for target in ("h", "theta"):
+        qfi_fidelity(q, target)
+        qfi_fidelity(q, target, method="dense")
 runs = [
     ["spectrum", "--n", "4", "--j", "0.23", "--h", "0.2"],
     ["gap", "--n", "64", "--j", "0.2", "--h", "0.1"],
     ["qfi", "--n", "32", "--j", "0.23", "--h", "0.2"],
     ["ep", "--n", "8", "--h-range", "0:0.2:3"],
     ["scaling", "--n-range", "3:6:4", "--tol-j", "1e-6"],
+    ["correlations", "--n", "4", "--j", "0.23", "--h", "0.2", "--axis", "x"],
 ]
 codes = []
 for argv in runs:
@@ -546,7 +608,7 @@ loaded = [m for m, mod in sys.modules.items() if mod and m.split(".")[0] == "sci
 print(codes, loaded)
 """
     )
-    assert out.strip() == "[0, 0, 0, 0, 0] []"
+    assert out.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
 def test_public_names_resolve():
