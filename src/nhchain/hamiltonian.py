@@ -13,6 +13,7 @@ the default gamma is 1.  The anti-Hermitian part of H0 + H1 is the loss term
 alone, so every eigenvalue has non-positive imaginary part.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -92,16 +93,36 @@ def _physical_memory() -> int | None:
         return None
 
 
+@functools.lru_cache(maxsize=16)
+def _spin_patterns(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only patterns of the 2^N basis states that the generator's terms
+    scale: the number of up spins, whether the two spins of bond (n, n+1)
+    agree (row n - 1) and whether site 1 is up, one byte per entry."""
+    up = spins_up(N)
+    patterns = (
+        np.count_nonzero(up, axis=1).astype(np.uint8),
+        np.ascontiguousarray((up[:, :-1] == up[:, 1:]).T),
+        up[:, 0].copy(),
+    )
+    for a in patterns:
+        a.setflags(write=False)
+    return patterns
+
+
 def _terms(p: ChainParams) -> FlipTerms:
-    """The generator's matrix elements as spin-flip terms (see ``flip_sum``)."""
-    up = spins_up(p.N)
+    """The generator's matrix elements as spin-flip terms (see ``flip_sum``).
+
+    The spin patterns depend on N only and are kept (:func:`_spin_patterns`);
+    the values are computed on every call.
+    """
+    n_up, agree, up1 = _spin_patterns(p.N)
     # -i (gamma/4) (sz_n + 1) is -i gamma/2 on every up spin
-    terms = [((), -0.5j * p.gamma * np.count_nonzero(up, axis=1))]
+    terms = [((), -0.5j * p.gamma * n_up)]
     # sp sp + sm sm flips both spins of a bond when they agree
-    terms += [((n, n + 1), p.J * (up[:, n - 1] == up[:, n])) for n in range(1, p.N)]
+    terms += [((n, n + 1), p.J * agree[n - 1]) for n in range(1, p.N)]
     # h (cos(theta) sx_1 + sin(theta) sy_1) flips site 1; <u|.|d> = h e^{-i theta}
     phase = np.exp(-1j * p.theta)
-    terms.append(((1,), p.h * np.where(up[:, 0], phase, phase.conjugate())))
+    terms.append(((1,), p.h * np.where(up1, phase, phase.conjugate())))
     return terms
 
 

@@ -32,9 +32,14 @@ Only the edge entries ``R[0, 1:3]`` (and their mirror) move with h or
 theta, so the derivative of the projector is linear in that 2-vector: one
 eigendecomposition of R per parameter point gives a 2x2 Gram matrix from
 which both diagonal entries and the off-diagonal ``F_h,theta`` follow (the
-latter vanishes to rounding).  :func:`majorana_qfi` reads one diagonal
-entry.  The Gram matrix of the last point is kept (a memo of size one), so
-asking for ``h`` and then ``theta`` at the same point factorises once.
+latter vanishes to rounding).  Past the eigensolve that takes one QR
+factorisation of the full eigenvector matrix ``V = QU`` and one solve with
+its triangular factor U: Q splits the space into the annihilator space and
+its complement, and U holds both the basis change of the annihilator space
+and, through ``V^-1 = U^-1 Q^H``, the rows of V^-1 that the perturbation
+needs (:func:`_gram`).  :func:`majorana_qfi` reads one diagonal entry.  The
+Gram matrix of the last point is kept (a memo of size one), so asking for
+``h`` and then ``theta`` at the same point factorises once.
 """
 
 import cmath
@@ -155,14 +160,29 @@ def majorana_gap(p: ChainParams) -> float:
 def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     """Read-only Gram matrix ``G_ab = <W_a, W_b>`` of the two unit responses.
 
-    ``W = (I - P) dL T^-1`` for ``L = [V_S, z] = QT`` and ``P = QQ^H`` is
-    linear in the edge derivative of R, so one eigendecomposition with right
-    vectors, numpy.linalg (LAPACK ``dgeev``), serves every direction:
-    ``W_0`` is the response to ``d/dh`` and ``W_1`` to ``d/dtheta / h``.
-    That basis keeps each diagonal entry of the QFI a squared norm, with no
-    cancellation at small h.  The memo holds the last point only, so the one
-    reuse is a second target at the same point; ``EPProximityError`` is
-    raised on every call and never stored.
+    ``W = (I - P) dL T^-1`` for ``L = [V_S, z] = Q_1 T`` and
+    ``P = Q_1 Q_1^H`` is linear in the edge derivative of R, so one
+    eigendecomposition with right vectors, numpy.linalg (LAPACK ``dgeev``),
+    serves every direction: ``W_0`` is the response to ``d/dh`` and ``W_1``
+    to ``d/dtheta / h``.  That basis keeps each diagonal entry of the QFI a
+    squared norm, with no cancellation at small h.
+
+    The rest is one QR and one solve.  Take the eigenvectors
+    ``V = [V_S, z, C] = QU``, C the conjugate modes, Q unitary and U upper
+    triangular.  Q's first k+1 columns Q_1 span L, so ``T = U_11`` and
+    ``I - P = Q_2 Q_2^H``, and the rows of ``V^-1 = U^-1 Q^H`` past L are
+    ``U_22^-1 Q_2^H``.  First-order perturbation gives ``dL = C X``, and
+    ``Q_2^H C = U_22``, so ``W = Q_2 W'`` with ``W' = U_22 X T^-1``: both
+    have the Gram matrix G, and neither dL nor its projection is formed.
+    The QR factorises ``[V, e_0, e_1, e_2]``: its triangular factor is
+    ``[U, Q^H[:, :3]]``, so Q itself is never formed.  One
+    ``solve(U, [e_0 .. e_k, Q^H[:, :3]])`` then returns T^-1, in its top
+    left block, and ``V^-1[:, :3]``, whose rows past L are the three
+    columns of ``U_22^-1 Q_2^H`` that X reads.
+
+    The memo holds the last point only, so the one reuse is a second target
+    at the same point; ``EPProximityError`` is raised on every call and
+    never stored.
     """
     lam, vr = eig(_real_form(p))
     gap = float(_modes(lam).imag.min())
@@ -181,14 +201,19 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     E = np.array(
         [[[0, -c, -s], [-c, 0, 0], [-s, 0, 0]], [[0, s, -c], [s, 0, 0], [-c, 0, 0]]]
     )
-    Y = solve(V, np.eye(V.shape[0], 3))
+    # Z's top left block is T^-1, and its right block past L is
+    # U_22^-1 Q_2^H[:, :3]
+    n = V.shape[0]
+    UQ = qr(np.hstack((V, np.eye(n, 3))), mode="r")
+    U = UQ[:, :n]
+    Z = solve(U, np.hstack((np.eye(n, k + 1), UQ[:, n:])))
     # dv_k = sum_j v_j M_jk / (lam_k - lam_j) for the columns k of L, with j
     # over the conjugate modes only: components along L vanish under I - P,
-    # and no denominator does, even for clustered or degenerate modes
-    L, C = V[:, : k + 1], V[:, k + 1 :]
-    dL = C @ (Y[k + 1 :] @ (E @ L[:3]) / (lam[: k + 1] - lam[k + 1 :, None]))
-    Q, T = qr(L)
-    W = ((dL - Q @ (Q.conj().T @ dL)) @ solve(T, np.eye(k + 1))).reshape(2, -1)
+    # and no denominator does, even for clustered or degenerate modes.  So
+    # dL = C X, and W' = U_22 X T^-1 has the Gram matrix of W = Q_2 W'.
+    X = Z[k + 1 :, k + 1 :] @ (E @ V[:3, : k + 1])
+    X /= lam[: k + 1] - lam[k + 1 :, None]
+    W = (U[k + 1 :, k + 1 :] @ X @ Z[: k + 1, : k + 1]).reshape(2, -1)
     G = W.conj() @ W.T
     G = (G + G.conj().T) / 2.0
     G.setflags(write=False)
@@ -203,7 +228,7 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     ``[V_S, e_0 + i z]`` padded with the g_0 row (V_S the k = N modes with
     ``Im eps > 0``); in (h, theta) order, real and symmetric.  F is the
     metric of that subspace: ``F_ab = 2 Re <W_a, W_b>`` with
-    ``W = (I - P) dL T^-1`` for any smooth basis ``L = QT`` of it.  The
+    ``W = (I - P) dL T^-1`` for any smooth basis ``L = Q_1 T`` of it.  The
     metric does not depend on the weight of e_0.  The part of z orthogonal
     to V_S is a fixed real vector u, orthogonal to V_S and its conjugate,
     and a weight beta on e_0 splits the response along u between the mode
@@ -215,10 +240,13 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     B's eigenvectors, ``D^-1`` times R's, and first-order perturbation,
     ``dv_k = sum_j v_j (V^-1 dB V)_jk / (lam_k - lam_j)``, gives dL; only
     the modes outside L enter the sum, so clustered or degenerate modes
-    cost no accuracy.  In the basis of :func:`_gram` the two targets are
-    the directions (1, 0) and (0, h), so
-    ``F = 2 Re(G) * outer((1, h), (1, h))`` for the Gram matrix G of
-    :func:`_gram`.  Raises ``EPProximityError`` when the gap is at or below
+    cost no accuracy.  One QR of B's eigenvector matrix, ``V = QU``, and one
+    solve with U give the basis change T, the complement of L and the rows
+    of V^-1 that the sum reads, so W is taken in that complement's
+    coordinates (see :func:`_gram`).  In the basis of :func:`_gram` the two
+    targets are the directions (1, 0) and (0, h), so
+    ``F = 2 Re(G) * outer((1, h), (1, h))`` for its Gram matrix G.  Raises
+    ``EPProximityError`` when the gap is at or below
     ``default_tol_gap(gamma)``, as the steady-state solvers do.
     """
     G = _gram(p, default_tol_gap(p.gamma))
@@ -229,9 +257,13 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
 def majorana_qfi(p: ChainParams, target: str) -> float:
     """Exact steady-state QFI about ``h`` or ``theta`` at any N.
 
-    The diagonal entry of :func:`majorana_qfi_matrix` for ``target``.
+    The diagonal entry of :func:`majorana_qfi_matrix` for ``target``, bit
+    for bit, read from the Gram matrix of :func:`_gram` without forming the
+    2x2 matrix.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    i = TARGETS.index(target)
-    return float(majorana_qfi_matrix(p)[i, i])
+    G = _gram(p, default_tol_gap(p.gamma))
+    if target == "h":
+        return float(2.0 * G[0, 0].real)
+    return float(2.0 * G[1, 1].real * (p.h * p.h))

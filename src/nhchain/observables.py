@@ -2,9 +2,11 @@
 closed forms.
 
 Expectations follow the right-vector convention <psi_ss| O |psi_ss> with the
-unit-normalized steady-state vector (no biorthogonal weighting).  Each Pauli
-matrix is applied to its site of that vector (``operators.on_site``); no
-2**N operator is built.  Correlation profiles are raw products
+unit-normalized steady-state vector (no biorthogonal weighting); no 2**N
+operator is built.  A site's magnetizations are ``Tr(s rho_n)`` for its 2x2
+reduced density matrix ``rho_n`` (``operators.site_density``).  Correlation
+profiles apply each Pauli matrix to its site of the vector
+(``operators.on_site``) and are raw products
 <s^a_1 s^a_n> = <s^a_1 psi_ss | s^a_n psi_ss>, not connected correlations.
 
 The two-site closed forms are written with a = sqrt(g^2 - 4J^2) and
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ChainParams
-from .operators import on_site, pauli
+from .operators import on_site, pauli, site_density
 from .spectral import SteadyState, _gapped_two_site_roots
 
 HERMITIAN_IMAG_TOL = 1e-10
@@ -87,15 +89,23 @@ def correlation_profile(ss: SteadyState, axis: str) -> np.ndarray:
 
 
 def site_magnetizations(ss: SteadyState) -> list[ObservableRecord]:
-    """Records s{x,y,z}_n for every site of the chain."""
+    """Records s{x,y,z}_n for every site of the chain.
+
+    Each site's three values are ``Tr(s rho_n)`` for its 2x2 reduced density
+    matrix ``rho_n``, one contraction of the vector.
+    """
     v = ss.vector
-    return [
-        ObservableRecord(
-            params=ss.params,
-            name=f"s{axis}_{n}",
-            sites=(n,),
-            value=_real(np.vdot(v, on_site(pauli(axis), n, v))),
-        )
-        for n in range(1, ss.params.N + 1)
-        for axis in ("x", "y", "z")
-    ]
+    records = []
+    for n in range(1, ss.params.N + 1):
+        rho = site_density(n, v)
+        records += [
+            ObservableRecord(
+                params=ss.params,
+                name=f"s{axis}_{n}",
+                sites=(n,),
+                # Tr(s rho) = sum_ab conj(s_ab) rho_ab for a Hermitian s
+                value=_real(np.vdot(pauli(axis), rho)),
+            )
+            for axis in ("x", "y", "z")
+        ]
+    return records

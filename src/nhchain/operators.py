@@ -8,8 +8,8 @@ Basis index ``i`` carries bits ``b_{N-1} ... b_0``; chain site ``n``
 bit.  Spin up is bit value 0 and spin down is bit value 1.  For N = 2 the
 ordering is therefore ``(uu, ud, du, dd)``.  This module is the only one
 that knows the convention: other modules describe operators and actions
-through sites and spins (:func:`on_site`, :func:`spins_up`,
-:func:`flip_sum`).
+through sites and spins (:func:`on_site`, :func:`site_density`,
+:func:`spins_up`, :func:`flip_sum`).
 
 The raising/lowering operators carry the conventional 1/2 normalization,
 ``plus = (x + i y) / 2``, so that a pair coupling of strength J contributes
@@ -17,9 +17,10 @@ matrix elements equal to J.
 
 State vectors are plain 1-D complex numpy arrays of length ``2**N``.
 :func:`on_site` applies a 2x2 matrix to one site of such a vector without
-building an operator.  Operators are built by :func:`flip_sum`, which lays
-out the same number of candidate entries in every row and leaves scipy to
-drop the zeros and sort the rows; :func:`flip_sum_dense` adds the same
+building an operator, and :func:`site_density` reduces it to one site.
+Operators are built by :func:`flip_sum`, which lays out the same number of
+candidate entries in every row and leaves scipy to drop the zeros and sort
+the rows; :func:`flip_sum_dense` adds the same
 entries into a zero numpy array instead.  Each operator wraps a canonical
 ``scipy.sparse.csr_array`` and exposes ``csr``, ``dim``, ``nnz``,
 ``dense()`` and ``matvec()``; it is immutable after construction and safe
@@ -29,7 +30,7 @@ free-fermion layer (numpy.linalg, LAPACK ``dgeev``) loads any scipy.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -112,6 +113,16 @@ def on_site(op: np.ndarray, site: int, psi: np.ndarray) -> np.ndarray:
     return np.einsum("ab,ibj->iaj", op, x).reshape(-1)
 
 
+def site_density(site: int, psi: np.ndarray) -> np.ndarray:
+    """The 2x2 reduced density matrix ``rho[a, b] = sum psi_a conj(psi_b)``
+    of ``site`` in the state vector ``psi``, traced over the other sites.
+
+    One contraction of the 3-index form that :func:`on_site` uses.
+    """
+    x = psi.reshape(1 << (site - 1), 2, -1)
+    return np.einsum("iaj,ibj->ab", x, x.conj())
+
+
 def spins_up(N: int) -> np.ndarray:
     """Boolean (2^N, N) table: ``[i, n - 1]`` is True when site n of basis
     state i is spin up."""
@@ -122,16 +133,22 @@ def spins_up(N: int) -> np.ndarray:
 FlipTerms = list[tuple[tuple[int, ...], np.ndarray]]
 
 
+@lru_cache(maxsize=16)
+def _flip_masks(N: int, sites: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Read-only bit masks of the site sets, in the CSR index type of
+    ``2^N len(sites)`` entries."""
+    idx = _index_dtype((1 << N) * len(sites))
+    masks = np.array([sum(1 << (N - s) for s in flip) for flip in sites], dtype=idx)
+    masks.setflags(write=False)
+    return masks
+
+
 def _flip_layout(N: int, terms: FlipTerms) -> tuple[np.ndarray, np.ndarray]:
     """Columns and values, both (2^N, len(terms)), of the candidate entries:
     row i, slot j is basis state i with the spins at ``terms[j]``'s sites
     flipped."""
-    dim = 1 << N
-    idx = _index_dtype(dim * len(terms))
-    masks = np.array(
-        [sum(1 << (N - s) for s in sites) for sites, _ in terms], dtype=idx
-    )
-    cols = np.arange(dim, dtype=idx)[:, None] ^ masks
+    masks = _flip_masks(N, tuple(sites for sites, _ in terms))
+    cols = np.arange(1 << N, dtype=masks.dtype)[:, None] ^ masks
     vals = np.empty(cols.shape, dtype=np.complex128)
     for j, (_, values) in enumerate(terms):
         vals[:, j] = values

@@ -233,8 +233,19 @@ def _eig_steady_state(A: np.ndarray, p: ChainParams) -> SteadyState:
     return _steady_state(p, w, v, "dense")
 
 
+def _check_operator_size(H: SparseOperator, p: ChainParams) -> None:
+    if H.dim != p.dim:
+        raise ValueError(
+            f"operator dimension {H.dim} does not match the chain's 2^{p.N} = {p.dim}"
+        )
+
+
 def steady_state_dense(H: SparseOperator, p: ChainParams) -> SteadyState:
-    """Slowest-decaying eigenpair from a dense eigendecomposition."""
+    """Slowest-decaying eigenpair from a dense eigendecomposition.
+
+    An operator whose dimension is not ``p.dim`` raises ValueError.
+    """
+    _check_operator_size(H, p)
     return _eig_steady_state(_dense_matrix(H), p)
 
 
@@ -267,7 +278,8 @@ def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
     m_max = min(m_max, n)
     V = np.empty((m_max, n), dtype=np.complex128)
     Hm = np.zeros((m_max + 1, m_max + 1), dtype=np.complex128)
-    V[0] = psi / beta
+    # real reciprocals: a complex division by a real norm costs more
+    np.multiply(psi, 1.0 / beta, out=V[0])
 
     def accepted(m, breakdown=False):
         # the order-(m+1) block as order m first saw it: its last column is
@@ -294,7 +306,7 @@ def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
             if (result := accepted(m, breakdown)) is not None:
                 return dt, result
         if m < m_max:
-            V[m] = w / hnext
+            np.multiply(w, 1.0 / hnext, out=V[m])
     # breakdown always accepts, so no order of this basis broke down
     orders = [*range(EXPM_STRIDE, m_max, EXPM_STRIDE), m_max]
     while True:
@@ -362,11 +374,12 @@ def steady_state_krylov(
 ) -> SteadyState:
     """Steady state and gap from ARPACK's implicitly restarted Arnoldi.
 
-    A ``tol`` that is not finite and > 0 raises ValueError.  A free-fermion
-    gap ``majorana_gap(p)`` at or below the threshold
-    ``majorana.default_tol_gap(gamma)`` raises ``EPProximityError`` before
-    ARPACK runs: there many eigenvalues share the top imaginary part, and
-    ARPACK can spend its restart budget failing to choose among them.
+    A ``tol`` that is not finite and > 0, or an operator whose dimension is
+    not ``p.dim``, raises ValueError.  A free-fermion gap ``majorana_gap(p)``
+    at or below the threshold ``majorana.default_tol_gap(gamma)`` raises
+    ``EPProximityError`` before ARPACK runs: there many eigenvalues share
+    the top imaginary part, and ARPACK can spend its restart budget failing
+    to choose among them.
     Otherwise ``eigs(which="LI")`` computes the two eigenvalues of largest
     imaginary part, all that the steady state and the gap read, matrix-free
     through ``H.matvec``, from a start vector drawn from
@@ -380,6 +393,7 @@ def steady_state_krylov(
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_operator_size(H, p)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     tol_gap = default_tol_gap(p.gamma)
@@ -440,8 +454,9 @@ def solve_steady_state(
     and loads no scipy; a dimension above ``DENSE_MAX_DIM`` raises
     ``DenseSizeError`` before anything is allocated.  ``tol``, ``max_iters``
     (the ARPACK restart budget) and ``seed`` reach only the Krylov path, but
-    a ``tol`` that is not finite and > 0 raises ValueError on either.  Both
-    paths raise ``EPProximityError`` when the gap is at or below
+    a ``tol`` that is not finite and > 0 raises ValueError on either, as
+    does an ``H`` whose dimension is not ``p.dim``, before any eigensolve.
+    Both paths raise ``EPProximityError`` when the gap is at or below
     ``default_tol_gap(gamma)``.
     """
     if not 0 < tol < np.inf:

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nhchain.hamiltonian import ChainParams, build_total
+from nhchain import hamiltonian, operators
+from nhchain.hamiltonian import ChainParams, build_dense, build_total
 from nhchain.operators import kron_chain, pauli
 
 
@@ -181,3 +182,28 @@ def test_theta_periodicity():
     assert np.allclose(
         build_total(p1).dense(), build_total(p2).dense(), atol=1e-15
     )
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_kept_spin_patterns_are_read_only_and_change_no_bit(N):
+    # the N-only spin patterns and flip masks are kept between calls; a warm
+    # cache gives the bits of a cold one and of the CSR route at every point
+    points = [
+        ChainParams(N=N, J=0.23, h=0.2, theta=0.7),
+        ChainParams(N=N, J=0.0, gamma=0.4, h=0.31, theta=-2.5),
+        ChainParams(N=N, J=0.41, gamma=0.0, h=0.0),
+    ]
+    cold = []
+    for p in points:
+        hamiltonian._spin_patterns.cache_clear()
+        operators._flip_masks.cache_clear()
+        cold.append(build_dense(p).tobytes())
+    for p, bits in zip(points, cold):
+        assert build_dense(p).tobytes() == bits == build_total(p).dense().tobytes()
+    assert hamiltonian._spin_patterns.cache_info().hits >= 2 * len(points)
+    assert operators._flip_masks.cache_info().hits >= 2 * len(points)
+    sites = tuple(s for s, _ in hamiltonian._terms(points[0]))
+    for a in (*hamiltonian._spin_patterns(N), operators._flip_masks(N, sites)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0

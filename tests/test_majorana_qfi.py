@@ -162,21 +162,33 @@ def test_off_diagonal_against_a_joint_shift(n, sign):
 
 def _count_dgeev(monkeypatch):
     """Count the real eigensolves; a complex one, or a second one for the
-    gap alone, raises."""
+    gap alone, raises.  Each entry counts the QR factorisations and linear
+    solves made after its eigensolve, and a second one of either raises."""
     calls = []
     eig = majorana.eig
 
     def spy(a):
         if a.dtype != np.float64:
             raise AssertionError("complex eigensolve on the QFI path")
-        calls.append(1)
+        calls.append({"qr": 0, "solve": 0})
         return eig(a)
 
     def refused(*args, **kw):
         raise AssertionError("eigenvalue-only solve on the QFI path")
 
+    def once(name, f):
+        def counted(*args, **kw):
+            calls[-1][name] += 1
+            if calls[-1][name] > 1:
+                raise AssertionError(f"a second {name} after one eigensolve")
+            return f(*args, **kw)
+
+        return counted
+
     monkeypatch.setattr(majorana, "eig", spy)
     monkeypatch.setattr(majorana, "eigvals", refused)
+    monkeypatch.setattr(majorana, "qr", once("qr", majorana.qr))
+    monkeypatch.setattr(majorana, "solve", once("solve", majorana.solve))
     majorana._gram.cache_clear()
     return calls
 
@@ -187,7 +199,8 @@ def test_both_targets_share_one_factorisation(monkeypatch):
     p2 = replace(p1, h=0.1)
     majorana_qfi(p1, "h")
     majorana_qfi(p1, "theta")
-    assert len(calls) == 1
+    # one eig, one QR of the eigenvectors and one triangular solve
+    assert calls == [{"qr": 1, "solve": 1}]
     # the memo keeps one point: nothing is reused across points
     majorana._gram.cache_clear()
     majorana_qfi(p1, "h")
@@ -212,7 +225,8 @@ def test_exceptional_point_is_refused_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(EPProximityError):
             majorana_qfi(p, "h")
-    assert len(calls) == 2
+    # refused straight after the eigensolve
+    assert calls == [{"qr": 0, "solve": 0}] * 2
 
 
 def test_a_raised_gap_tolerance_is_a_new_key(monkeypatch):

@@ -14,7 +14,7 @@ from nhchain.observables import (
     site_magnetizations,
 )
 from nhchain.operators import kron_chain, pauli
-from nhchain.spectral import solve_steady_state, steady_state_dense
+from nhchain.spectral import SteadyState, solve_steady_state, steady_state_dense
 
 P_REF = ChainParams(N=2, J=0.3, h=0.1)
 
@@ -194,3 +194,24 @@ def test_observables_match_kron_oracle(N, J, h, theta):
     for ax in ("x", "y", "z"):
         expected = [oracle({1: ax, n: ax}) for n in range(2, N + 1)]
         assert np.abs(correlation_profile(ss, ax) - expected).max() < 1e-12
+
+
+@settings(max_examples=35, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_site_magnetizations_match_literal_pauli_expectations(N, seed):
+    # each site's 2x2 reduced density matrix against <v| s_n |v> with s_n a
+    # literal Kronecker product, on a random unit vector: every amplitude is
+    # nonzero and complex, so no site's contraction can drop a term unseen
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << N) + 1j * rng.standard_normal(1 << N)
+    v /= np.linalg.norm(v)
+    p = ChainParams(N=N, J=0.23, h=0.2)
+    ss = SteadyState(params=p, eigenvalue=0j, vector=v, gap=1.0, method="dense")
+    mags = site_magnetizations(ss)
+    assert [r.name for r in mags] == [
+        f"s{ax}_{n}" for n in range(1, N + 1) for ax in ("x", "y", "z")
+    ]
+    for rec in mags:
+        (n,) = rec.sites
+        expected = np.vdot(v, pauli_string({n: rec.name[1]}, N) @ v)
+        assert abs(rec.value - expected) <= 1e-14, (rec.name, rec.value, expected)

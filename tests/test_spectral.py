@@ -378,6 +378,26 @@ def test_krylov_raises_at_an_inflated_gap_threshold(monkeypatch):
     assert err.value.tol_gap == 1.0
 
 
+def test_an_operator_for_another_chain_is_refused_before_any_eigensolve(monkeypatch):
+    # an N = 4 generator handed in with N = 3 parameters: without the check
+    # the Krylov path returned a 16-entry vector labelled N = 3
+    def no_eigensolve(*args, **kw):
+        raise AssertionError("eigensolve on a mismatched operator")
+
+    monkeypatch.setattr(spectral, "majorana_gap", no_eigensolve)
+    monkeypatch.setattr(spectral, "_eig_steady_state", no_eigensolve)
+    p = ChainParams(N=3, J=0.23, h=0.2)
+    H = build_total(ChainParams(N=4, J=0.23, h=0.2))
+    for solve in (
+        lambda: steady_state_dense(H, p),
+        lambda: steady_state_krylov(H, p),
+        lambda: solve_steady_state(p, method="dense", H=H),
+        lambda: solve_steady_state(p, method="krylov", H=H),
+    ):
+        with pytest.raises(ValueError, match="dimension 16 does not match"):
+            solve()
+
+
 def test_no_steady_state_at_an_exact_exceptional_point():
     # b = 0 at J=0.3, h=0.2: every steady-state path refuses, and the
     # Krylov refusal carries the closed gap it measured
