@@ -13,6 +13,14 @@ eta + delta into the fidelity form of the QFI,
 which is exact to O(delta^2) and invariant under any eta-dependent phase of
 the vectors.  The two-site closed forms are the oracle of both paths.
 
+An estimate solves its four shifted steady states in the order -delta,
+-delta/2, +delta/2, +delta.  On the Krylov path only the first starts ARPACK
+from the seeded random vector; each later one, and the delta/4 retry,
+starts from the steady state before it, which lies within one step of its
+answer.  One ``h`` estimate at J = 0.23, h = 0.2, delta = 2e-4 then makes
+108, 118 and 168 matvecs at N = 6, 8 and 10 (232, 300 and 440 from four
+seeded starts), and a ``theta`` estimate 118, 148 and 178.
+
 Every overlap-drop estimate is evaluated a second time at delta/2 and the
 relative change is stored as ``richardson_diff``; values above 0.05 trigger
 one retry at delta/4, after which the estimate is returned flagged
@@ -28,12 +36,13 @@ default gamma = 1).
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .hamiltonian import ChainParams
 from .majorana import TARGETS, majorana_qfi
-from .spectral import _gapped_two_site_roots, solve_steady_state
+from .spectral import _gapped_two_site_roots, _warm_krylov_solver, solve_steady_state
 
 RICHARDSON_LIMIT = 0.05
 # how far below zero rounding may take the overlap drop 1 - |overlap|
@@ -119,15 +128,19 @@ def _finalize(value: float, delta: float) -> float:
     return max(value, 0.0)
 
 
-def _two_step(p, target, delta, method, solver_kw):
-    """Estimate at ``delta`` and its relative change at ``delta / 2``."""
+def _two_step(p, target, delta, solve):
+    """Estimate at ``delta`` and its relative change at ``delta / 2``.
 
-    def vec(d):
-        return solve_steady_state(_shifted(p, target, d), method=method, **solver_kw).vector
-
-    value = fidelity_qfi_from_states(vec(-delta), vec(delta), delta)
+    The four shifted states are solved in the order -delta, -delta/2,
+    +delta/2, +delta, each a step from the last, so a warm-started solver
+    starts every solve close to its answer.
+    """
     half = delta / 2.0
-    value_half = fidelity_qfi_from_states(vec(-half), vec(half), half)
+    v_minus, v_half_minus, v_half_plus, v_plus = (
+        solve(_shifted(p, target, d)).vector for d in (-delta, -half, half, delta)
+    )
+    value = fidelity_qfi_from_states(v_minus, v_plus, delta)
+    value_half = fidelity_qfi_from_states(v_half_minus, v_half_plus, half)
     # below the half step's rounding floor both estimates are noise around 0
     scale = max(abs(value_half), NEGATIVE_TOL * 8.0 / delta**2)
     return value, abs(value - value_half) / scale
@@ -145,8 +158,10 @@ def qfi_fidelity(
     ``method="auto"`` returns the exact Gaussian QFI (``majorana_qfi``) at
     any N.  ``"dense"`` and ``"krylov"`` return the gauge-free overlap drop
     at ``delta``, with the Richardson test and retry; ``delta`` and the
-    solver keyword arguments (tol, max_iters, seed), which are passed
-    through to ``solve_steady_state``, reach only those two.
+    solver keyword arguments (tol, max_iters, seed), which mean what they
+    mean to ``solve_steady_state``, reach only those two.  On the Krylov
+    path ``seed`` draws the start vector of the first solve only; each
+    later solve starts from the steady state before it.
     """
     _check_target(target)
     if not 0 < delta < np.inf:
@@ -160,12 +175,16 @@ def qfi_fidelity(
             step=np.nan,
             richardson_diff=np.nan,
         )
-    value, rich = _two_step(p, target, delta, method, solver_kw)
+    if method == "krylov":
+        solve = _warm_krylov_solver(**solver_kw)
+    else:
+        solve = partial(solve_steady_state, method=method, **solver_kw)
+    value, rich = _two_step(p, target, delta, solve)
     step = delta
     if rich > RICHARDSON_LIMIT:
         log.info("QFI %s retry at delta/4: richardson_diff %.3g, %s", target, rich, p)
         step = delta / 4.0
-        value, rich = _two_step(p, target, step, method, solver_kw)
+        value, rich = _two_step(p, target, step, solve)
         if rich > RICHARDSON_LIMIT:
             log.warning("QFI %s unreliable: richardson_diff %.3g, %s", target, rich, p)
     return QfiEstimate(

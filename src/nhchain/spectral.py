@@ -2,9 +2,11 @@
 
 Two solvers find the steady state.  The dense one diagonalizes the full
 matrix with numpy.linalg (LAPACK ``zgeev``), up to dimension 4096
-(N <= 12).  The matrix-free one refuses a closed free-fermion gap, then
-takes the two eigenvalues of largest imaginary part from ARPACK
-(``scipy.sparse.linalg.eigs(which="LI")``).
+(N <= 12).  The matrix-free one reads the gap and the steady-state
+eigenvalue lambda_0 from the free-fermion modes, refuses a closed gap, then
+takes the one eigenpair of largest imaginary part from ARPACK
+(``scipy.sparse.linalg.eigs(k=1, which="LI")``) and accepts it only within
+half the gap of lambda_0, where no other eigenvalue lies.
 ``evolve`` applies a Krylov approximation of ``exp(-i H t)``: it
 exponentiates the small Arnoldi matrix every ``EXPM_STRIDE`` orders and
 accepts an order on Saad's a-posteriori estimate of the local error.
@@ -17,16 +19,20 @@ never load scipy.
 Eigenvalue ordering everywhere: descending imaginary part, ties (to within
 ``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
 state is the first eigenvalue in this order; the gap is the difference of
-the top two imaginary parts.  Both solvers share one contract: a gap at or
-below ``majorana.default_tol_gap(gamma)`` raises ``EPProximityError``,
-because no steady state is isolated at an exceptional point.
+the top two imaginary parts, which the dense solver reads off its spectrum
+and the matrix-free one takes from the free-fermion modes.  Both solvers
+share one contract: a gap at or below ``majorana.default_tol_gap(gamma)``
+raises ``EPProximityError``, because no steady state is isolated at an
+exceptional point.
 
 Returned steady-state vectors have unit Euclidean norm and a fixed phase
 gauge: the largest-magnitude amplitude is real and positive (magnitude ties
 within 1e-12 resolved by lowest index).
 
 Random starting vectors are drawn from ``numpy.random.default_rng`` with the
-fixed seed ``DEFAULT_SEED = 7`` unless a seed is passed explicitly.
+fixed seed ``DEFAULT_SEED = 7`` unless a seed is passed explicitly.  A Krylov
+QFI estimate draws one, for its first solve; each later solve of the
+estimate starts from the steady state before it.
 """
 
 import logging
@@ -36,7 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DenseSizeError, EPProximityError
 from .hamiltonian import ChainParams, build_dense, build_total
-from .majorana import default_tol_gap, majorana_gap
+from .majorana import default_tol_gap, majorana_modes
 from .operators import SparseOperator
 
 log = logging.getLogger("nhchain")
@@ -105,7 +111,8 @@ class SteadyState:
     """Slowest-decaying eigenpair.
 
     ``gap`` is the top-two imaginary-part difference, always above
-    ``default_tol_gap(gamma)``.
+    ``default_tol_gap(gamma)``: read off the dense spectrum, or on the
+    Krylov path the free-fermion gap ``Im eps_0``.
     """
 
     params: ChainParams
@@ -207,6 +214,14 @@ def dense_eigenvalues(H: SparseOperator) -> np.ndarray:
     return w[spectral_order(w)]
 
 
+def _steady_state_from_pair(
+    p: ChainParams, lam: complex, vec: np.ndarray, gap: float, method: str
+) -> SteadyState:
+    return SteadyState(
+        params=p, eigenvalue=lam, vector=phase_gauge(vec), gap=gap, method=method
+    )
+
+
 def _steady_state(
     p: ChainParams, w: np.ndarray, v: np.ndarray, method: str
 ) -> SteadyState:
@@ -219,12 +234,8 @@ def _steady_state(
     gap = float(im[-1] - im[-2])
     if gap <= tol_gap:
         raise EPProximityError(gap, tol_gap)
-    return SteadyState(
-        params=p,
-        eigenvalue=complex(w[order[0]]),
-        vector=phase_gauge(v[:, order[0]]),
-        gap=gap,
-        method=method,
+    return _steady_state_from_pair(
+        p, complex(w[order[0]]), v[:, order[0]], gap, method
     )
 
 
@@ -365,43 +376,38 @@ def evolve(
     return psi
 
 
-def steady_state_krylov(
-    H: SparseOperator,
-    p: ChainParams,
-    tol: float = 1e-9,
-    max_iters: int = 500,
-    seed: int = DEFAULT_SEED,
-) -> SteadyState:
-    """Steady state and gap from ARPACK's implicitly restarted Arnoldi.
-
-    A ``tol`` that is not finite and > 0, or an operator whose dimension is
-    not ``p.dim``, raises ValueError.  A free-fermion gap ``majorana_gap(p)``
-    at or below the threshold ``majorana.default_tol_gap(gamma)`` raises
-    ``EPProximityError`` before ARPACK runs: there many eigenvalues share
-    the top imaginary part, and ARPACK can spend its restart budget failing
-    to choose among them.
-    Otherwise ``eigs(which="LI")`` computes the two eigenvalues of largest
-    imaginary part, all that the steady state and the gap read, matrix-free
-    through ``H.matvec``, from a start vector drawn from
-    ``default_rng(seed)``, within at most ``max_iters`` implicit restarts.
-    The first pair in spectral order is the steady state.  It is accepted
-    only if its eigen-residual ``||H v - lambda v||`` is at most
-    ``tol * max(1, |lambda|)``; otherwise, or when the restart budget runs
-    out, ``ConvergenceError`` carries that residual (``inf`` when no pair
-    converged at all).  ARPACK's own gap at or below the threshold also
-    raises ``EPProximityError``.
-    """
+def _check_solver_args(tol: float, max_iters: int) -> None:
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    _check_operator_size(H, p)
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+
+
+def _seeded_start(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def _arpack_steady_state(
+    H: SparseOperator, p: ChainParams, v0: np.ndarray, tol: float, max_iters: int
+) -> SteadyState:
+    """The steady state as one ARPACK pair from ``v0``, identified exactly.
+
+    The free-fermion modes (one ``dgeev`` of size 2N+1) give the gap
+    ``Im eps_0``, refused at or below ``default_tol_gap(gamma)`` before
+    ARPACK runs, and the steady-state eigenvalue
+    ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  Every other eigenvalue
+    is at least the gap from lambda_0, so a pair within half the gap of it
+    is the steady state and not a neighbour.
+    """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     tol_gap = default_tol_gap(p.gamma)
-    if (gap := majorana_gap(p)) <= tol_gap:
+    eps = majorana_modes(p)
+    if (gap := float(eps[0].imag)) <= tol_gap:
         raise EPProximityError(gap, tol_gap)
+    lam0 = -0.25j * p.gamma * p.N + 0.5 * eps.sum()
     dim = H.dim
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     A = LinearOperator((dim, dim), matvec=H.matvec, dtype=np.complex128)
 
     def residual(lam, vec):
@@ -411,7 +417,7 @@ def steady_state_krylov(
     try:
         w, v = eigs(
             A,
-            k=2,
+            k=1,
             which="LI",
             v0=v0,
             tol=ARPACK_TOL_FACTOR * tol,
@@ -426,14 +432,82 @@ def steady_state_krylov(
             f"ARPACK did not converge in {max_iters} restarts",
             residual=min(partial, default=np.inf),
         ) from None
-    k = spectral_order(w)[0]
-    r = residual(w[k], v[:, k])
-    if not r <= tol * max(1.0, abs(w[k])):
+    lam, vec = complex(w[0]), v[:, 0]
+    r = residual(lam, vec)
+    if not r <= tol * max(1.0, abs(lam)):
         raise ConvergenceError(
             f"ARPACK steady state fails the residual gate at tol={tol:.1e}",
             residual=r,
         )
-    return _steady_state(p, w, v, "krylov")
+    if not abs(lam - lam0) < 0.5 * gap:
+        raise ConvergenceError(
+            f"ARPACK pair {lam:.6g} is not the steady state {lam0:.6g}: "
+            f"they differ by at least half the gap {gap:.3g}",
+            residual=r,
+        )
+    return _steady_state_from_pair(p, lam, vec, gap, "krylov")
+
+
+def _warm_krylov_solver(
+    tol: float = 1e-9, max_iters: int = 500, seed: int = DEFAULT_SEED
+):
+    """Krylov steady states of a walk of nearby chains, each warm-started.
+
+    Returns ``solve(p)``, which builds the chain's operator and finds its
+    steady state as :func:`steady_state_krylov` does.  The first call starts
+    ARPACK from the vector that ``default_rng(seed)`` draws; each later call
+    starts from the previous call's steady-state vector, which lies close to
+    the next one when the chains differ by a small step.
+    """
+    _check_solver_args(tol, max_iters)
+    start = None
+
+    def solve(p: ChainParams) -> SteadyState:
+        nonlocal start
+        H = build_total(p)
+        if start is None:
+            start = _seeded_start(H.dim, seed)
+        ss = _arpack_steady_state(H, p, start, tol, max_iters)
+        start = ss.vector
+        return ss
+
+    return solve
+
+
+def steady_state_krylov(
+    H: SparseOperator,
+    p: ChainParams,
+    tol: float = 1e-9,
+    max_iters: int = 500,
+    seed: int = DEFAULT_SEED,
+) -> SteadyState:
+    """Steady state from one ARPACK eigenpair, identified by its free-fermion value.
+
+    A ``tol`` that is not finite and > 0, a ``max_iters`` that is not an
+    integer >= 1, or an operator whose dimension is not ``p.dim``, raises
+    ValueError before anything is built or solved.  The free-fermion modes
+    (``majorana_modes(p)``, one ``dgeev`` of size 2N+1) give the gap
+    ``Im eps_0`` and the steady-state eigenvalue
+    ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  A gap at or below the
+    threshold ``majorana.default_tol_gap(gamma)`` raises
+    ``EPProximityError`` before ARPACK runs: there many eigenvalues share
+    the top imaginary part, and ARPACK can spend its restart budget failing
+    to choose among them.
+    Otherwise ``eigs(k=1, which="LI")`` computes the one eigenpair of
+    largest imaginary part, matrix-free through ``H.matvec``, from a start
+    vector drawn from ``default_rng(seed)``, within at most ``max_iters``
+    implicit restarts.  The pair is accepted only if its eigen-residual
+    ``||H v - lambda v||`` is at most ``tol * max(1, |lambda|)`` and
+    ``|lambda - lambda_0|`` is below half the gap: every other eigenvalue
+    lies at least the gap from lambda_0, so that proves the pair is the
+    steady state and not a neighbour.  A failed gate, or a restart budget
+    that runs out, raises ``ConvergenceError`` with the residual (``inf``
+    when no pair converged at all).  The eigenvalue and vector are ARPACK's;
+    ``gap`` is the free-fermion gap.
+    """
+    _check_solver_args(tol, max_iters)
+    _check_operator_size(H, p)
+    return _arpack_steady_state(H, p, _seeded_start(H.dim, seed), tol, max_iters)
 
 
 def solve_steady_state(
@@ -453,14 +527,17 @@ def solve_steady_state(
     numpy array (``build_dense``, bit-identical to ``build_total(p).dense()``)
     and loads no scipy; a dimension above ``DENSE_MAX_DIM`` raises
     ``DenseSizeError`` before anything is allocated.  ``tol``, ``max_iters``
-    (the ARPACK restart budget) and ``seed`` reach only the Krylov path, but
-    a ``tol`` that is not finite and > 0 raises ValueError on either, as
-    does an ``H`` whose dimension is not ``p.dim``, before any eigensolve.
-    Both paths raise ``EPProximityError`` when the gap is at or below
+    (the ARPACK restart budget) and ``seed`` (of ARPACK's start vector; a
+    Krylov QFI estimate draws it for its first solve only) reach only the
+    Krylov path, one eigenpair identified by its free-fermion eigenvalue
+    (see :func:`steady_state_krylov`).  A ``tol`` that is not
+    finite and > 0 or a ``max_iters`` that is not an integer >= 1 raises
+    ValueError on either path, as does an ``H`` whose dimension is not
+    ``p.dim``, before anything is built or solved.  Both paths raise
+    ``EPProximityError`` when the gap is at or below
     ``default_tol_gap(gamma)``.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_solver_args(tol, max_iters)
     if method == "auto":
         method = "dense" if p.dim <= AUTO_DENSE_MAX_DIM else "krylov"
     if method == "dense":

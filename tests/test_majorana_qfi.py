@@ -67,6 +67,17 @@ def test_overlap_drop_agrees_within_its_step_bias(n, target):
     assert abs(drop.value - exact) <= 1.5 * drop.richardson_diff * exact
 
 
+@pytest.mark.parametrize("target", ["h", "theta"])
+@pytest.mark.parametrize("n", range(6, 11))
+def test_warm_started_krylov_overlap_drop_agrees_within_its_step_bias(n, target):
+    # the same bound on ARPACK's warm-started steady states, where the
+    # Krylov path takes over from the dense one
+    p = ChainParams(N=n, J=0.23, h=0.2, theta=0.4)
+    exact = majorana_qfi(p, target)
+    drop = qfi_fidelity(p, target, method="krylov")
+    assert abs(drop.value - exact) <= 1.5 * drop.richardson_diff * exact
+
+
 @pytest.mark.parametrize(
     "params",
     [dict(N=2, J=0.3, h=0.2), dict(N=2, J=0.3, h=0.1, gamma=0.0), dict(N=6, J=0.3, h=0.1)],

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from nhchain import qfi
 from nhchain.errors import EPProximityError
 from nhchain.hamiltonian import ChainParams
 from nhchain.qfi import (
@@ -197,6 +198,48 @@ def test_exactly_zero_qfi_is_not_refused_as_negative(caplog):
     assert 0.0 <= est.value <= floor
     assert est.reliable and est.step == 1e-3
     assert caplog.records == []
+
+
+def test_exactly_zero_krylov_qfi_from_a_warm_start(caplog):
+    # at h = 0 theta leaves the generator unchanged, so every warm start
+    # after the first is an exact eigenvector; the estimate is still 0
+    with caplog.at_level(logging.DEBUG, logger="nhchain"):
+        est = qfi_fidelity(
+            ChainParams(N=6, J=0.1, h=0, theta=0.3), "theta", method="krylov"
+        )
+    floor = NEGATIVE_TOL * 8.0 / (2.0 * est.step) ** 2
+    assert 0.0 <= est.value <= floor
+    assert est.reliable and est.step == 1e-3
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("retry", [False, True])
+def test_krylov_estimate_warm_starts_each_solve_from_the_last(monkeypatch, retry):
+    # the first ARPACK call starts from the seeded draw, and every later one
+    # (the delta/4 retry included) from the previous steady-state vector
+    import scipy.sparse.linalg as sla
+
+    exact_eigs, starts, found = sla.eigs, [], []
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["v0"].copy())
+        w, v = exact_eigs(*args, **kwargs)
+        found.append(v[:, 0] / np.linalg.norm(v[:, 0]))
+        return w, v
+
+    monkeypatch.setattr(sla, "eigs", spy)
+    if retry:
+        monkeypatch.setattr(qfi, "RICHARDSON_LIMIT", -1.0)
+    p = ChainParams(N=6, J=0.23, h=0.2, theta=0.4)
+    qfi_fidelity(p, "h", delta=2e-4, method="krylov", seed=5)
+    assert len(starts) == (8 if retry else 4)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(
+        starts[0], rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
+    )
+    for v0, previous in zip(starts[1:], found):
+        assert np.linalg.norm(v0) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(v0, previous)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cramer_rao_arithmetic():

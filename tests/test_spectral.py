@@ -384,7 +384,7 @@ def test_an_operator_for_another_chain_is_refused_before_any_eigensolve(monkeypa
     def no_eigensolve(*args, **kw):
         raise AssertionError("eigensolve on a mismatched operator")
 
-    monkeypatch.setattr(spectral, "majorana_gap", no_eigensolve)
+    monkeypatch.setattr(spectral, "majorana_modes", no_eigensolve)
     monkeypatch.setattr(spectral, "_eig_steady_state", no_eigensolve)
     p = ChainParams(N=3, J=0.23, h=0.2)
     H = build_total(ChainParams(N=4, J=0.23, h=0.2))
@@ -458,8 +458,9 @@ def test_krylov_refuses_a_gapless_point_before_arpack(monkeypatch):
         steady_state_krylov(build_total(p), p)
 
 
-def test_krylov_asks_arpack_for_two_pairs(monkeypatch):
-    # the steady state and the gap read only the top two eigenvalues
+def test_krylov_asks_arpack_for_one_pair(monkeypatch):
+    # the free-fermion modes give the gap, so the steady state reads only the
+    # top eigenpair
     import scipy.sparse.linalg as sla
 
     exact_eigs, asked = sla.eigs, []
@@ -471,7 +472,26 @@ def test_krylov_asks_arpack_for_two_pairs(monkeypatch):
     monkeypatch.setattr(sla, "eigs", spy)
     p = ChainParams(N=6, J=0.23, h=0.2)
     steady_state_krylov(build_total(p), p)
-    assert asked == [2]
+    assert asked == [1]
+
+
+def test_krylov_refuses_a_converged_pair_that_is_not_the_steady_state(monkeypatch):
+    # ARPACK handing back the exact second eigenpair passes the residual gate,
+    # but lies a whole gap from the free-fermion steady-state eigenvalue
+    import scipy.sparse.linalg as sla
+
+    p = ChainParams(N=6, J=0.23, h=0.2, theta=0.4)
+    H = build_total(p)
+    w, v = np.linalg.eig(H.dense())
+    second = spectral.spectral_order(w)[1]
+
+    def second_pair(*args, **kwargs):
+        return w[second : second + 1], v[:, second : second + 1]
+
+    monkeypatch.setattr(sla, "eigs", second_pair)
+    with pytest.raises(ConvergenceError, match="not the steady state") as err:
+        steady_state_krylov(H, p, tol=1e-9)
+    assert err.value.residual < 1e-12
 
 
 def test_krylov_and_dense_refuse_and_agree_on_random_points():
@@ -703,3 +723,27 @@ def test_krylov_paths_refuse_a_tol_that_is_not_finite_and_positive(tol):
             solve_steady_state(small, method=method, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         qfi_fidelity(small, "h", method="dense", tol=tol)
+
+
+@pytest.mark.parametrize("max_iters", [0, -3, 2.5, None, "500"])
+def test_krylov_paths_refuse_a_restart_budget_that_is_not_a_positive_integer(
+    monkeypatch, max_iters
+):
+    # scipy refuses only zero and negative budgets, and only once the operator
+    # and the free-fermion modes are built; it runs 2.5 and None silently
+    def nothing_built(*args, **kw):
+        raise AssertionError("built or solved before max_iters was checked")
+
+    monkeypatch.setattr(spectral, "build_total", nothing_built)
+    monkeypatch.setattr(spectral, "build_dense", nothing_built)
+    monkeypatch.setattr(majorana, "eigvals", nothing_built)
+    p = ChainParams(N=6, J=0.23, h=0.2)
+    match = "max_iters must be an integer >= 1"
+    with pytest.raises(ValueError, match=match):
+        steady_state_krylov(_NoMatvec(), p, max_iters=max_iters)
+    for method in ("auto", "dense", "krylov"):
+        with pytest.raises(ValueError, match=match):
+            solve_steady_state(p, method=method, max_iters=max_iters)
+    for method in ("dense", "krylov"):
+        with pytest.raises(ValueError, match=match):
+            qfi_fidelity(p, "h", method=method, max_iters=max_iters)
