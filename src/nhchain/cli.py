@@ -232,13 +232,7 @@ def run_ep(spec: SweepSpec) -> CsvTable:
     """Gap-closure boundary J_c(h) for each requested chain size."""
     rows = []
     for n in spec.axis_for("n").int_values():
-        curve = ep_curve(
-            N=n,
-            h_grid=spec.axis_for("h").values(),
-            gamma=spec.gamma,
-            theta=spec.theta,
-            tol_J=spec.tol_j,
-        )
+        curve = ep_curve(n, spec.axis_for("h").values(), spec.gamma, tol_J=spec.tol_j)
         merged = [(pt.h, pt.j_c) for pt in curve.points]
         merged += [(h, np.nan) for h, _ in curve.failures]
         for h, j_c in sorted(merged):
@@ -248,17 +242,10 @@ def run_ep(spec: SweepSpec) -> CsvTable:
 
 def run_scaling(spec: SweepSpec) -> CsvTable:
     """Inverse-size polynomial fit of the boundary at fixed h."""
-    sizes = spec.axis_for("n").int_values()
-    points = []
-    for n in sizes:
-        j_c = find_ep_J(
-            N=n,
-            h=spec.h,
-            gamma=spec.gamma,
-            theta=spec.theta,
-            tol_J=spec.tol_j,
-        )
-        points.append((n, j_c))
+    points = [
+        (n, find_ep_J(N=n, h=spec.h, gamma=spec.gamma, tol_J=spec.tol_j))
+        for n in spec.axis_for("n").int_values()
+    ]
     fit = fit_inverse_poly(points, degree=2)
     comments = _provenance(spec)
     comments.append(
@@ -411,16 +398,17 @@ FLAGS = {
 }
 
 # The flags each runner reads; every subcommand also takes --out, and
-# rejects any other flag.
-_CHAIN = "n j gamma h theta"
+# rejects any other flag.  The spectrum, gap and boundary do not depend on
+# theta (nhchain.majorana), so only the steady-state subcommands read it.
+_CHAIN = "n j gamma h"
 SUBCOMMAND_FLAGS = {
     "spectrum": _CHAIN,
     "gap": f"{_CHAIN} j-range h-range",
-    "qfi": f"{_CHAIN} target n-range j-range h-range theta-range",
-    "ep": "n gamma h theta tol-j n-range h-range",
-    "scaling": "gamma h theta tol-j n-range",
-    "correlations": f"{_CHAIN} axis tol",
-    "evolve": f"{_CHAIN} tol seed t-range",
+    "qfi": f"{_CHAIN} theta target n-range j-range h-range theta-range",
+    "ep": "n gamma h tol-j n-range h-range",
+    "scaling": "gamma h tol-j n-range",
+    "correlations": f"{_CHAIN} theta axis tol",
+    "evolve": f"{_CHAIN} theta tol seed t-range",
 }
 
 

@@ -4,20 +4,23 @@ The imaginary-part gap is non-negative and identically zero beyond the
 coalescence boundary (the merging pair separates in real part, not in
 imaginary part), so the boundary is bisected on the indicator
 ``gap > tol_gap`` rather than on a sign change.  ``tol_gap = 1e-6 * gamma``
-sits well above solver noise (~1e-14 away from the closure, up to ~2e-8 at an
-exact exceptional point) and well below every physical gap of interest
+sits well above solver noise (~1e-14 away from the closure, up to ~1e-8 at
+an exact exceptional point) and well below every physical gap of interest
 (~1e-1).
 
-Every gap comes from the (2N+1)-dimensional free-fermion matrix of
-:mod:`nhchain.majorana`, so a bisection step costs one small real eigensolve,
-numpy.linalg (LAPACK ``dgeev``), at any N (0.05-0.07 ms at N = 5); no
-2^N-dimensional operator is built and scipy is not imported.
+Every gap is ``sqrt(max(0, -lambda_max(S)))`` for the real symmetric N x N
+matrix ``S = J^2 A^2 - (gamma^2 / 4) I + 4 h^2 e_1 e_1^T`` of
+:mod:`nhchain.majorana`, which does not depend on theta: a bisection step
+is one small symmetric eigensolve at any N, and scipy is not imported.
 
-Every search bisects J on ``[0, 0.6 * gamma]``, worked out from gamma; no
-caller sets a bracket.
+A^2 and e_1 e_1^T are positive semidefinite, so lambda_max(S) does not
+decrease with J or h: the gapped set in J is one interval ``[0, J_c)``, and
+J_c does not increase with h.  Every search bisects J on
+``[0, 0.6 * gamma]``: at ``J >= gamma / 2``, ``e_2^T S e_2 = J^2 (A^2)_22 -
+gamma^2 / 4 >= 0``, as ``(A^2)_22 >= 1``, so the chain is gapless there at
+every N and h.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +28,8 @@ import numpy as np
 from .hamiltonian import ChainParams
 from .majorana import default_tol_gap, majorana_gap
 
-# Upper edge of every J bisection, in units of gamma.  The gapped set in J
-# is [0, J_c), and J_c(N, h, theta) <= J_c(2, 0) = gamma / 2, so 0.6 * gamma
-# is gapless at every N, h and theta (tests/test_critical.py checks both);
-# at gamma = 1 the bracket is (0, 0.6).
+# Upper edge of every J bisection, in units of gamma: above J_c <= gamma / 2
+# (tests/test_critical.py checks the premise).
 _J_MAX_PER_GAMMA = 0.6
 
 
@@ -47,7 +48,6 @@ class EpCurve:
 
     N: int
     gamma: float
-    theta: float
     tol_gap: float
     tol_J: float
     points: list[EpPoint] = field(default_factory=list)
@@ -88,12 +88,12 @@ def _check_tol_J(tol_J) -> None:
         raise ValueError(f"tol_J must be finite and > 0, got {tol_J}")
 
 
-def _bisect_ep(N, h, gamma, theta, tol_J, tol_gap, g_lo=None):
+def _bisect_ep(N, h, gamma, tol_J, tol_gap, g_lo=None):
     """Bisect the gap closure on ``[0, _J_MAX_PER_GAMMA * gamma]``; ``g_lo``
     is the gap at J = 0 if known."""
 
     def gap(J):
-        return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta))
+        return gap_at(ChainParams(N=N, J=J, gamma=gamma, h=h))
 
     lo, hi = 0.0, _J_MAX_PER_GAMMA * gamma
     if g_lo is None:
@@ -113,13 +113,7 @@ def _bisect_ep(N, h, gamma, theta, tol_J, tol_gap, g_lo=None):
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def find_ep_J(
-    N: int,
-    h: float,
-    gamma: float = 1.0,
-    theta: float = 0.0,
-    tol_J: float = 1e-4,
-) -> float:
+def find_ep_J(N: int, h: float, gamma: float = 1.0, tol_J: float = 1e-4) -> float:
     """Bisection for the coupling J_c where the imaginary-part gap closes.
 
     Bisects on ``[0, 0.6 * gamma]``.  Requires a finite ``tol_J > 0`` and
@@ -129,29 +123,22 @@ def find_ep_J(
     J = 0, and at gamma = 0.  Returns the midpoint of the final bracket: of
     width <= tol_J, or of two adjacent doubles for a tol_J below their
     spacing.  Each step evaluates the free-fermion :func:`gap_at`, so any N
-    is cheap (about 15 (2N+1)-dimensional eigensolves at gamma = 1 and the
-    default tol_J).
+    is cheap (about 15 N-dimensional symmetric eigensolves at gamma = 1 and
+    the default tol_J).
     """
     _check_tol_J(tol_J)
     tol_gap = default_tol_gap(gamma)
-    j_c, _ = _bisect_ep(N, h, gamma, theta, tol_J, tol_gap)
+    j_c, _ = _bisect_ep(N, h, gamma, tol_J, tol_gap)
     return j_c
 
 
-def ep_curve(
-    N: int,
-    h_grid,
-    gamma: float = 1.0,
-    theta: float = 0.0,
-    tol_J: float = 1e-4,
-) -> EpCurve:
+def ep_curve(N: int, h_grid, gamma: float = 1.0, tol_J: float = 1e-4) -> EpCurve:
     """Locate J_c over a grid of field amplitudes.
 
     Bisects on ``[0, 0.6 * gamma]`` as :func:`find_ep_J` does.  A grid point
     that is already gapless at J = 0 reports ``j_c = 0`` with the bracket
     ``(0, 0)`` (the gapped region has closed entirely); other per-point
-    failures are recorded and leave a hole in the curve.  J_c is expected to
-    decrease with h; violations raise a warning, not an error.  Gaps come
+    failures are recorded and leave a hole in the curve.  Gaps come
     from the free-fermion :func:`gap_at` and are compared with
     ``default_tol_gap(gamma)``, recorded as the result's ``tol_gap``.  An
     invalid ``tol_J`` raises ValueError before any gap is evaluated.
@@ -162,31 +149,18 @@ def ep_curve(
     failures: list[tuple[float, str]] = []
     for h in np.atleast_1d(np.asarray(h_grid, dtype=float)):
         h = float(h)
-        lo_gap = gap_at(ChainParams(N=N, J=0.0, gamma=gamma, h=h, theta=theta))
+        lo_gap = gap_at(ChainParams(N=N, J=0.0, gamma=gamma, h=h))
         if lo_gap <= tol_gap:
             points.append(EpPoint(h=h, j_c=0.0, bracket=(0.0, 0.0)))
             continue
         try:
-            j_c, final = _bisect_ep(N, h, gamma, theta, tol_J, tol_gap, g_lo=lo_gap)
+            j_c, final = _bisect_ep(N, h, gamma, tol_J, tol_gap, g_lo=lo_gap)
         except ValueError as exc:
             failures.append((h, str(exc)))
             continue
         points.append(EpPoint(h=h, j_c=j_c, bracket=final))
-    for prev, cur in zip(points, points[1:]):
-        if cur.h > prev.h and cur.j_c > prev.j_c + tol_J:
-            warnings.warn(
-                f"J_c is not monotone decreasing in h: "
-                f"J_c({prev.h}) = {prev.j_c:.6f} < J_c({cur.h}) = {cur.j_c:.6f}",
-                stacklevel=2,
-            )
     return EpCurve(
-        N=N,
-        gamma=gamma,
-        theta=theta,
-        tol_gap=tol_gap,
-        tol_J=tol_J,
-        points=points,
-        failures=failures,
+        N=N, gamma=gamma, tol_gap=tol_gap, tol_J=tol_J, points=points, failures=failures
     )
 
 

@@ -18,9 +18,33 @@ are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
 
 B itself is never built: :func:`_real_form` writes the real matrix
-``R = D B D^-1``, D a diagonal unitary, whose one real eigensolve,
-numpy.linalg (LAPACK ``dgeev``), gives the modes, the gap and, with right
-vectors (B's are ``D^-1`` times R's), the QFI.
+``R = D B D^-1``, D a diagonal unitary, whose one real eigensolve with
+right vectors, numpy.linalg (LAPACK ``dgeev``), gives the QFI (B's vectors
+are ``D^-1`` times R's).
+
+The modes need less.  R = [[0, b^T], [b, R_0]], with ``b = -2h (cos(theta),
+sin(theta))`` on site 1's two Majoranas.  A diagonal +-1 gauge makes every
+bond +J, and the sine transform ``q_k = pi k / (N+1)`` then splits R_0 into
+2x2 blocks ``(gamma/2) [[0, -1], [1, 0]] + 2J cos(q_k) sx`` of square
+``mu_k^2 = 4 J^2 cos^2(q_k) - gamma^2 / 4``.  The Schur complement on row 0
+gives the secular equation ``1 = 4 h^2 sum_k w_k / (eps^2 - mu_k^2)``, with
+``w_k = (2 / (N+1)) sin^2(q_k)``: the terms odd in cos(q_k), the only ones
+that carry theta, cancel between k and N+1-k.  That is the secular equation
+of ``diag(mu^2) + 4 h^2 u u^T``, ``u_k = sqrt(w_k)`` (Golub, SIAM Rev. 15,
+318, 1973), which the sine transform takes to the real symmetric N x N
+
+    S = J^2 A^2 - (gamma^2 / 4) I + 4 h^2 e_1 e_1^T,
+
+A the adjacency matrix of the open path.  Its eigenvalues are the eps_k^2,
+so every mode is real or purely imaginary, and :func:`_secular` builds S
+for one symmetric eigensolve, numpy.linalg (LAPACK ``dsyevd``).
+
+Theta is a staggered rotation, ``H(theta) = U H(0) U^dag`` with
+``U = exp(-i theta G)``, ``G = 1/2 sum_n (-1)^(n-1) sz_n``: the loss term is
+diagonal, the phases of ``sp_n sp_{n+1}`` cancel on every bond, and the
+field turns by theta.  So no spectrum, gap or exceptional point depends on
+theta at any N, the steady state is ``U psi(0)``, and the QFI about theta
+is ``4 Var(G)`` in the normalised steady state.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
@@ -42,12 +66,11 @@ Gram matrix of the last point is kept (a memo of size one), so asking for
 ``h`` and then ``theta`` at the same point factorises once.
 """
 
-import cmath
 import functools
 import math
 
 import numpy as np
-from numpy.linalg import eig, eigvals, qr, solve
+from numpy.linalg import eig, eigvalsh, qr, solve
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
@@ -97,14 +120,10 @@ def _real_form(p: ChainParams) -> np.ndarray:
 
     with the bond and edge entries mirrored: R[c, r] = R[r, c].  The
     positions of the loss and bond entries depend on N only and are kept
-    (:func:`_bands`), so one fancy assignment writes them.  A finite
-    ``ChainParams`` can overflow only 2 h, which raises ValueError.
+    (:func:`_bands`), so one fancy assignment writes them.  Its caller
+    :func:`_gram` first refuses any chain whose S overflows
+    (:func:`_secular`), so R's entries are finite.
     """
-    if not math.isfinite(2.0 * p.h):
-        raise ValueError(
-            "Majorana matrix B would contain infs or NaNs: its entries "
-            f"gamma/2, J and 2h must be finite, got h = {p.h:g}"
-        )
     n = 2 * p.N + 1
     where, which = _bands(p.N)
     R = np.zeros(n * n)
@@ -115,45 +134,52 @@ def _real_form(p: ChainParams) -> np.ndarray:
     return R
 
 
+def _secular(p: ChainParams) -> np.ndarray:
+    """The real symmetric N x N matrix S whose eigenvalues are the eps_k^2.
+
+    ``S = J^2 A^2 - (gamma^2 / 4) I + 4 h^2 e_1 e_1^T``: A^2 has 2 on the
+    diagonal, 1 at both ends, where a site has one neighbour, and 1 two
+    sites apart.  Every entry and every eigenvalue of S is at most
+    ``4 J^2 + gamma^2 / 4 + 4 h^2`` in modulus, so a chain that overflows
+    that bound raises ValueError.
+    """
+    J2, g, f = p.J * p.J, 0.25 * p.gamma * p.gamma, 4.0 * p.h * p.h
+    if not math.isfinite(4.0 * J2 + g + f):
+        raise ValueError(
+            "S or its eigenvalues would contain infs or NaNs: 4 J^2 + gamma^2/4 "
+            f"+ 4 h^2 must be finite, got J = {p.J:g}, gamma = {p.gamma:g}, h = {p.h:g}"
+        )
+    S = np.diag(np.full(p.N, 2.0 * J2 - g))
+    S[0, 0] = J2 - g + f
+    S[-1, -1] = J2 - g
+    k = np.arange(p.N - 2)
+    S[k, k + 2] = S[k + 2, k] = J2
+    return S
+
+
 def majorana_modes(p: ChainParams) -> np.ndarray:
     """Single-particle energies eps_k, k = 1..N, one per +-eps pair.
 
-    Each eps_k is taken with ``Im eps_k >= 0`` and the array is sorted by
-    ascending imaginary part.  The many-body spectrum is
+    Each eps_k is ``sqrt(eps_k^2)`` with ``Im eps_k >= 0``, so a real mode
+    is positive and an imaginary one ``i sqrt(-eps_k^2)``, and the array is
+    sorted by ascending imaginary part.  The many-body spectrum is
     ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over the 2^N sign choices, the
     steady state takes every s_k = +1, and the imaginary-part gap is
-    ``Im eps_0``.  The eigenvalues come from one real eigensolve,
-    numpy.linalg (LAPACK ``dgeev``), of the matrix R of :func:`_real_form`.
+    ``Im eps_0``.  The eps_k^2 are the eigenvalues of S (:func:`_secular`).
     """
-    eps = _modes(eigvals(_real_form(p)))
-    return eps[np.argsort(eps.imag, kind="stable")]
-
-
-def _modes(c: np.ndarray) -> np.ndarray:
-    """The N modes, unsorted, with ``Im >= 0`` from the 2N+1 eigenvalues of B."""
-    # numpy returns a real array when every eigenvalue is real, as at gamma = 0
-    c = c.astype(complex, copy=False)
-    c = c[np.abs(c).argsort()]
-    # c[:3] are the structural zero and the smallest pair.  At an exceptional
-    # point the three form a 3x3 Jordan block whose eigenvalues scatter by
-    # eps_machine^(1/3), but the sum of their squares, 2 eps^2, stays well
-    # conditioned.  The other pairs are adjacent in this order because both
-    # members of a pair have the same modulus up to rounding (exactly, for
-    # the conjugate pair +-i y that a real eigensolve returns).
-    eps = c[1::2]
-    eps[0] = cmath.sqrt((c[:3] ** 2).sum() / 2.0)
-    eps[eps.imag < 0] *= -1
-    return eps
+    return np.sqrt(eigvalsh(_secular(p))[::-1].astype(complex))
 
 
 def majorana_gap(p: ChainParams) -> float:
-    """Imaginary-part gap ``min_k Im eps_k`` of the many-body spectrum, >= 0.
+    """Imaginary-part gap ``min_k Im eps_k = sqrt(max(0, -lambda_max(S)))``, >= 0.
 
     Flipping the sign of the slowest mode is the cheapest step down from the
-    steady state.  At an exact exceptional point the result is 0 to ~2e-8,
-    the rounding floor of a double-precision eigensolve there.
+    steady state.  At an exact exceptional point lambda_max(S) is 0 to the
+    rounding of a symmetric eigensolve, so the result is its square root:
+    at most 1.1e-8 gamma at the exact two-site and zero-field EPs up to
+    N = 400.
     """
-    return float(_modes(eigvals(_real_form(p))).imag.min())
+    return math.sqrt(max(0.0, -eigvalsh(_secular(p))[-1]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -180,15 +206,19 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     left block, and ``V^-1[:, :3]``, whose rows past L are the three
     columns of ``U_22^-1 Q_2^H`` that X reads.
 
+    A gap (:func:`majorana_gap`) at or below ``tol_gap`` is refused before R
+    is factorised, and so is a factorisation that rounds a mode below it.
     The memo holds the last point only, so the one reuse is a second target
     at the same point; ``EPProximityError`` is raised on every call and
     never stored.
     """
+    gap = majorana_gap(p)
+    if gap <= tol_gap:
+        raise EPProximityError(gap, tol_gap)
     lam, vr = eig(_real_form(p))
-    gap = float(_modes(lam).imag.min())
     S = np.flatnonzero(lam.imag > 0.5 * tol_gap)
     k = S.size
-    if gap <= tol_gap or k != p.N:
+    if k != p.N:
         raise EPProximityError(gap, tol_gap)
     # D is unitary, so the response is taken in R's basis.  The columns of V
     # are the annihilated modes, the zero mode and the conjugate modes.
@@ -236,7 +266,7 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     ``|beta|^2 / (1 + |beta|^2)``.  So F is the metric of ``L = [V_S, z]``
     in B's own 2N+1 dimensions, with z at any scale; that basis stays well
     conditioned where ``z^T z -> 0`` at an EP.  One real eigensolve of R
-    (:func:`_real_form`), numpy.linalg (LAPACK ``dgeev``), gives the gap and
+    (:func:`_real_form`), numpy.linalg (LAPACK ``dgeev``), gives
     B's eigenvectors, ``D^-1`` times R's, and first-order perturbation,
     ``dv_k = sum_j v_j (V^-1 dB V)_jk / (lam_k - lam_j)``, gives dL; only
     the modes outside L enter the sum, so clustered or degenerate modes
@@ -246,7 +276,7 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     coordinates (see :func:`_gram`).  In the basis of :func:`_gram` the two
     targets are the directions (1, 0) and (0, h), so
     ``F = 2 Re(G) * outer((1, h), (1, h))`` for its Gram matrix G.  Raises
-    ``EPProximityError`` when the gap is at or below
+    ``EPProximityError`` when the gap (:func:`majorana_gap`) is at or below
     ``default_tol_gap(gamma)``, as the steady-state solvers do.
     """
     G = _gram(p, default_tol_gap(p.gamma))

@@ -26,7 +26,7 @@ entries into a zero numpy array instead.  Each operator wraps a canonical
 ``dense()`` and ``matvec()``; it is immutable after construction and safe
 to share.  ``scipy.sparse`` is imported only by :func:`flip_sum`, so
 importing the package does not load it, and neither the dense path nor the
-free-fermion layer (numpy.linalg, LAPACK ``dgeev``) loads any scipy.
+free-fermion layer (numpy.linalg alone) loads any scipy.
 """
 
 from dataclasses import dataclass

@@ -393,7 +393,7 @@ def _arpack_steady_state(
 ) -> SteadyState:
     """The steady state as one ARPACK pair from ``v0``, identified exactly.
 
-    The free-fermion modes (one ``dgeev`` of size 2N+1) give the gap
+    The free-fermion modes (one symmetric eigensolve of size N) give the gap
     ``Im eps_0``, refused at or below ``default_tol_gap(gamma)`` before
     ARPACK runs, and the steady-state eigenvalue
     ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  Every other eigenvalue
@@ -486,7 +486,7 @@ def steady_state_krylov(
     A ``tol`` that is not finite and > 0, a ``max_iters`` that is not an
     integer >= 1, or an operator whose dimension is not ``p.dim``, raises
     ValueError before anything is built or solved.  The free-fermion modes
-    (``majorana_modes(p)``, one ``dgeev`` of size 2N+1) give the gap
+    (``majorana_modes(p)``, one symmetric eigensolve of size N) give the gap
     ``Im eps_0`` and the steady-state eigenvalue
     ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  A gap at or below the
     threshold ``majorana.default_tol_gap(gamma)`` raises

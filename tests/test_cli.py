@@ -242,6 +242,22 @@ def test_main_qfi_overflowing_field_is_a_domain_row_with_no_numpy_warning(capsys
     assert err == ""
 
 
+def test_main_overflowing_coupling_is_refused_with_no_numpy_warning(capsys):
+    # J^2 past the doubles: gap and spectrum printed nan with exit 0, and qfi
+    # tagged the point ep_proximity, each with numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["gap", "--n", "3", "--j", "1e200", "--h", "0.1"]) == 2
+        assert main(["spectrum", "--n", "2", "--j", "1e200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("infs or NaNs") == 2
+        assert main(["qfi", "--n", "3", "--j", "1e200", "--h", "0.1"]) == 0
+    out, err = capsys.readouterr()
+    _, _, [row] = parse_csv(out)
+    assert row[5:] == ["nan", "domain"]
+    assert err == ""
+
+
 def test_ep_runner_two_site_boundary():
     spec = SweepSpec(
         subcommand="ep", n=2, tol_j=1e-4, axes=(SweepAxis("h", 0.0, 0.2, 3),)
@@ -443,12 +459,12 @@ def test_main_refuses_a_chain_beyond_physical_memory(monkeypatch, capsys):
     assert code == 1
     assert "physical memory" in capsys.readouterr().err
 
-    # numpy's own MemoryError, as from the (2N+1)^2 Majorana matrix at
-    # N = 100000, is a usage error too, not a traceback
+    # numpy's own MemoryError, as from the N x N matrix S at N = 100000, is
+    # a usage error too, not a traceback
     def no_memory(p):
-        raise MemoryError("Unable to allocate 596. GiB")
+        raise MemoryError("Unable to allocate 74.5 GiB")
 
-    monkeypatch.setattr(majorana, "_real_form", no_memory)
+    monkeypatch.setattr(majorana, "_secular", no_memory)
     assert main(["gap", "--n", "100000"]) == 1
     assert "Unable to allocate" in capsys.readouterr().err
 
@@ -554,6 +570,11 @@ def test_one_point_axis_refuses_a_stop_it_would_drop(capsys):
         ("correlations --max-iters 100", "--max-iters"),
         ("evolve --method dense", "--method"),
         ("gap --j-r 0:0.1:2", "--j-r"),  # abbreviation of --j-range
+        # the spectrum, gap and boundary do not depend on theta
+        ("spectrum --theta 0.7", "--theta"),
+        ("gap --theta 0.7", "--theta"),
+        ("ep --theta 0.7", "--theta"),
+        ("scaling --theta 0.7", "--theta"),
     ],
 )
 def test_main_rejects_flags_the_subcommand_does_not_read(argv, flag, tmp_path, capsys):
@@ -574,10 +595,10 @@ def test_main_help_shows_spec_defaults(capsys):
 # parser and the provenance line were generated from the SweepSpec fields.
 GOLDEN_COMMENTS = [
     (
-        "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2 --theta 0.7",
+        "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2",
         [
             "# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003 "
-            "theta=0.69999999999999996 target=h axis=y "
+            "theta=0 target=h axis=y "
             "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
             "t_range=0:50:101",
         ],

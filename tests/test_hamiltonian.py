@@ -2,12 +2,17 @@
 
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhchain import hamiltonian, operators
 from nhchain.hamiltonian import ChainParams, build_dense, build_total
 from nhchain.operators import kron_chain, pauli
+from reference import staggered_generator
 
 
 def two_site_matrix(J, gamma, h, theta):
@@ -207,3 +212,25 @@ def test_kept_spin_patterns_are_read_only_and_change_no_bit(N):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    j=st.floats(0.0, 0.6),
+    gamma=st.floats(0.0, 2.0),
+    h=st.floats(0.0, 0.4),
+    theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+def test_theta_is_a_staggered_rotation(n, j, gamma, h, theta):
+    # H(theta) = U H(0) U^dag with U = exp(-i theta G), so no spectrum, gap or
+    # exceptional point depends on theta
+    # (U H U^dag)_ab = exp(-i theta (g_a - g_b)) H_ab, exactly 1 on the diagonal
+    p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
+    g = staggered_generator(n)
+    phase = np.exp(-1j * theta * (g[:, None] - g))
+    rotated = phase * build_dense(replace(p, theta=0.0))
+    assert np.abs(rotated - build_dense(p)).max() <= 1e-15
+    # the opposite stagger fails by O(h)
+    flipped = np.abs(np.conj(phase) * build_dense(replace(p, theta=0.0)) - build_dense(p))
+    assert flipped.max() >= 2 * h * abs(math.sin(theta)) - 1e-15

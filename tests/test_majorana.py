@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,17 +13,17 @@ from hypothesis import strategies as st
 
 import nhchain.critical as critical
 import nhchain.majorana as majorana
-from nhchain.critical import find_ep_J, gap_at
+from nhchain.critical import ep_curve, find_ep_J, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import (
-    _modes,
     _real_form,
+    _secular,
     default_tol_gap,
     majorana_gap,
     majorana_modes,
 )
 from nhchain.spectral import dense_eigenvalues
-from reference import padded_majorana_matrix, parity_phases
+from reference import padded_majorana_matrix, pair_modes, parity_phases
 
 
 def size_boundary(n: int, gamma: float = 1.0) -> float:
@@ -104,20 +106,31 @@ def test_gap_at_exact_zero_field_exceptional_points(n, theta):
 
 
 def test_modes_make_one_real_eigensolve(monkeypatch):
+    # the gap, the modes and the EP search each make symmetric N x N
+    # eigensolves only: no dgeev, with or without vectors, anywhere in numpy
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].dtype)
-        return eigvals(*args, **kwargs)
+    def counted(a):
+        calls.append(a.shape)
+        assert a.dtype == np.float64 and np.array_equal(a, a.T)
+        return eigvalsh(a)
 
     def refused(*args, **kwargs):
-        raise AssertionError("eigenvectors on the gap path")
+        raise AssertionError("nonsymmetric eigensolve on the gap path")
 
-    eigvals = majorana.eigvals
-    monkeypatch.setattr(majorana, "eigvals", counted)
+    eigvalsh = majorana.eigvalsh
+    assert not hasattr(majorana, "eigvals")
+    monkeypatch.setattr(majorana, "eigvalsh", counted)
     monkeypatch.setattr(majorana, "eig", refused)
-    majorana_gap(ChainParams(N=7, J=0.23, h=0.2, theta=0.7))
-    assert calls == [np.float64]
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    p = ChainParams(N=7, J=0.23, h=0.2, theta=0.7)
+    majorana_gap(p)
+    assert calls == [(7, 7)]
+    majorana_modes(p)
+    assert calls == [(7, 7)] * 2
+    find_ep_J(7, 0.2)
+    assert len(calls) > 2 and set(calls) == {(7, 7)}
 
 
 def test_auto_gap_builds_no_many_body_operator():
@@ -190,10 +203,133 @@ def test_modes_from_the_real_form_match_the_complex_eigensolve(
     # near an exceptional point (a mode near zero) both eigensolves lose
     # digits, and a second small mode is outside the sum-of-squares rule
     assume(np.abs(eps).min() > 1e-2)
-    ref = _modes(scipy.linalg.eigvals(B))
+    ref = pair_modes(scipy.linalg.eigvals(B))
     assert np.sort(eps.imag) == pytest.approx(np.sort(ref.imag), abs=1e-12)
     # a real mode is +-eps either way, and ties in Im leave the order open:
     # compare the multisets of +-eps, each value relative to max(1, |eps|)
     scaled = [np.concatenate((e, -e)) for e in (eps, ref)]
     scaled = [z / np.maximum(1.0, np.abs(z)) for z in scaled]
     assert multiset_distance(*scaled) < 1e-12
+
+
+def _zero_or(x):
+    """A float in [0, x], exactly 0 in some draws."""
+    return st.one_of(st.just(0.0), st.floats(0.0, x))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    j=_zero_or(0.6),
+    gamma=_zero_or(2.0),
+    h=_zero_or(0.4),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_secular_matrix_has_the_squared_modes_of_the_real_form(n, j, gamma, h, theta):
+    # the eigenvalues of S are eps_k^2, from the dgeev of R at any theta:
+    # 1.8e-14 of max(1, ||S||) at worst over 3000 random draws of this kind
+    p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
+    ref = pair_modes(np.linalg.eigvals(_real_form(p)))
+    lam = np.linalg.eigvalsh(_secular(p))
+    scale = max(1.0, np.abs(lam).max())
+    assert np.abs(lam - np.sort((ref**2).real)).max() <= 5e-14 * scale
+    assert np.abs((ref**2).imag).max() <= 5e-14 * scale
+    eps = majorana_modes(p)
+    assert np.array_equal(eps, np.sqrt(lam[::-1].astype(complex)))
+    assert np.all(eps.imag >= 0) and np.all(eps[eps.imag == 0].real >= 0)
+    assert majorana_gap(p) == math.sqrt(max(0.0, -lam[-1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 40), theta=st.floats(0.0, 2.0 * math.pi))
+def test_modes_do_not_depend_on_theta(n, theta):
+    # R moves with theta, its spectrum does not: the dgeev oracle agrees at
+    # theta and at 0, and the modes, read from S, never see theta (4.9e-15
+    # and 3.4e-15 at worst over 1000 random draws)
+    p = ChainParams(N=n, J=0.23, gamma=1.0, h=0.2, theta=theta)
+    p0 = replace(p, theta=0.0)
+    ref, ref0 = (
+        np.sort((pair_modes(np.linalg.eigvals(_real_form(q))) ** 2).real)
+        for q in (p, p0)
+    )
+    assert np.abs(ref - ref0).max() <= 2e-14
+    assert np.array_equal(majorana_modes(p), majorana_modes(p0))
+    assert np.abs(np.sort((majorana_modes(p) ** 2).real) - ref).max() <= 2e-14
+
+
+def test_modes_where_two_are_small_match_forty_digits():
+    # two modes of modulus 0.0034 and 0.0041: the dgeev of R, which scores
+    # only the smallest pair by a sum of squares, is 4.8e-15 off in eps^2
+    # and 1.5e-13 in the smallest |eps|; S is 7.8e-16 and 4.4e-14 off
+    p = ChainParams(N=45, J=0.50035, gamma=1.9272, h=0.033186)
+    mpmath.mp.dps = 40
+    J, gamma, h = (mpmath.mpf(x) for x in (p.J, p.gamma, p.h))
+    A = mpmath.matrix(p.N, p.N)
+    for n in range(p.N - 1):
+        A[n, n + 1] = A[n + 1, n] = 1
+    S = J**2 * A * A - gamma**2 / 4 * mpmath.eye(p.N)
+    S[0, 0] += 4 * h**2
+    ref = sorted(mpmath.eigsy(S, eigvals_only=True))
+    eps2 = np.sort((majorana_modes(p) ** 2).real)
+    assert np.abs(eps2 - np.array([float(x) for x in ref])).max() <= 2e-15
+    small = np.sort(np.abs(majorana_modes(p)))[:2]
+    exact = sorted(float(mpmath.sqrt(abs(x))) for x in ref)[:2]
+    assert exact[0] < 0.0035 and exact[1] < 0.0042
+    assert np.abs(small - exact).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    gamma=st.floats(0.05, 3.0),
+    h_frac=st.floats(0.0, 0.5),
+    dj=st.floats(1e-3, 0.5),
+    dh=st.floats(1e-3, 0.5),
+)
+def test_top_of_the_secular_spectrum_grows_with_j_and_h(n, gamma, h_frac, dj, dh):
+    # S = J^2 A^2 + 4 h^2 e_1 e_1^T + const with both terms positive
+    # semidefinite: the gapped set in J is one interval and J_c(h) falls.
+    # tol is a few roundings of ||S|| <= 5 gamma^2 here
+    def top(J, h):
+        return np.linalg.eigvalsh(_secular(ChainParams(N=n, J=J, gamma=gamma, h=h)))[-1]
+
+    h = h_frac * gamma
+    for J in np.linspace(0.0, 0.6 * gamma, 7):
+        tol = 1e-14 * max(1.0, gamma**2)
+        assert top(J + dj * gamma, h) >= top(J, h) - tol
+        assert top(J, h + dh * gamma) >= top(J, h) - tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 64])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_no_gapped_coupling_at_or_above_a_quarter_of_the_loss(n, gamma):
+    # at h >= gamma / 4 the field's entry 4 h^2 - gamma^2 / 4 of S is >= 0,
+    # so the chain is gapless already at J = 0: J_c = 0
+    for h in (gamma / 4, 0.3 * gamma, gamma):
+        p = ChainParams(N=n, J=0.0, gamma=gamma, h=h)
+        assert np.linalg.eigvalsh(_secular(p))[-1] >= -1e-15 * gamma**2
+        assert majorana_gap(p) <= default_tol_gap(gamma)
+        (point,) = ep_curve(n, [h], gamma=gamma).points
+        assert point.j_c == 0.0
+        with pytest.raises(ValueError, match="does not enclose"):
+            find_ep_J(n, h, gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(N=3, J=1e200, h=0.1),
+        dict(N=2, J=1e154),
+        dict(N=5, J=0.2, gamma=3e154),
+        dict(N=4, J=0.2, h=1e154),
+        dict(N=2, J=9e153),
+    ],
+)
+def test_an_overflowing_secular_matrix_is_refused(params, recwarn):
+    # J^2, gamma^2/4 or 4 h^2 past the doubles: an inf in S made a nan gap,
+    # or a LinAlgError in eigvalsh, with numpy warnings on the way
+    p = ChainParams(**params)
+    for fn in (_secular, majorana_gap, majorana_modes):
+        with pytest.raises(ValueError, match=r"infs or NaNs.*J = .*gamma = .*h = "):
+            fn(p)
+    assert not recwarn.list

@@ -736,7 +736,7 @@ def test_krylov_paths_refuse_a_restart_budget_that_is_not_a_positive_integer(
 
     monkeypatch.setattr(spectral, "build_total", nothing_built)
     monkeypatch.setattr(spectral, "build_dense", nothing_built)
-    monkeypatch.setattr(majorana, "eigvals", nothing_built)
+    monkeypatch.setattr(majorana, "eigvalsh", nothing_built)
     p = ChainParams(N=6, J=0.23, h=0.2)
     match = "max_iters must be an integer >= 1"
     with pytest.raises(ValueError, match=match):
