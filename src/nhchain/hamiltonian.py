@@ -68,22 +68,24 @@ class ChainParams:
 # place, then the owned copies of the kept entries); tracemalloc measured
 # 41.3-42.8 for build_total at N = 10..16.
 _BUILD_BYTES_PER_ENTRY = 46
-# Length-2^N vectors that ARPACK keeps: scipy's ncv, max(2k + 1, 20) at k = 2.
-_ARPACK_VECTORS = 20
 
 
 def memory_estimate(N: int) -> int:
-    """Estimated peak bytes to build the generator and solve it by ARPACK.
+    """Estimated peak bytes to build the generator and run a Krylov solver.
 
     Assembly lays out (N + 1) * 2^N candidate entries (the diagonal, N - 1
     bond flips and the site-1 flip of every row) before dropping zeros; the
-    eigensolver adds its Krylov basis, which also covers one ``evolve`` step
+    solvers add the larger of their two Krylov bases, ARPACK's
+    ``spectral.ARPACK_NCV`` vectors and ``evolve``'s ``spectral.KRYLOV_DIM``,
     with the operator held.  Below N = 10, fixed-size arrays dominate and a
     measured peak can exceed the estimate (``evolve`` at N = 8: 0.29 MiB
     against 0.18); memory never binds there.
     """
+    from .spectral import ARPACK_NCV, KRYLOV_DIM
+
     dim = 1 << N
-    return dim * ((N + 1) * _BUILD_BYTES_PER_ENTRY + _ARPACK_VECTORS * 16)
+    vectors = max(ARPACK_NCV, KRYLOV_DIM)
+    return dim * ((N + 1) * _BUILD_BYTES_PER_ENTRY + vectors * 16)
 
 
 def _physical_memory() -> int | None:

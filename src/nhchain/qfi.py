@@ -18,8 +18,12 @@ An estimate solves its four shifted steady states in the order -delta,
 from the seeded random vector; each later one, and the delta/4 retry,
 starts from the steady state before it, which lies within one step of its
 answer.  One ``h`` estimate at J = 0.23, h = 0.2, delta = 2e-4 then makes
-108, 118 and 168 matvecs at N = 6, 8 and 10 (232, 300 and 440 from four
-seeded starts), and a ``theta`` estimate 118, 148 and 178.
+100, 144 and 180 matvecs at N = 6, 8 and 10 (184, 248 and 312 from four
+seeded starts) in 6.3, 9.8 and 21 ms, and a ``theta`` estimate 128, 156
+and 196 in 8.2, 10 and 20 ms (one BLAS thread, best of 15).  Against
+scipy's 20-vector ARPACK subspace (``h``: 108, 118 and 168 matvecs in 9.7,
+12 and 29 ms) the counts mostly rise and the times fall: the 8-vector
+subspace restarts more often, and each restart costs less.
 
 Every overlap-drop estimate is evaluated a second time at delta/2 and the
 relative change is stored as ``richardson_diff``; values above 0.05 trigger

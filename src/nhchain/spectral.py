@@ -5,8 +5,9 @@ matrix with numpy.linalg (LAPACK ``zgeev``), up to dimension 4096
 (N <= 12).  The matrix-free one reads the gap and the steady-state
 eigenvalue lambda_0 from the free-fermion modes, refuses a closed gap, then
 takes the one eigenpair of largest imaginary part from ARPACK
-(``scipy.sparse.linalg.eigs(k=1, which="LI")``) and accepts it only within
-half the gap of lambda_0, where no other eigenvalue lies.
+(``scipy.sparse.linalg.eigs(k=1, which="LI")`` on a Krylov subspace of
+``ncv = min(ARPACK_NCV, dim)`` vectors) and accepts it only within half the
+gap of lambda_0, where no other eigenvalue lies.
 ``evolve`` applies a Krylov approximation of ``exp(-i H t)``: it
 exponentiates the small Arnoldi matrix every ``EXPM_STRIDE`` orders and
 accepts an order on Saad's a-posteriori estimate of the local error.
@@ -51,12 +52,12 @@ DEFAULT_SEED = 7
 DENSE_MAX_DIM = 4096
 # ``auto`` solves dense up to this dimension (N <= 5) and by ARPACK above.
 # Best of 14 ``solve_steady_state`` calls at J = 0.23, h = 0.2, tol = 1e-9,
-# dense (numpy-built matrix, numpy.linalg) vs ARPACK (CSR operator, two
-# pairs), lower of two runs, on a shared 2-core Xeon with numpy 2.4 and
-# scipy 1.17 (OpenBLAS), quietest of three such measurements: with default
-# BLAS threads 0.81 vs 2.2 ms at N = 5, 4.3 vs 2.8 ms at N = 6 and 27 vs
-# 3.9 ms at N = 7; with OMP_NUM_THREADS=1 0.84 vs 2.0 ms, 4.6 vs 3.0 ms and
-# 22 vs 4.1 ms.
+# dense (numpy-built matrix, numpy.linalg) vs ARPACK (CSR operator, one
+# pair, ``ARPACK_NCV`` vectors), lowest of three fresh processes, on a
+# shared 2-core Xeon with numpy 2.4 and scipy 1.17 (OpenBLAS): with default
+# BLAS threads 0.30 vs 1.5 ms at N = 4, 1.0 vs 1.4 ms at N = 5, 5.5 vs
+# 2.0 ms at N = 6 and 25 vs 2.5 ms at N = 7; with OMP_NUM_THREADS=1 0.20 vs
+# 1.1, 0.74 vs 1.3, 4.2 vs 1.5 and 20 vs 1.8 ms.
 AUTO_DENSE_MAX_DIM = 32
 KRYLOV_DIM = 30
 # ``evolve`` keeps its n-length algebra (Gram-Schmidt, norms, the result) in
@@ -76,6 +77,19 @@ TOL_MIN = float(np.finfo(float).eps)
 # ARPACK stops on its own Ritz estimate; asking it for three more digits than
 # the caller leaves headroom for the independent residual gate at ``tol``
 ARPACK_TOL_FACTOR = 1e-3
+# ARPACK's Krylov subspace, ``ncv = min(ARPACK_NCV, dim)`` for the one pair.
+# scipy's default, min(20, dim), restarts a basis that costs O(dim ncv^2) per
+# restart and a larger ``zneupd``; the smaller basis takes more matvecs and
+# less time.  With OMP_NUM_THREADS=1 on a shared 2-core Xeon (numpy 2.4,
+# scipy 1.17), for ncv 20 / 6 / 8 / 10: the qfi-krylov sweep (Krylov QFI at
+# N = 2..8 plus one N = 8 solve, sum of per-point minima over 6 x 15 sweeps)
+# 32.0 / 23.9 / 23.6 / 24.2 ms; cold ``steady_state_krylov`` at tol = 1e-10
+# (best of 15, or of 5 at N >= 13) 3.2 / 1.9 / 2.1 / 2.1 ms at N = 8,
+# 20.8 / 17.0 / 14.6 / 15.4 ms at N = 12 and 129 / 80 / 91 / 89 ms at
+# N = 14; within 1e-2 to 1e-5 of J_c (gaps down to 3.4e-3, N = 6..12, best
+# of 9) never slower than 20.  Only at N = 4, where scipy's default is the
+# whole space (16 vectors), is a cold solve slower: 1.05 against 0.68 ms.
+ARPACK_NCV = 8
 
 
 def spectral_order(w: np.ndarray) -> np.ndarray:
@@ -398,7 +412,9 @@ def _arpack_steady_state(
     ARPACK runs, and the steady-state eigenvalue
     ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  Every other eigenvalue
     is at least the gap from lambda_0, so a pair within half the gap of it
-    is the steady state and not a neighbour.
+    is the steady state and not a neighbour.  ARPACK restarts a Krylov
+    subspace of ``ncv = min(ARPACK_NCV, dim)`` vectors, not scipy's
+    ``min(20, dim)``: it takes more matvecs and less time.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
@@ -420,6 +436,7 @@ def _arpack_steady_state(
             k=1,
             which="LI",
             v0=v0,
+            ncv=min(ARPACK_NCV, dim),
             tol=ARPACK_TOL_FACTOR * tol,
             maxiter=max_iters,
         )
@@ -493,10 +510,11 @@ def steady_state_krylov(
     ``EPProximityError`` before ARPACK runs: there many eigenvalues share
     the top imaginary part, and ARPACK can spend its restart budget failing
     to choose among them.
-    Otherwise ``eigs(k=1, which="LI")`` computes the one eigenpair of
-    largest imaginary part, matrix-free through ``H.matvec``, from a start
-    vector drawn from ``default_rng(seed)``, within at most ``max_iters``
-    implicit restarts.  The pair is accepted only if its eigen-residual
+    Otherwise ``eigs(k=1, which="LI", ncv=min(ARPACK_NCV, dim))`` computes
+    the one eigenpair of largest imaginary part, matrix-free through
+    ``H.matvec``, from a start vector drawn from ``default_rng(seed)``,
+    within at most ``max_iters`` implicit restarts of its ``ncv``-vector
+    Krylov subspace.  The pair is accepted only if its eigen-residual
     ``||H v - lambda v||`` is at most ``tol * max(1, |lambda|)`` and
     ``|lambda - lambda_0|`` is below half the gap: every other eigenvalue
     lies at least the gap from lambda_0, so that proves the pair is the

@@ -91,7 +91,7 @@ def test_memory_estimate_bounds_the_build_and_the_krylov_solvers(N):
         tracemalloc.reset_peak()
         steady_state_krylov(H, p)
         peaks["arpack"] = tracemalloc.get_traced_memory()[1]
-        # evolve keeps a 30-vector Krylov basis, more than ARPACK's 20
+        # evolve keeps a 30-vector Krylov basis, more than ARPACK's 8
         tracemalloc.reset_peak()
         evolve(H, psi, 10.0)
         peaks["evolve"] = tracemalloc.get_traced_memory()[1]

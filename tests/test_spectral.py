@@ -475,6 +475,29 @@ def test_krylov_asks_arpack_for_one_pair(monkeypatch):
     assert asked == [1]
 
 
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_krylov_paths_size_arpacks_subspace_by_arpack_ncv(monkeypatch, N):
+    # every ARPACK solve restarts ARPACK_NCV vectors, or the whole space when
+    # that is smaller, never scipy's default of 20; scipy needs k + 1 < ncv <= n
+    import scipy.sparse.linalg as sla
+
+    exact_eigs, asked = sla.eigs, []
+
+    def spy(A, *args, **kwargs):
+        asked.append((A.shape[0], kwargs["k"], kwargs.get("ncv")))
+        return exact_eigs(A, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigs", spy)
+    p = ChainParams(N=N, J=0.23, h=0.2)
+    steady_state_krylov(build_total(p), p)
+    solve_steady_state(p, method="krylov")
+    qfi_fidelity(p, "h", delta=2e-4, method="krylov")
+    ncv = min(spectral.ARPACK_NCV, p.dim)
+    # one solve for each steady state and four for the QFI estimate
+    assert asked == [(p.dim, 1, ncv)] * 6
+    assert 1 + 1 < ncv <= p.dim
+
+
 def test_krylov_refuses_a_converged_pair_that_is_not_the_steady_state(monkeypatch):
     # ARPACK handing back the exact second eigenpair passes the residual gate,
     # but lies a whole gap from the free-fermion steady-state eigenvalue
