@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .critical import ep_curve, find_ep_J, fit_inverse_poly, gap_at
+from .critical import ep_curve, fit_inverse_poly, gap_at
 from .errors import ConvergenceError, EPProximityError
 from .hamiltonian import ChainParams, build_total
 from .majorana import TARGETS, majorana_modes, majorana_qfi
@@ -241,11 +241,17 @@ def run_ep(spec: SweepSpec) -> CsvTable:
 
 
 def run_scaling(spec: SweepSpec) -> CsvTable:
-    """Inverse-size polynomial fit of the boundary at fixed h."""
-    points = [
-        (n, find_ep_J(N=n, h=spec.h, gamma=spec.gamma, tol_J=spec.tol_j))
-        for n in spec.axis_for("n").int_values()
-    ]
+    """Inverse-size polynomial fit of the boundary at fixed h.
+
+    Each J_c is one point of :func:`ep_curve`, so a chain already gapless
+    at J = 0 (h >= gamma / 4) takes J_c = 0, as in ``ep``.
+    """
+    points = []
+    for n in spec.axis_for("n").int_values():
+        curve = ep_curve(n, spec.h, spec.gamma, tol_J=spec.tol_j)
+        if curve.failures:
+            raise ValueError(curve.failures[0][1])
+        points.append((n, curve.points[0].j_c))
     fit = fit_inverse_poly(points, degree=2)
     comments = _provenance(spec)
     comments.append(

@@ -37,7 +37,10 @@ of ``diag(mu^2) + 4 h^2 u u^T``, ``u_k = sqrt(w_k)`` (Golub, SIAM Rev. 15,
 
 A the adjacency matrix of the open path.  Its eigenvalues are the eps_k^2,
 so every mode is real or purely imaginary, and :func:`_secular` builds S
-for one symmetric eigensolve, numpy.linalg (LAPACK ``dsyevd``).
+for one symmetric eigensolve, numpy.linalg (LAPACK ``dsyevd``).  As R is
+written from a per-N table of its bands (:func:`_bands`), S is written from
+one of its own (:func:`_secular_bands`): building S then costs a fraction
+of the eigensolve, not as much again.
 
 Theta is a staggered rotation, ``H(theta) = U H(0) U^dag`` with
 ``U = exp(-i theta G)``, ``G = 1/2 sum_n (-1)^(n-1) sz_n``: the loss term is
@@ -134,6 +137,23 @@ def _real_form(p: ChainParams) -> np.ndarray:
     return R
 
 
+@functools.lru_cache(maxsize=16)
+def _secular_bands(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in S (size N) of its nonzero entries, and which of
+    ``(2 J^2 - gamma^2/4, J^2 - gamma^2/4, J^2)`` each one holds."""
+    code = np.zeros(N * N, dtype=np.int8)
+    # the diagonal, then S[k, k+2] and S[k+2, k] (k = 0..N-3): strided views
+    # of the flat matrix, the first stopped where its stride would wrap a row
+    code[:: N + 1] = 1
+    code[0] = code[-1] = 2
+    code[2 : (N - 2) * (N + 1) : N + 1] = code[2 * N :: N + 1] = 3
+    where = np.flatnonzero(code)
+    which = code[where] - 1
+    where.setflags(write=False)
+    which.setflags(write=False)
+    return where, which
+
+
 def _secular(p: ChainParams) -> np.ndarray:
     """The real symmetric N x N matrix S whose eigenvalues are the eps_k^2.
 
@@ -141,7 +161,9 @@ def _secular(p: ChainParams) -> np.ndarray:
     diagonal, 1 at both ends, where a site has one neighbour, and 1 two
     sites apart.  Every entry and every eigenvalue of S is at most
     ``4 J^2 + gamma^2 / 4 + 4 h^2`` in modulus, so a chain that overflows
-    that bound raises ValueError.
+    that bound raises ValueError.  The positions of the nonzero entries
+    depend on N only and are kept (:func:`_secular_bands`), as R's are
+    (:func:`_bands`), so one fancy assignment writes them.
     """
     J2, g, f = p.J * p.J, 0.25 * p.gamma * p.gamma, 4.0 * p.h * p.h
     if not math.isfinite(4.0 * J2 + g + f):
@@ -149,12 +171,11 @@ def _secular(p: ChainParams) -> np.ndarray:
             "S or its eigenvalues would contain infs or NaNs: 4 J^2 + gamma^2/4 "
             f"+ 4 h^2 must be finite, got J = {p.J:g}, gamma = {p.gamma:g}, h = {p.h:g}"
         )
-    S = np.diag(np.full(p.N, 2.0 * J2 - g))
-    S[0, 0] = J2 - g + f
-    S[-1, -1] = J2 - g
-    k = np.arange(p.N - 2)
-    S[k, k + 2] = S[k + 2, k] = J2
-    return S
+    where, which = _secular_bands(p.N)
+    S = np.zeros(p.N * p.N)
+    S[where] = np.array((2.0 * J2 - g, J2 - g, J2))[which]
+    S[0] += f
+    return S.reshape(p.N, p.N)
 
 
 def majorana_modes(p: ChainParams) -> np.ndarray:

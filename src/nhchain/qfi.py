@@ -79,7 +79,12 @@ def cramer_rao(fisher: float, rounds: int) -> float:
     """Precision floor 1/sqrt(rounds * fisher) for unbiased estimation."""
     if not 0 < fisher < np.inf:
         raise ValueError(f"Fisher information must be finite and > 0, got {fisher}")
-    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+    # bool is an int subclass, but True is no count
+    if (
+        isinstance(rounds, bool)
+        or not isinstance(rounds, (int, np.integer))
+        or rounds < 1
+    ):
         raise ValueError(f"measurement rounds must be an integer >= 1, got {rounds}")
     return 1.0 / np.sqrt(rounds * fisher)
 

@@ -393,7 +393,12 @@ def evolve(
 def _check_solver_args(tol: float, max_iters: int) -> None:
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+    # bool is an int subclass, but True is no count
+    if (
+        isinstance(max_iters, bool)
+        or not isinstance(max_iters, (int, np.integer))
+        or max_iters < 1
+    ):
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 

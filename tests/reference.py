@@ -47,6 +47,21 @@ def pair_modes(c: np.ndarray) -> np.ndarray:
     return eps
 
 
+def secular_explicit(p: ChainParams) -> np.ndarray:
+    """S = J^2 A^2 - (gamma^2 / 4) I + 4 h^2 e_1 e_1^T, written entry by entry.
+
+    The oracle for ``majorana._secular``, which writes the same values
+    through a per-N band table.
+    """
+    J2, g, f = p.J * p.J, 0.25 * p.gamma * p.gamma, 4.0 * p.h * p.h
+    S = np.diag(np.full(p.N, 2.0 * J2 - g))
+    S[0, 0] = J2 - g + f
+    S[-1, -1] = J2 - g
+    k = np.arange(p.N - 2)
+    S[k, k + 2] = S[k + 2, k] = J2
+    return S
+
+
 def staggered_generator(N: int) -> np.ndarray:
     """diag(G) for G = 1/2 sum_n (-1)^(n-1) sz_n, from literal Pauli kron."""
     z, eye = pauli("z"), np.eye(2)

@@ -297,6 +297,18 @@ def test_scaling_runner_reference_comment_and_fit():
     assert any(c.startswith("points ") for c in table.comments)
 
 
+def test_scaling_at_a_field_that_closes_the_gap_at_zero_coupling(tmp_path, capsys):
+    # at h >= gamma / 4 every size is gapless already at J = 0: scaling takes
+    # each J_c = 0 by ep's rule and fits zeros, where it exited 2
+    out = tmp_path / "s.csv"
+    assert main(["scaling", "--h", "0.3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    comments, header, rows = parse_csv(out.read_text())
+    assert "points " + " ".join(f"N={n}:0" for n in range(2, 11)) in comments
+    assert header == ["coeff_name", "value", "residual"]
+    assert rows == [["a", "0", "0"], ["b", "0", "0"], ["c", "0", "0"]]
+
+
 def test_correlations_runner_reference_value():
     spec = SweepSpec(
         subcommand="correlations", n=2, j=0.3, h=0.1, theta=np.pi / 4, axis="x"

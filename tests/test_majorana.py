@@ -18,12 +18,18 @@ from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import (
     _real_form,
     _secular,
+    _secular_bands,
     default_tol_gap,
     majorana_gap,
     majorana_modes,
 )
 from nhchain.spectral import dense_eigenvalues
-from reference import padded_majorana_matrix, pair_modes, parity_phases
+from reference import (
+    padded_majorana_matrix,
+    pair_modes,
+    parity_phases,
+    secular_explicit,
+)
 
 
 def size_boundary(n: int, gamma: float = 1.0) -> float:
@@ -238,6 +244,31 @@ def test_secular_matrix_has_the_squared_modes_of_the_real_form(n, j, gamma, h, t
     assert np.array_equal(eps, np.sqrt(lam[::-1].astype(complex)))
     assert np.all(eps.imag >= 0) and np.all(eps[eps.imag == 0].real >= 0)
     assert majorana_gap(p) == math.sqrt(max(0.0, -lam[-1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    j=_zero_or(0.6),
+    gamma=_zero_or(2.0),
+    h=_zero_or(0.4),
+)
+def test_secular_matrix_from_its_band_table_is_the_explicit_one(n, j, gamma, h):
+    # the same values in the same places, bit for bit, signs of zero included
+    p = ChainParams(N=n, J=j, gamma=gamma, h=h)
+    S, ref = _secular(p), secular_explicit(p)
+    assert S.shape == ref.shape == (n, n)
+    assert np.array_equal(S, ref)
+    assert np.array_equal(np.signbit(S), np.signbit(ref))
+
+
+def test_secular_band_table_is_read_only_and_each_matrix_fresh():
+    where, which = _secular_bands(5)
+    assert not where.flags.writeable and not which.flags.writeable
+    p = ChainParams(N=5, J=0.23, h=0.2)
+    first = _secular(p)
+    first[:] = np.nan
+    assert np.array_equal(_secular(p), secular_explicit(p))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

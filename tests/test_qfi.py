@@ -264,6 +264,6 @@ def test_cramer_rao_validation():
     for fisher in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="Fisher"):
             cramer_rao(fisher, 10)
-    for rounds in (2.5, 10.0, -3):
+    for rounds in (2.5, 10.0, -3, True, False):
         with pytest.raises(ValueError, match="rounds"):
             cramer_rao(1.0, rounds)

@@ -748,7 +748,7 @@ def test_krylov_paths_refuse_a_tol_that_is_not_finite_and_positive(tol):
         qfi_fidelity(small, "h", method="dense", tol=tol)
 
 
-@pytest.mark.parametrize("max_iters", [0, -3, 2.5, None, "500"])
+@pytest.mark.parametrize("max_iters", [0, -3, 2.5, None, "500", True, False])
 def test_krylov_paths_refuse_a_restart_budget_that_is_not_a_positive_integer(
     monkeypatch, max_iters
 ):
