@@ -19,7 +19,7 @@ re-parsing reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
 
-A flag's value may start with ``-`` (``--theta-range -1:1:3``).
+A flag's value may start with ``-`` (``--theta -1e-3``).
 
 Exit codes: 0 success, 1 usage error (an invalid chain, a spectrum above
 N = 16 and a chain too large for physical memory included),
@@ -43,7 +43,7 @@ from .observables import correlation_profile
 from .spectral import DEFAULT_SEED, evolve, solve_steady_state, spectral_order
 
 REFERENCE_FIT = (0.842, 0.031, 0.249)
-AXIS_NAMES = ("n", "j", "h", "theta")
+AXIS_NAMES = ("n", "j", "h")
 
 
 class CliUsageError(ValueError):
@@ -110,7 +110,7 @@ class SweepSpec:
         for ax in self.axes:
             if ax.name == name:
                 return ax
-        fixed = {"n": self.n, "j": self.j, "h": self.h, "theta": self.theta}[name]
+        fixed = {"n": self.n, "j": self.j, "h": self.h}[name]
         return SweepAxis(name=name, start=fixed, stop=fixed, count=1)
 
 
@@ -205,26 +205,27 @@ def run_gap_sweep(spec: SweepSpec) -> CsvTable:
 
 
 def run_qfi_sweep(spec: SweepSpec) -> CsvTable:
-    """QFI over any subset of the n/j/h/theta axes.
+    """QFI over any subset of the n/j/h axes.
 
-    The exact QFI of the Gaussian steady state at every point; failed grid
-    points are emitted with qfi = nan and an error tag.
+    The exact QFI of the Gaussian steady state at every point, which does
+    not depend on theta (nhchain.majorana); failed grid points are emitted
+    with qfi = nan and an error tag.
     """
     rows = []
     grid = product(
         spec.axis_for("n").int_values(),
-        *(spec.axis_for(name).values().tolist() for name in ("j", "h", "theta")),
+        *(spec.axis_for(name).values().tolist() for name in ("j", "h")),
     )
-    for n, j, h, theta in grid:
-        p = _chain_params(spec, N=n, J=j, h=h, theta=theta)
+    for n, j, h in grid:
+        p = _chain_params(spec, N=n, J=j, h=h)
         try:
             row_tail = (majorana_qfi(p, spec.target), "")
         except EPProximityError:
             row_tail = (np.nan, "ep_proximity")
         except ValueError:  # a Majorana matrix that overflows
             row_tail = (np.nan, "domain")
-        rows.append((n, j, h, theta, spec.target) + row_tail)
-    header = ["N", "J", "h", "theta", "target", "qfi", "error"]
+        rows.append((n, j, h, spec.target) + row_tail)
+    header = ["N", "J", "h", "target", "qfi", "error"]
     return CsvTable(_provenance(spec), header, rows)
 
 
@@ -399,18 +400,17 @@ FLAGS = {
     "n-range": (_parse_range, "sweep n over lo:hi:count"),
     "j-range": (_parse_range, "sweep j over lo:hi:count"),
     "h-range": (_parse_range, "sweep h over lo:hi:count"),
-    "theta-range": (_parse_range, "sweep theta over lo:hi:count"),
     "out": (str, "output CSV path (default stdout)"),
 }
 
 # The flags each runner reads; every subcommand also takes --out, and
-# rejects any other flag.  The spectrum, gap and boundary do not depend on
-# theta (nhchain.majorana), so only the steady-state subcommands read it.
+# rejects any other flag.  The spectrum, gap, boundary and QFI do not depend
+# on theta (nhchain.majorana), so only the steady-state subcommands read it.
 _CHAIN = "n j gamma h"
 SUBCOMMAND_FLAGS = {
     "spectrum": _CHAIN,
     "gap": f"{_CHAIN} j-range h-range",
-    "qfi": f"{_CHAIN} theta target n-range j-range h-range theta-range",
+    "qfi": f"{_CHAIN} target n-range j-range h-range",
     "ep": "n gamma h tol-j n-range h-range",
     "scaling": "gamma h tol-j n-range",
     "correlations": f"{_CHAIN} theta axis tol",
@@ -460,7 +460,7 @@ def _glue_values(argv: list[str]) -> list[str]:
     """Join each ``--flag -value`` of ``FLAGS`` into ``--flag=-value``.
 
     argparse takes a separate value that starts with ``-`` for an option
-    unless it is a plain negative number, so ``--theta-range -1:1:3`` would
+    unless it is a plain negative number, so ``--theta -1e-3`` would
     otherwise fail with "expected one argument".
     """
     out = []

@@ -173,8 +173,13 @@ def fit_inverse_poly(points, degree: int = 2) -> ScalingFit:
         raise ValueError(f"every J_c must be finite, got {values.tolist()}")
     if len(set(int(n) for n in sizes)) < 4:
         raise ValueError("fit requires at least 4 distinct chain sizes")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    # bool is an int subclass, but True is no degree
+    if (
+        isinstance(degree, bool)
+        or not isinstance(degree, (int, np.integer))
+        or degree < 1
+    ):
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
     design = np.column_stack(
         [sizes ** (-k) for k in range(degree, 0, -1)] + [np.ones_like(sizes)]
     )

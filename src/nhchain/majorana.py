@@ -17,10 +17,15 @@ matrix ``B = 2 A[1:, 1:]`` is antisymmetric of odd size 2N+1: its eigenvalues
 are one structural zero and N pairs ``+-eps_k``, and the many-body spectrum
 is ``-i gamma N / 4 + 1/2 sum_k s_k eps_k`` over all sign choices s_k = +-1.
 
-B itself is never built: :func:`_real_form` writes the real matrix
-``R = D B D^-1``, D a diagonal unitary, whose one real eigensolve with
-right vectors, numpy.linalg (LAPACK ``dgeev``), gives the QFI (B's vectors
-are ``D^-1`` times R's).
+B itself is never built.  ``D = diag(i^m_r)``, m_r the parity of the site
+of g_{r+1} (row 0, the ancilla's g_1, takes parity 0), makes it real:
+``R = D B D^-1`` has the entries
+
+    R[2k-1, 2k] = -R[2k, 2k-1] = -gamma / 2      site k = 1..N,
+    R[2k, 2k+1] = R[2k-1, 2k+2] = (-1)^(k-1) J   bond (k, k+1),
+    R[0, 1] = -2 h cos(theta),  R[0, 2] = -2 h sin(theta),
+
+mirrored but for the loss, and B's vectors are ``D^-1`` times R's.
 
 The modes need less.  R = [[0, b^T], [b, R_0]], with ``b = -2h (cos(theta),
 sin(theta))`` on site 1's two Majoranas.  A diagonal +-1 gauge makes every
@@ -37,17 +42,17 @@ of ``diag(mu^2) + 4 h^2 u u^T``, ``u_k = sqrt(w_k)`` (Golub, SIAM Rev. 15,
 
 A the adjacency matrix of the open path.  Its eigenvalues are the eps_k^2,
 so every mode is real or purely imaginary, and :func:`_secular` builds S
-for one symmetric eigensolve, numpy.linalg (LAPACK ``dsyevd``).  As R is
-written from a per-N table of its bands (:func:`_bands`), S is written from
-one of its own (:func:`_secular_bands`): building S then costs a fraction
-of the eigensolve, not as much again.
+for one symmetric eigensolve, numpy.linalg (LAPACK ``dsyevd``), from a per-N
+table of its bands (:func:`_secular_bands`) that makes the build cheap.
 
 Theta is a staggered rotation, ``H(theta) = U H(0) U^dag`` with
 ``U = exp(-i theta G)``, ``G = 1/2 sum_n (-1)^(n-1) sz_n``: the loss term is
 diagonal, the phases of ``sp_n sp_{n+1}`` cancel on every bond, and the
 field turns by theta.  So no spectrum, gap or exceptional point depends on
 theta at any N, the steady state is ``U psi(0)``, and the QFI about theta
-is ``4 Var(G)`` in the normalised steady state.
+is ``4 Var(G)`` in the normalised steady state.  On the Majoranas the same
+rotation is orthogonal: ``R(theta) = O R(0) O^T``, where O is the identity
+on row 0 and turns the rows (2k-1, 2k) of site k by ``(-1)^(k-1) theta``.
 
 The steady state is the fermionic Gaussian state annihilated by the N modes
 of B with ``Im eps > 0`` and by the zero mode ``g_0 + i z.g`` (z the null
@@ -55,25 +60,34 @@ vector of B, ``z^T z = 1``); :func:`majorana_qfi_matrix` differentiates the
 projector onto that annihilator space exactly, which gives the steady-state
 QFI matrix about (h, theta) at any N from (2N+1)-dimensional matrices.
 
+In the order even rows (0, 2, .., 2N), then odd, ``R(0) = [[0, K], [L, 0]]``
+with the (N+1) x N ``K[0, 0] = -2h``, ``K[k, k-1] = gamma/2`` and
+``K[k, k] = K[k+1, k-1] = (-1)^(k-1) J`` (:func:`_coupling`); L is its
+transpose with gamma negated, and ``L K = D' S D'`` for
+``D' = diag((-1)^floor(k/2))``.  So the eigensolve ``S U = U diag(mu)`` of
+the gap gives every eigenvector of R(0): with ``u = D' U``, mode k is
+``K u_k`` on the even rows and ``eps_k u_k`` on the odd ones,
+``eps_k = i sqrt(-mu_k)``, annihilated as every mu is negative in the
+gapped phase, and its conjugate belongs to ``-eps_k``.  The zero mode is
+``(I - K (L K)^-1 L) e_0`` on the even rows and 0 on the odd ones, or, as
+``L e_0 = -2h e_0``, ``e_0 + 2h K u (U[0] / mu)``.
+
 Only the edge entries ``R[0, 1:3]`` (and their mirror) move with h or
-theta, so the derivative of the projector is linear in that 2-vector: one
-eigendecomposition of R per parameter point gives a 2x2 Gram matrix from
-which both diagonal entries and the off-diagonal ``F_h,theta`` follow (the
-latter vanishes to rounding).  Past the eigensolve that takes one QR
-factorisation of the full eigenvector matrix ``V = QU`` and one solve with
-its triangular factor U: Q splits the space into the annihilator space and
-its complement, and U holds both the basis change of the annihilator space
-and, through ``V^-1 = U^-1 Q^H``, the rows of V^-1 that the perturbation
-needs (:func:`_gram`).  :func:`majorana_qfi` reads one diagonal entry.  The
-Gram matrix of the last point is kept (a memo of size one), so asking for
-``h`` and then ``theta`` at the same point factorises once.
+theta, so the derivative of the projector is linear in that 2-vector, and O
+carries R, its eigenvectors and that derivative to theta = 0 and leaves the
+result as it is.  One eigensolve of S, one QR of the eigenvector matrix and
+one solve per parameter point give a 2x2 Gram matrix from which both
+diagonal entries and the off-diagonal ``F_h,theta`` follow (the latter
+vanishes to rounding; :func:`_gram`).  :func:`majorana_qfi` reads one
+diagonal entry.  The Gram matrix of the last point is kept (a memo of size
+one), so asking for ``h`` and then ``theta`` at the same point factorises once.
 """
 
 import functools
 import math
 
 import numpy as np
-from numpy.linalg import eig, eigvalsh, qr, solve
+from numpy.linalg import eigh, eigvalsh, norm, qr, solve
 
 from .errors import EPProximityError
 from .hamiltonian import ChainParams
@@ -88,53 +102,13 @@ def default_tol_gap(gamma: float) -> float:
     return TOL_GAP_FACTOR * (gamma if gamma > 0 else 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _bands(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in R (size 2N+1) of its loss and bond entries, and
-    which of ``(-gamma/2, gamma/2, J, -J)`` each one holds."""
-    n = 2 * N + 1
-    code = np.zeros(n * n, dtype=np.int8)
-    # element r of `sup1` and `sup3` is R[r, r+1] and R[r, r+3], and of `sub1`
-    # and `sub3` R[r+1, r] and R[r+3, r]: strided views of the flat matrix
-    # (the third bands stop at r = n-4, where the stride would wrap a row)
-    sup1, sub1 = code[1 :: n + 1], code[n :: n + 1]
-    sup3, sub3 = code[3 : (n - 3) * (n + 1) : n + 1], code[3 * n :: n + 1]
-    sup1[1::2], sub1[1::2] = 1, 2  # g_{2k} g_{2k+1}: -gamma/2 and gamma/2
-    # g_{2k+1} g_{2k+2} and g_{2k} g_{2k+3}, bond (k, k+1): (-1)^(k-1) J
-    sup1[2::2] = sub1[2::2] = sup3[1::2] = sub3[1::2] = 3
-    sup1[4::4] = sub1[4::4] = sup3[3::4] = sub3[3::4] = 4
+def _table(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions of the nonzero codes, and code - 1 at each."""
     where = np.flatnonzero(code)
     which = code[where] - 1
     where.setflags(write=False)
     which.setflags(write=False)
     return where, which
-
-
-def _real_form(p: ChainParams) -> np.ndarray:
-    """The real single-particle matrix ``R = D B D^-1`` of size 2N+1.
-
-    ``D = diag(i^m_r)``, m_r the parity of the site of the Majorana in row r
-    (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).  With row
-    r holding g_{r+1}, R's nonzero entries are
-
-        R[2k-1, 2k] = -R[2k, 2k-1] = -gamma / 2      site k = 1..N,
-        R[2k, 2k+1] = R[2k-1, 2k+2] = (-1)^(k-1) J   bond (k, k+1),
-        R[0, 1] = -2 h cos(theta),  R[0, 2] = -2 h sin(theta),
-
-    with the bond and edge entries mirrored: R[c, r] = R[r, c].  The
-    positions of the loss and bond entries depend on N only and are kept
-    (:func:`_bands`), so one fancy assignment writes them.  Its caller
-    :func:`_gram` first refuses any chain whose S overflows
-    (:func:`_secular`), so R's entries are finite.
-    """
-    n = 2 * p.N + 1
-    where, which = _bands(p.N)
-    R = np.zeros(n * n)
-    R[where] = np.array((-0.5 * p.gamma, 0.5 * p.gamma, p.J, -p.J))[which]
-    R = R.reshape(n, n)
-    R[0, 1] = R[1, 0] = -2.0 * p.h * np.cos(p.theta)
-    R[0, 2] = R[2, 0] = -2.0 * p.h * np.sin(p.theta)
-    return R
 
 
 @functools.lru_cache(maxsize=16)
@@ -147,11 +121,7 @@ def _secular_bands(N: int) -> tuple[np.ndarray, np.ndarray]:
     code[:: N + 1] = 1
     code[0] = code[-1] = 2
     code[2 : (N - 2) * (N + 1) : N + 1] = code[2 * N :: N + 1] = 3
-    where = np.flatnonzero(code)
-    which = code[where] - 1
-    where.setflags(write=False)
-    which.setflags(write=False)
-    return where, which
+    return _table(code)
 
 
 def _secular(p: ChainParams) -> np.ndarray:
@@ -162,8 +132,8 @@ def _secular(p: ChainParams) -> np.ndarray:
     sites apart.  Every entry and every eigenvalue of S is at most
     ``4 J^2 + gamma^2 / 4 + 4 h^2`` in modulus, so a chain that overflows
     that bound raises ValueError.  The positions of the nonzero entries
-    depend on N only and are kept (:func:`_secular_bands`), as R's are
-    (:func:`_bands`), so one fancy assignment writes them.
+    depend on N only and are kept (:func:`_secular_bands`), so one fancy
+    assignment writes them.
     """
     J2, g, f = p.J * p.J, 0.25 * p.gamma * p.gamma, 4.0 * p.h * p.h
     if not math.isfinite(4.0 * J2 + g + f):
@@ -176,6 +146,35 @@ def _secular(p: ChainParams) -> np.ndarray:
     S[where] = np.array((2.0 * J2 - g, J2 - g, J2))[which]
     S[0] += f
     return S.reshape(p.N, p.N)
+
+
+# the derivative of R[:3, :3] at theta = 0: in h, and in theta over h
+_EDGE = np.zeros((2, 3, 3))
+_EDGE[0, 0, 1] = _EDGE[0, 1, 0] = _EDGE[1, 0, 2] = _EDGE[1, 2, 0] = -2.0
+_EDGE.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _coupling_bands(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in K ((N+1) x N) of its loss and bond entries, and
+    which of ``(gamma/2, J, -J)`` each one holds."""
+    code = np.zeros((N + 1) * N, dtype=np.int8)
+    # K[k, k-1] (k = 1..N), then K[k, k] and K[k+1, k-1] (k = 1..N-1):
+    # strided views of the flat matrix, none of which wraps a row
+    code[N :: N + 1] = 1
+    diag, low = code[N + 1 :: N + 1], code[2 * N :: N + 1]
+    diag[::2] = low[::2] = 2
+    diag[1::2] = low[1::2] = 3
+    return _table(code)
+
+
+def _coupling(p: ChainParams) -> np.ndarray:
+    """The (N+1) x N ``K = R(0)[0::2, 1::2]``, finite once S is (:func:`_gram`)."""
+    where, which = _coupling_bands(p.N)
+    K = np.zeros((p.N + 1) * p.N)
+    K[where] = np.array((0.5 * p.gamma, p.J, -p.J))[which]
+    K[0] = -2.0 * p.h
+    return K.reshape(p.N + 1, p.N)
 
 
 def majorana_modes(p: ChainParams) -> np.ndarray:
@@ -209,10 +208,13 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
 
     ``W = (I - P) dL T^-1`` for ``L = [V_S, z] = Q_1 T`` and
     ``P = Q_1 Q_1^H`` is linear in the edge derivative of R, so one
-    eigendecomposition with right vectors, numpy.linalg (LAPACK ``dgeev``),
-    serves every direction: ``W_0`` is the response to ``d/dh`` and ``W_1``
-    to ``d/dtheta / h``.  That basis keeps each diagonal entry of the QFI a
-    squared norm, with no cancellation at small h.
+    eigendecomposition serves every direction: ``W_0`` is the response to
+    ``d/dh`` and ``W_1`` to ``d/dtheta / h``.  That basis keeps each diagonal
+    entry of the QFI a squared norm, with no cancellation at small h.
+
+    The eigenvectors are R(0)'s, from one eigensolve of S, numpy.linalg
+    (LAPACK ``dsyevd``), as the module docstring derives; the rotation O
+    leaves G as it is, so theta is not read.
 
     The rest is one QR and one solve.  Take the eigenvectors
     ``V = [V_S, z, C] = QU``, C the conjugate modes, Q unitary and U upper
@@ -227,42 +229,43 @@ def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     left block, and ``V^-1[:, :3]``, whose rows past L are the three
     columns of ``U_22^-1 Q_2^H`` that X reads.
 
-    A gap (:func:`majorana_gap`) at or below ``tol_gap`` is refused before R
-    is factorised, and so is a factorisation that rounds a mode below it.
-    The memo holds the last point only, so the one reuse is a second target
-    at the same point; ``EPProximityError`` is raised on every call and
-    never stored.
+    A gap ``sqrt(max(0, -mu_max))`` at or below ``tol_gap`` is refused
+    before any vector is formed; above it every mu is negative.  The memo
+    holds the last point only, for a second target at the same point, and
+    ``EPProximityError`` is raised on every call and never stored.
     """
-    gap = majorana_gap(p)
+    mu, u = eigh(_secular(p))
+    gap = math.sqrt(max(0.0, -mu[-1]))
     if gap <= tol_gap:
         raise EPProximityError(gap, tol_gap)
-    lam, vr = eig(_real_form(p))
-    S = np.flatnonzero(lam.imag > 0.5 * tol_gap)
-    k = S.size
-    if k != p.N:
-        raise EPProximityError(gap, tol_gap)
-    # D is unitary, so the response is taken in R's basis.  The columns of V
-    # are the annihilated modes, the zero mode and the conjugate modes.
-    vs = vr[:, S]
-    V = np.hstack((vs, vr[:, np.argmin(np.abs(lam)), None], vs.conj()))
-    lam = np.concatenate((lam[S], [0.0], lam[S].conj()))
-    # only R[:3, :3] moves with h or theta: E_0 is its derivative in h and
-    # E_1 in theta over h, and three columns of V^-1 give M_a = V^-1 dR_a V
-    c, s = 2.0 * np.cos(p.theta), 2.0 * np.sin(p.theta)
-    E = np.array(
-        [[[0, -c, -s], [-c, 0, 0], [-s, 0, 0]], [[0, s, -c], [s, 0, 0], [-c, 0, 0]]]
-    )
+    k = p.N
+    n = 2 * k + 1
+    # u = D' U, the eigenvectors of L K; row 0, which the zero mode reads,
+    # keeps its sign
+    u[2::4] *= -1.0
+    u[3::4] *= -1.0
+    Ku = _coupling(p) @ u
+    kappa = np.sqrt(-mu)
+    # V's columns: the annihilated modes, the zero mode, the conjugate modes
+    V = np.zeros((n, n), dtype=complex)
+    V[0::2, :k] = Ku
+    V[1::2, :k] = 1j * kappa * u
+    V[0::2, k] = Ku @ (2.0 * p.h * u[0] / mu)
+    V[0, k] += 1.0
+    V[:, : k + 1] /= norm(V[:, : k + 1], axis=0)
+    V[:, k + 1 :] = V[:, :k].conj()
+    lam = np.concatenate((1j * kappa, [0.0], -1j * kappa))
     # Z's top left block is T^-1, and its right block past L is
     # U_22^-1 Q_2^H[:, :3]
-    n = V.shape[0]
     UQ = qr(np.hstack((V, np.eye(n, 3))), mode="r")
     U = UQ[:, :n]
     Z = solve(U, np.hstack((np.eye(n, k + 1), UQ[:, n:])))
-    # dv_k = sum_j v_j M_jk / (lam_k - lam_j) for the columns k of L, with j
-    # over the conjugate modes only: components along L vanish under I - P,
-    # and no denominator does, even for clustered or degenerate modes.  So
+    # dv_k = sum_j v_j M_jk / (lam_k - lam_j) for the columns k of L, with
+    # M_a = V^-1 dR_a V read from three columns of V^-1 and j over the
+    # conjugate modes only: components along L vanish under I - P, and no
+    # denominator does, even for clustered or degenerate modes.  So
     # dL = C X, and W' = U_22 X T^-1 has the Gram matrix of W = Q_2 W'.
-    X = Z[k + 1 :, k + 1 :] @ (E @ V[:3, : k + 1])
+    X = Z[k + 1 :, k + 1 :] @ (_EDGE @ V[:3, : k + 1])
     X /= lam[: k + 1] - lam[k + 1 :, None]
     W = (U[k + 1 :, k + 1 :] @ X @ Z[: k + 1, : k + 1]).reshape(2, -1)
     G = W.conj() @ W.T
@@ -286,15 +289,11 @@ def majorana_qfi_matrix(p: ChainParams) -> np.ndarray:
     columns, ``1 / (1 + |beta|^2)``, and the zero-mode column,
     ``|beta|^2 / (1 + |beta|^2)``.  So F is the metric of ``L = [V_S, z]``
     in B's own 2N+1 dimensions, with z at any scale; that basis stays well
-    conditioned where ``z^T z -> 0`` at an EP.  One real eigensolve of R
-    (:func:`_real_form`), numpy.linalg (LAPACK ``dgeev``), gives
-    B's eigenvectors, ``D^-1`` times R's, and first-order perturbation,
-    ``dv_k = sum_j v_j (V^-1 dB V)_jk / (lam_k - lam_j)``, gives dL; only
-    the modes outside L enter the sum, so clustered or degenerate modes
-    cost no accuracy.  One QR of B's eigenvector matrix, ``V = QU``, and one
-    solve with U give the basis change T, the complement of L and the rows
-    of V^-1 that the sum reads, so W is taken in that complement's
-    coordinates (see :func:`_gram`).  In the basis of :func:`_gram` the two
+    conditioned where ``z^T z -> 0`` at an EP.  D is unitary and O
+    orthogonal, so F is that metric for R(0)'s eigenvectors, from one
+    eigensolve of S, and does not depend on theta.  First-order perturbation
+    gives dL, and one QR and one solve give W in the coordinates of the
+    complement of L (:func:`_gram`).  In the basis of :func:`_gram` the two
     targets are the directions (1, 0) and (0, h), so
     ``F = 2 Re(G) * outer((1, h), (1, h))`` for its Gram matrix G.  Raises
     ``EPProximityError`` when the gap (:func:`majorana_gap`) is at or below

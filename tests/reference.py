@@ -1,10 +1,14 @@
 """Independent constructions and oracles of the free-fermion layer for the tests."""
 
 import cmath
+import functools
 
 import numpy as np
+from numpy.linalg import eig, qr, solve
 
+from nhchain.errors import EPProximityError
 from nhchain.hamiltonian import ChainParams
+from nhchain.majorana import majorana_gap
 from nhchain.operators import kron_chain, pauli
 
 
@@ -60,6 +64,123 @@ def secular_explicit(p: ChainParams) -> np.ndarray:
     k = np.arange(p.N - 2)
     S[k, k + 2] = S[k + 2, k] = J2
     return S
+
+
+@functools.lru_cache(maxsize=16)
+def _bands(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in R (size 2N+1) of its loss and bond entries, and
+    which of ``(-gamma/2, gamma/2, J, -J)`` each one holds."""
+    n = 2 * N + 1
+    code = np.zeros(n * n, dtype=np.int8)
+    # element r of `sup1` and `sup3` is R[r, r+1] and R[r, r+3], and of `sub1`
+    # and `sub3` R[r+1, r] and R[r+3, r]: strided views of the flat matrix
+    # (the third bands stop at r = n-4, where the stride would wrap a row)
+    sup1, sub1 = code[1 :: n + 1], code[n :: n + 1]
+    sup3, sub3 = code[3 : (n - 3) * (n + 1) : n + 1], code[3 * n :: n + 1]
+    sup1[1::2], sub1[1::2] = 1, 2  # g_{2k} g_{2k+1}: -gamma/2 and gamma/2
+    # g_{2k+1} g_{2k+2} and g_{2k} g_{2k+3}, bond (k, k+1): (-1)^(k-1) J
+    sup1[2::2] = sub1[2::2] = sup3[1::2] = sub3[1::2] = 3
+    sup1[4::4] = sub1[4::4] = sup3[3::4] = sub3[3::4] = 4
+    where = np.flatnonzero(code)
+    which = code[where] - 1
+    where.setflags(write=False)
+    which.setflags(write=False)
+    return where, which
+
+
+def real_form(p: ChainParams) -> np.ndarray:
+    """The real single-particle matrix ``R = D B D^-1`` of size 2N+1.
+
+    ``D = diag(i^m_r)``, m_r the parity of the site of the Majorana in row r
+    (row 0, the ancilla's g_1, takes parity 0, opposite to site 1).  With row
+    r holding g_{r+1}, R's nonzero entries are
+
+        R[2k-1, 2k] = -R[2k, 2k-1] = -gamma / 2      site k = 1..N,
+        R[2k, 2k+1] = R[2k-1, 2k+2] = (-1)^(k-1) J   bond (k, k+1),
+        R[0, 1] = -2 h cos(theta),  R[0, 2] = -2 h sin(theta),
+
+    with the bond and edge entries mirrored: R[c, r] = R[r, c].  The
+    positions of the loss and bond entries depend on N only and are kept
+    (:func:`_bands`), so one fancy assignment writes them.  The oracle of
+    the whole-matrix route, which ``majorana`` replaces by its blocks S and
+    K; it does not check for overflow.
+    """
+    n = 2 * p.N + 1
+    where, which = _bands(p.N)
+    R = np.zeros(n * n)
+    R[where] = np.array((-0.5 * p.gamma, 0.5 * p.gamma, p.J, -p.J))[which]
+    R = R.reshape(n, n)
+    R[0, 1] = R[1, 0] = -2.0 * p.h * np.cos(p.theta)
+    R[0, 2] = R[2, 0] = -2.0 * p.h * np.sin(p.theta)
+    return R
+
+
+def gram_dgeev(p: ChainParams, tol_gap: float) -> np.ndarray:
+    """Read-only Gram matrix ``G_ab = <W_a, W_b>`` of the two unit responses,
+    from the nonsymmetric eigensolve of R at theta.
+
+    The oracle for ``majorana._gram``, which takes the eigenvectors of R(0)
+    from the symmetric S instead.
+
+    ``W = (I - P) dL T^-1`` for ``L = [V_S, z] = Q_1 T`` and
+    ``P = Q_1 Q_1^H`` is linear in the edge derivative of R, so one
+    eigendecomposition with right vectors, numpy.linalg (LAPACK ``dgeev``),
+    serves every direction: ``W_0`` is the response to ``d/dh`` and ``W_1``
+    to ``d/dtheta / h``.  That basis keeps each diagonal entry of the QFI a
+    squared norm, with no cancellation at small h.
+
+    The rest is one QR and one solve.  Take the eigenvectors
+    ``V = [V_S, z, C] = QU``, C the conjugate modes, Q unitary and U upper
+    triangular.  Q's first k+1 columns Q_1 span L, so ``T = U_11`` and
+    ``I - P = Q_2 Q_2^H``, and the rows of ``V^-1 = U^-1 Q^H`` past L are
+    ``U_22^-1 Q_2^H``.  First-order perturbation gives ``dL = C X``, and
+    ``Q_2^H C = U_22``, so ``W = Q_2 W'`` with ``W' = U_22 X T^-1``: both
+    have the Gram matrix G, and neither dL nor its projection is formed.
+    The QR factorises ``[V, e_0, e_1, e_2]``: its triangular factor is
+    ``[U, Q^H[:, :3]]``, so Q itself is never formed.  One
+    ``solve(U, [e_0 .. e_k, Q^H[:, :3]])`` then returns T^-1, in its top
+    left block, and ``V^-1[:, :3]``, whose rows past L are the three
+    columns of ``U_22^-1 Q_2^H`` that X reads.
+
+    A gap (:func:`majorana_gap`) at or below ``tol_gap`` is refused before R
+    is factorised, and so is a factorisation that rounds a mode below it.
+    """
+    gap = majorana_gap(p)
+    if gap <= tol_gap:
+        raise EPProximityError(gap, tol_gap)
+    lam, vr = eig(real_form(p))
+    S = np.flatnonzero(lam.imag > 0.5 * tol_gap)
+    k = S.size
+    if k != p.N:
+        raise EPProximityError(gap, tol_gap)
+    # D is unitary, so the response is taken in R's basis.  The columns of V
+    # are the annihilated modes, the zero mode and the conjugate modes.
+    vs = vr[:, S]
+    V = np.hstack((vs, vr[:, np.argmin(np.abs(lam)), None], vs.conj()))
+    lam = np.concatenate((lam[S], [0.0], lam[S].conj()))
+    # only R[:3, :3] moves with h or theta: E_0 is its derivative in h and
+    # E_1 in theta over h, and three columns of V^-1 give M_a = V^-1 dR_a V
+    c, s = 2.0 * np.cos(p.theta), 2.0 * np.sin(p.theta)
+    E = np.array(
+        [[[0, -c, -s], [-c, 0, 0], [-s, 0, 0]], [[0, s, -c], [s, 0, 0], [-c, 0, 0]]]
+    )
+    # Z's top left block is T^-1, and its right block past L is
+    # U_22^-1 Q_2^H[:, :3]
+    n = V.shape[0]
+    UQ = qr(np.hstack((V, np.eye(n, 3))), mode="r")
+    U = UQ[:, :n]
+    Z = solve(U, np.hstack((np.eye(n, k + 1), UQ[:, n:])))
+    # dv_k = sum_j v_j M_jk / (lam_k - lam_j) for the columns k of L, with j
+    # over the conjugate modes only: components along L vanish under I - P,
+    # and no denominator does, even for clustered or degenerate modes.  So
+    # dL = C X, and W' = U_22 X T^-1 has the Gram matrix of W = Q_2 W'.
+    X = Z[k + 1 :, k + 1 :] @ (E @ V[:3, : k + 1])
+    X /= lam[: k + 1] - lam[k + 1 :, None]
+    W = (U[k + 1 :, k + 1 :] @ X @ Z[: k + 1, : k + 1]).reshape(2, -1)
+    G = W.conj() @ W.T
+    G = (G + G.conj().T) / 2.0
+    G.setflags(write=False)
+    return G
 
 
 def staggered_generator(N: int) -> np.ndarray:

@@ -158,10 +158,10 @@ def test_qfi_sweep_matches_closed_form():
         axes=(SweepAxis("j", 0.05, 0.4, 5),),
     )
     table = run_qfi_sweep(spec)
-    assert table.header == ["N", "J", "h", "theta", "target", "qfi", "error"]
+    assert table.header == ["N", "J", "h", "target", "qfi", "error"]
     for row in table.rows:
-        J, qfi = row[1], row[5]
-        assert row[6] == ""
+        J, qfi = row[1], row[4]
+        assert row[5] == ""
         assert qfi == pytest.approx(16.0 / (1 - 4 * J**2 - 0.16), rel=1e-3)
 
 
@@ -174,7 +174,7 @@ def test_qfi_sweep_grows_with_size():
         axes=(SweepAxis("n", 2, 6, 3),),
     )
     table = run_qfi_sweep(spec)
-    vals = [row[5] for row in table.rows]
+    vals = [row[4] for row in table.rows]
     assert [row[0] for row in table.rows] == [2, 4, 6]
     assert vals[0] < vals[1] < vals[2]
 
@@ -182,7 +182,7 @@ def test_qfi_sweep_grows_with_size():
 def test_qfi_sweep_angle_without_field_is_zero():
     spec = SweepSpec(subcommand="qfi", n=2, j=0.3, h=0.0, target="theta")
     table = run_qfi_sweep(spec)
-    assert table.rows[0][5] == pytest.approx(0.0, abs=1e-6)
+    assert table.rows[0][4] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_qfi_sweep_emits_nan_rows_near_coalescence():
@@ -197,23 +197,23 @@ def test_qfi_sweep_emits_nan_rows_near_coalescence():
     )
     table = run_qfi_sweep(spec)
     good, bad = table.rows
-    assert good[6] == "" and np.isfinite(good[5])
-    assert bad[6] == "ep_proximity" and np.isnan(bad[5])
+    assert good[5] == "" and np.isfinite(good[4])
+    assert bad[5] == "ep_proximity" and np.isnan(bad[4])
 
 
 def test_main_qfi_golden_row(capsys):
     # the exact Gaussian QFI has no step and no Richardson change to report
     assert main(["qfi", "--n", "2", "--j", "0.3", "--h", "0.1"]) == 0
     _, header, [row] = parse_csv(capsys.readouterr().out)
-    assert header == ["N", "J", "h", "theta", "target", "qfi", "error"]
-    assert row[6] == ""
-    assert float(row[5]) == pytest.approx(16.0 / 0.48, rel=1e-12)
+    assert header == ["N", "J", "h", "target", "qfi", "error"]
+    assert row[5] == ""
+    assert float(row[4]) == pytest.approx(16.0 / 0.48, rel=1e-12)
 
 
 def test_main_qfi_at_two_hundred_sites(capsys):
     assert main(["qfi", "--n", "200", "--j", "0.23", "--h", "0.2"]) == 0
     _, _, [row] = parse_csv(capsys.readouterr().out)
-    assert np.isfinite(float(row[5])) and row[6] == ""
+    assert np.isfinite(float(row[4])) and row[5] == ""
 
 
 def test_main_qfi_has_no_closed_form_method(capsys):
@@ -229,7 +229,7 @@ def test_main_qfi_refuses_a_non_finite_matrix_per_row(capsys):
     with np.errstate(over="ignore"):
         assert main(["qfi", "--n", "3", "--j", "0.1", "--h", "1e308"]) == 0
     _, _, [row] = parse_csv(capsys.readouterr().out)
-    assert row[5:] == ["nan", "domain"]
+    assert row[4:] == ["nan", "domain"]
 
 
 def test_main_qfi_overflowing_field_is_a_domain_row_with_no_numpy_warning(capsys):
@@ -238,7 +238,7 @@ def test_main_qfi_overflowing_field_is_a_domain_row_with_no_numpy_warning(capsys
         assert main(["qfi", "--n", "3", "--j", "0.1", "--h", "1e308"]) == 0
     out, err = capsys.readouterr()
     _, _, [row] = parse_csv(out)
-    assert row[5:] == ["nan", "domain"]
+    assert row[4:] == ["nan", "domain"]
     assert err == ""
 
 
@@ -254,7 +254,7 @@ def test_main_overflowing_coupling_is_refused_with_no_numpy_warning(capsys):
         assert main(["qfi", "--n", "3", "--j", "1e200", "--h", "0.1"]) == 0
     out, err = capsys.readouterr()
     _, _, [row] = parse_csv(out)
-    assert row[5:] == ["nan", "domain"]
+    assert row[4:] == ["nan", "domain"]
     assert err == ""
 
 
@@ -587,6 +587,9 @@ def test_one_point_axis_refuses_a_stop_it_would_drop(capsys):
         ("gap --theta 0.7", "--theta"),
         ("ep --theta 0.7", "--theta"),
         ("scaling --theta 0.7", "--theta"),
+        # nor does the QFI
+        ("qfi --theta 0.7", "--theta"),
+        ("qfi --theta-range 0:1:2", "--theta-range"),
     ],
 )
 def test_main_rejects_flags_the_subcommand_does_not_read(argv, flag, tmp_path, capsys):
@@ -625,12 +628,12 @@ GOLDEN_COMMENTS = [
         ],
     ),
     (
-        "qfi --n 2 --j 0.3 --h 0.1 --target theta --theta-range 0:1:2",
+        "qfi --n 2 --j 0.3 --h 0.1 --target theta --n-range 2:3:2",
         [
             "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 theta=0 "
             "target=theta axis=y tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
             "t_range=0:50:101",
-            "# sweep theta=0:1:2",
+            "# sweep n=2:3:2",
         ],
     ),
     (
@@ -702,15 +705,17 @@ def test_readme_cli_invocations_parse():
     assert {shlex.split(ln)[1] for ln in lines} == set(cli.RUNNERS)
 
 
-def test_main_takes_a_range_that_starts_with_a_minus(tmp_path, capsys):
-    base = ["qfi", "--n", "2", "--j", "0.2", "--h", "0.1"]
+def test_main_takes_a_value_that_starts_with_a_minus(tmp_path, capsys):
+    # argparse alone reads -1e-3 as a flag; no range flag takes a value
+    # below zero since theta left the qfi axes
+    base = ["correlations", "--n", "2", "--j", "0.2", "--h", "0.1", "--axis", "z"]
     spaced, glued = tmp_path / "spaced.csv", tmp_path / "glued.csv"
-    assert main(base + ["--theta-range", "-1:1:3", "--out", str(spaced)]) == 0
-    assert main(base + ["--theta-range=-1:1:3", "--out", str(glued)]) == 0
+    assert main(base + ["--theta", "-1e-3", "--out", str(spaced)]) == 0
+    assert main(base + ["--theta=-1e-3", "--out", str(glued)]) == 0
     assert capsys.readouterr().err == ""
     assert spaced.read_bytes() == glued.read_bytes()
     _, _, rows = parse_csv(spaced.read_text())
-    assert [float(r[3]) for r in rows] == [-1.0, 0.0, 1.0]
+    assert rows and all(float(r[3]) == -1e-3 for r in rows)
 
 
 

@@ -239,5 +239,8 @@ def test_fit_refuses_a_point_that_is_not_finite():
 
 
 def test_fit_rejects_bad_degree():
-    with pytest.raises(ValueError, match="degree"):
-        fit_inverse_poly([(2, 0.5), (3, 0.35), (4, 0.31), (5, 0.29)], degree=0)
+    # True is an int and 2.5 reached range(): they fitted degree 1 and raised
+    # TypeError
+    for degree in (0, True, 2.5):
+        with pytest.raises(ValueError, match="degree"):
+            fit_inverse_poly([(2, 0.5), (3, 0.35), (4, 0.31), (5, 0.29)], degree=degree)

@@ -16,7 +16,7 @@ import nhchain.majorana as majorana
 from nhchain.critical import ep_curve, find_ep_J, gap_at
 from nhchain.hamiltonian import ChainParams, build_total
 from nhchain.majorana import (
-    _real_form,
+    _coupling,
     _secular,
     _secular_bands,
     default_tol_gap,
@@ -28,6 +28,7 @@ from reference import (
     padded_majorana_matrix,
     pair_modes,
     parity_phases,
+    real_form,
     secular_explicit,
 )
 
@@ -126,8 +127,8 @@ def test_modes_make_one_real_eigensolve(monkeypatch):
 
     eigvalsh = majorana.eigvalsh
     assert not hasattr(majorana, "eigvals")
+    assert not hasattr(majorana, "eig")
     monkeypatch.setattr(majorana, "eigvalsh", counted)
-    monkeypatch.setattr(majorana, "eig", refused)
     monkeypatch.setattr(np.linalg, "eig", refused)
     monkeypatch.setattr(np.linalg, "eigvals", refused)
     p = ChainParams(N=7, J=0.23, h=0.2, theta=0.7)
@@ -178,7 +179,24 @@ def test_majorana_matrix_matches_the_padded_construction(n):
     d = parity_phases(B.shape[0])
     DBD = d[:, None] * B * d.conj()
     assert np.all(DBD.imag == 0)
-    assert np.array_equal(_real_form(p), DBD.real)
+    assert np.array_equal(real_form(p), DBD.real)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_theta_is_an_orthogonal_rotation_of_the_real_form(n):
+    # R(theta) = O R(0) O^T, O turning the rows (2k-1, 2k) of site k by
+    # (-1)^(k-1) theta: the premise of a Gram matrix taken at theta = 0
+    # (1.1e-16 at worst here)
+    p = ChainParams(N=n, J=0.37, gamma=1.3, h=0.21, theta=0.7)
+    O = np.eye(2 * n + 1)
+    for k in range(1, n + 1):
+        a = (-1) ** (k - 1) * p.theta
+        O[2 * k - 1 : 2 * k + 1, 2 * k - 1 : 2 * k + 1] = [
+            [math.cos(a), -math.sin(a)],
+            [math.sin(a), math.cos(a)],
+        ]
+    R, R0 = real_form(p), real_form(replace(p, theta=0.0))
+    assert np.abs(R - O @ R0 @ O.T).max() <= 1e-15
 
 
 # the fixture is a pure function, so sharing it across examples is safe
@@ -235,7 +253,7 @@ def test_secular_matrix_has_the_squared_modes_of_the_real_form(n, j, gamma, h, t
     # the eigenvalues of S are eps_k^2, from the dgeev of R at any theta:
     # 1.8e-14 of max(1, ||S||) at worst over 3000 random draws of this kind
     p = ChainParams(N=n, J=j, gamma=gamma, h=h, theta=theta)
-    ref = pair_modes(np.linalg.eigvals(_real_form(p)))
+    ref = pair_modes(np.linalg.eigvals(real_form(p)))
     lam = np.linalg.eigvalsh(_secular(p))
     scale = max(1.0, np.abs(lam).max())
     assert np.abs(lam - np.sort((ref**2).real)).max() <= 5e-14 * scale
@@ -271,6 +289,29 @@ def test_secular_band_table_is_read_only_and_each_matrix_fresh():
     assert np.array_equal(_secular(p), secular_explicit(p))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    j=_zero_or(0.6),
+    gamma=_zero_or(2.0),
+    h=_zero_or(0.4),
+)
+def test_coupling_block_is_the_even_odd_block_of_the_real_form(n, j, gamma, h):
+    # K = R(0)[0::2, 1::2] bit for bit; R(0) has no other even-even or odd-odd
+    # entry, and L K = D' S D' with L = R(0)[1::2, 0::2], D' = (-1)^floor(k/2)
+    # (2.2e-16 of max(1, ||S||) at worst over 2000 random draws of this kind)
+    p = ChainParams(N=n, J=j, gamma=gamma, h=h)
+    R = real_form(p)
+    K = _coupling(p)
+    assert K.shape == (n + 1, n)
+    assert np.array_equal(K, R[0::2, 1::2])
+    assert not R[0::2, 0::2].any() and not R[1::2, 1::2].any()
+    d = np.where(np.arange(n) // 2 % 2, -1.0, 1.0)
+    S = _secular(p)
+    LK = R[1::2, 0::2] @ K
+    assert np.abs(LK - d[:, None] * S * d).max() <= 1e-15 * max(1.0, np.abs(S).max())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 40), theta=st.floats(0.0, 2.0 * math.pi))
 def test_modes_do_not_depend_on_theta(n, theta):
@@ -280,7 +321,7 @@ def test_modes_do_not_depend_on_theta(n, theta):
     p = ChainParams(N=n, J=0.23, gamma=1.0, h=0.2, theta=theta)
     p0 = replace(p, theta=0.0)
     ref, ref0 = (
-        np.sort((pair_modes(np.linalg.eigvals(_real_form(q))) ** 2).real)
+        np.sort((pair_modes(np.linalg.eigvals(real_form(q))) ** 2).real)
         for q in (p, p0)
     )
     assert np.abs(ref - ref0).max() <= 2e-14

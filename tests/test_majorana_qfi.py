@@ -23,7 +23,12 @@ from nhchain.majorana import (
 )
 from nhchain.qfi import fidelity_qfi_from_states, qfi_fidelity, qfi_two_site_analytic
 from nhchain.spectral import solve_steady_state
-from reference import padded_majorana_matrix, pair_modes, staggered_generator
+from reference import (
+    gram_dgeev,
+    padded_majorana_matrix,
+    pair_modes,
+    staggered_generator,
+)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -194,19 +199,21 @@ def test_off_diagonal_against_a_joint_shift(n, sign):
     assert abs(value - exact) <= 1.5 * richardson_diff * exact
 
 
-def _count_dgeev(monkeypatch):
-    """Count the real eigensolves of R; a complex one raises.  Each entry
-    counts the QR factorisations and linear solves made after its
-    eigensolve, and a second one of either raises.  The gap comes from the
-    symmetric S (tests/test_majorana.py spies on that)."""
+def _count_eigensolves(monkeypatch):
+    """Count the eigensolves of the QFI; any but a real symmetric N x N one
+    raises.  Each entry counts the QR factorisations and linear solves made
+    after its eigensolve, and a second one of either raises.  The gap alone
+    is an eigvalsh of S (tests/test_majorana.py spies on that)."""
     calls = []
-    eig = majorana.eig
+    eigh = majorana.eigh
 
     def spy(a):
-        if a.dtype != np.float64:
-            raise AssertionError("complex eigensolve on the QFI path")
-        calls.append({"qr": 0, "solve": 0})
-        return eig(a)
+        if a.dtype != np.float64 or a.shape[0] != a.shape[1]:
+            raise AssertionError("an eigensolve that is not of a real square S")
+        if not np.array_equal(a, a.T):
+            raise AssertionError("a nonsymmetric eigensolve on the QFI path")
+        calls.append({"qr": 0, "solve": 0, "n": a.shape[0]})
+        return eigh(a)
 
     def once(name, f):
         def counted(*args, **kw):
@@ -217,7 +224,7 @@ def _count_dgeev(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(majorana, "eig", spy)
+    monkeypatch.setattr(majorana, "eigh", spy)
     monkeypatch.setattr(majorana, "qr", once("qr", majorana.qr))
     monkeypatch.setattr(majorana, "solve", once("solve", majorana.solve))
     majorana._gram.cache_clear()
@@ -225,13 +232,13 @@ def _count_dgeev(monkeypatch):
 
 
 def test_both_targets_share_one_factorisation(monkeypatch):
-    calls = _count_dgeev(monkeypatch)
+    calls = _count_eigensolves(monkeypatch)
     p1 = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     p2 = replace(p1, h=0.1)
     majorana_qfi(p1, "h")
     majorana_qfi(p1, "theta")
-    # one eig, one QR of the eigenvectors and one triangular solve
-    assert calls == [{"qr": 1, "solve": 1}]
+    # one eigh of S, one QR of the eigenvectors and one triangular solve
+    assert calls == [{"qr": 1, "solve": 1, "n": 4}]
     # the memo keeps one point: nothing is reused across points
     majorana._gram.cache_clear()
     majorana_qfi(p1, "h")
@@ -241,7 +248,7 @@ def test_both_targets_share_one_factorisation(monkeypatch):
 
 
 def test_memo_is_read_only(monkeypatch):
-    _count_dgeev(monkeypatch)
+    _count_eigensolves(monkeypatch)
     p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     F = majorana_qfi_matrix(p)
     F[0, 0] = 0.0
@@ -251,24 +258,24 @@ def test_memo_is_read_only(monkeypatch):
 
 
 def test_exceptional_point_is_refused_on_every_call(monkeypatch):
-    calls = _count_dgeev(monkeypatch)
+    calls = _count_eigensolves(monkeypatch)
     p = ChainParams(N=2, J=0.3, h=0.2)
     for _ in range(2):
         with pytest.raises(EPProximityError):
             majorana_qfi(p, "h")
-    # refused from the gap of S, before R is factorised
-    assert calls == []
+    # refused from the eigenvalues of S on each call, with no QR or solve
+    assert calls == [{"qr": 0, "solve": 0, "n": 2}] * 2
 
 
 def test_a_raised_gap_tolerance_is_a_new_key(monkeypatch):
-    calls = _count_dgeev(monkeypatch)
+    calls = _count_eigensolves(monkeypatch)
     p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
     majorana_qfi(p, "h")
     monkeypatch.setattr("nhchain.majorana.TOL_GAP_FACTOR", 1.0)
     with pytest.raises(EPProximityError):
         majorana_qfi(p, "theta")
-    # the memo is not read, and R is not factorised for a refused gap
-    assert len(calls) == 1
+    # the memo is not read, and a refused gap makes no QR or solve
+    assert calls == [{"qr": 1, "solve": 1, "n": 4}, {"qr": 0, "solve": 0, "n": 4}]
 
 
 def test_non_finite_matrix_is_refused():
@@ -291,6 +298,20 @@ def test_two_site_closed_forms_just_below_the_exceptional_point(h, dJ, rel):
     for target in ("h", "theta"):
         ref = qfi_two_site_analytic(p, target)
         assert majorana_qfi(p, target) == pytest.approx(ref, rel=rel), target
+
+
+@pytest.mark.parametrize("dJ", [1e-10, 1e-11])
+@pytest.mark.parametrize("h", [0.05, 0.2])
+def test_two_site_closed_forms_closer_to_the_exceptional_point(h, dJ):
+    # gaps of 2.4e-6 to 9.9e-6: the QR and the solve still see cond(V) ~
+    # 1/gap^2, so the error is bounded by eps/gap^2 (8.4e-6 at worst against
+    # 3.7e-5); a nonsymmetric eigensolve of R, whose eigenvalues the 3x3
+    # Jordan block scatters, was 3.0e-2 off at h = 0.2, dJ = 1e-11
+    p = ChainParams(N=2, J=math.sqrt(1.0 - 16.0 * h * h) / 2.0 - dJ, h=h, theta=0.7)
+    bound = np.finfo(float).eps / majorana_gap(p) ** 2
+    for target in ("h", "theta"):
+        ref = qfi_two_site_analytic(p, target)
+        assert abs(majorana_qfi(p, target) / ref - 1.0) <= bound, target
 
 
 def _schur_gram(p: ChainParams, tol_gap: float) -> np.ndarray:
@@ -381,6 +402,28 @@ def test_gram_matches_the_schur_formulation(n, j, gamma, h, theta):
     p = ChainParams(N=n, J=j * gamma, gamma=gamma, h=h * gamma, theta=theta)
     assume(majorana_gap(p) >= 1e-2 * gamma)
     _assert_same_gram(p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    j=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+    h=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_gram_from_the_secular_matrix_matches_the_nonsymmetric_eigensolve(
+    n, j, gamma, h, theta
+):
+    # the eigenvectors of R(0) from the eigh of S, at theta = 0, against the
+    # dgeev of R at theta: 9.4e-13 of max |G| at worst over 1095 random
+    # gapped draws of this kind, each route about 5e-13 off a 40-digit
+    # oracle near a gap of 1e-2 gamma
+    p = ChainParams(N=n, J=j * gamma, gamma=gamma, h=h * gamma, theta=theta)
+    assume(majorana_gap(p) >= 1e-2 * gamma)
+    tol_gap = default_tol_gap(gamma)
+    G, ref = majorana._gram(p, tol_gap), gram_dgeev(p, tol_gap)
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max(), p
 
 
 @pytest.mark.parametrize("n", [2, 8, 40])
