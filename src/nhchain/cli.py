@@ -12,10 +12,11 @@ to N = 5 run on numpy alone.  Defaults live only in
 ``SweepSpec``; ``nhchain SUB --help`` shows them.
 
 Output format: UTF-8, comma-separated, ``\\n`` line endings, ``#`` comment
-lines carrying every ``SweepSpec`` field (a field the subcommand does not
-read shows the default it ran with) and the package version, then a header
-row and data rows.  Floats are rendered with 17 significant digits so
-re-parsing reproduces them bit-exactly.  Identical invocations produce
+lines carrying the package version, each ``SweepSpec`` field the
+subcommand reads (its flags in ``SUBCOMMAND_FLAGS``, a flag not given
+showing its default) and the swept ranges, then a header row and data
+rows.  Floats are rendered with 17 significant digits so re-parsing
+reproduces them bit-exactly.  Identical invocations produce
 byte-identical files; grid points failing near an exceptional point are
 emitted as ``nan`` rows with an error tag instead of aborting the sweep.
 
@@ -148,10 +149,11 @@ class CsvTable:
 
 
 def _provenance(spec: SweepSpec) -> list[str]:
+    read = SUBCOMMAND_FLAGS[spec.subcommand].split()
     parts = [
         f"{f.name}={fmt(getattr(spec, f.name))}"
         for f in fields(SweepSpec)
-        if f.name not in ("subcommand", "axes", "out")
+        if f.name.replace("_", "-") in read
     ]
     lines = [
         f"nhchain {__version__}",

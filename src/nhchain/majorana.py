@@ -202,6 +202,25 @@ def majorana_gap(p: ChainParams) -> float:
     return math.sqrt(max(0.0, -eigvalsh(_secular(p))[-1]))
 
 
+def _steady_reference(p: ChainParams) -> tuple[complex, float]:
+    """``(lambda_0, gap)`` of the steady state, refused at an exceptional point.
+
+    One eigensolve of S gives both.  The gap is :func:`majorana_gap`, bit
+    for bit, and one at or below ``default_tol_gap(gamma)`` raises
+    ``EPProximityError``.  Above it,
+    ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k`` (:func:`majorana_modes`)
+    and every other eigenvalue lies at least the gap from it, so the one
+    eigenvalue within half the gap of lambda_0 is the steady state's.
+    """
+    mu = eigvalsh(_secular(p))
+    gap = math.sqrt(max(0.0, -mu[-1]))
+    tol_gap = default_tol_gap(p.gamma)
+    if gap <= tol_gap:
+        raise EPProximityError(gap, tol_gap)
+    eps = np.sqrt(mu[::-1].astype(complex))
+    return -0.25j * p.gamma * p.N + 0.5 * eps.sum(), gap
+
+
 @functools.lru_cache(maxsize=1)
 def _gram(p: ChainParams, tol_gap: float) -> np.ndarray:
     """Read-only Gram matrix ``G_ab = <W_a, W_b>`` of the two unit responses.

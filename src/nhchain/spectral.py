@@ -1,13 +1,15 @@
 """Eigen-analysis of the non-Hermitian chain generator.
 
-Two solvers find the steady state.  The dense one diagonalizes the full
-matrix with numpy.linalg (LAPACK ``zgeev``), up to dimension 4096
-(N <= 12).  The matrix-free one reads the gap and the steady-state
-eigenvalue lambda_0 from the free-fermion modes, refuses a closed gap, then
-takes the one eigenpair of largest imaginary part from ARPACK
+Two solvers find the steady state, on one contract (:class:`SteadyState`):
+each takes the gap and the steady-state eigenvalue lambda_0 from the
+free-fermion modes, refuses a closed gap before any 2^N eigensolve, and
+accepts only the pair within half the gap of lambda_0, where no other
+eigenvalue lies.  The dense one diagonalizes the full matrix with
+numpy.linalg (LAPACK ``zgeev``), up to dimension 4096 (N <= 12), and
+offers the eigenvalue nearest lambda_0.  The matrix-free one offers the
+one eigenpair of largest imaginary part from ARPACK
 (``scipy.sparse.linalg.eigs(k=1, which="LI")`` on a Krylov subspace of
-``ncv = min(ARPACK_NCV, dim)`` vectors) and accepts it only within half the
-gap of lambda_0, where no other eigenvalue lies.
+``ncv = min(ARPACK_NCV, dim)`` vectors).
 ``evolve`` applies a Krylov approximation of ``exp(-i H t)``: it
 exponentiates the small Arnoldi matrix every ``EXPM_STRIDE`` orders and
 accepts an order on Saad's a-posteriori estimate of the local error.
@@ -17,14 +19,9 @@ builds the sparse generator for the Krylov path alone and hands the dense
 path a numpy array (``build_dense``), so the free-fermion and dense paths
 never load scipy.
 
-Eigenvalue ordering everywhere: descending imaginary part, ties (to within
-``1e-9 max(1, max |lambda|)``) broken by ascending real part.  The steady
-state is the first eigenvalue in this order; the gap is the difference of
-the top two imaginary parts, which the dense solver reads off its spectrum
-and the matrix-free one takes from the free-fermion modes.  Both solvers
-share one contract: a gap at or below ``majorana.default_tol_gap(gamma)``
-raises ``EPProximityError``, because no steady state is isolated at an
-exceptional point.
+Spectra are listed in one order (``spectral_order``): descending imaginary
+part, ties (to within ``1e-9 max(1, max |lambda|)``) broken by ascending
+real part.  No steady state is read off that order.
 
 Returned steady-state vectors have unit Euclidean norm and a fixed phase
 gauge: the largest-magnitude amplitude is real and positive (magnitude ties
@@ -41,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DenseSizeError, EPProximityError
+from .errors import ConvergenceError, DenseSizeError
 from .hamiltonian import ChainParams, build_dense, build_total
-from .majorana import default_tol_gap, majorana_modes
+from .majorana import _steady_reference
 from .operators import SparseOperator
 
 log = logging.getLogger("nhchain")
@@ -99,9 +96,9 @@ def spectral_order(w: np.ndarray) -> np.ndarray:
     ``1e-9 max(1, max |lambda|)`` are tied, and a run of such ties is one
     group ordered by Re.  Past the boundary ``lambda`` and
     ``-conj(lambda)`` share one imaginary part, which two eigensolvers
-    round differently.  The tolerance is far above that rounding and, for
-    gamma above ~1e-2, far below ``default_tol_gap(gamma)``, so a tie at
-    the top is refused as an exceptional point before its order matters.
+    round differently.  The tolerance is far above that rounding, so two
+    routes to one spectrum list it in one order.  It orders spectra only:
+    no steady state is picked by it (:class:`SteadyState`).
     """
     order = np.argsort(-w.imag, kind="stable")
     im = w.imag[order]
@@ -122,11 +119,22 @@ def phase_gauge(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Slowest-decaying eigenpair.
+    """Slowest-decaying eigenpair, identified by its free-fermion eigenvalue.
 
-    ``gap`` is the top-two imaginary-part difference, always above
-    ``default_tol_gap(gamma)``: read off the dense spectrum, or on the
-    Krylov path the free-fermion gap ``Im eps_0``.
+    Both solvers keep one contract.  Before any 2^N eigensolve, one
+    symmetric eigensolve of size N (``majorana._steady_reference``) gives
+    the imaginary-part gap ``Im eps_0``, which is ``majorana_gap(p)`` bit
+    for bit, and the steady-state eigenvalue
+    ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  A gap at or below
+    ``default_tol_gap(gamma)`` raises ``EPProximityError``: no steady state
+    is isolated at an exceptional point, nor in the Hermitian limit
+    gamma = 0.  Every other eigenvalue lies at least the gap from
+    lambda_0, so the solver's candidate (the eigenvalue of ``eig`` nearest
+    lambda_0, or ARPACK's one pair) is the steady state only if it lies
+    within half the gap of lambda_0; otherwise ``ConvergenceError`` is
+    raised with the pair's eigen-residual.  ``eigenvalue`` and ``vector``
+    are the solver's own, the vector in the gauge of :func:`phase_gauge`;
+    ``gap`` is the free-fermion gap.
     """
 
     params: ChainParams
@@ -217,45 +225,52 @@ def _check_dense_size(dim: int) -> None:
         )
 
 
-def _dense_matrix(H: SparseOperator) -> np.ndarray:
-    _check_dense_size(H.dim)
-    return H.dense()
-
-
 def dense_eigenvalues(H: SparseOperator) -> np.ndarray:
     """All eigenvalues of H in spectral order, from a dense eigensolve."""
-    w = np.linalg.eigvals(_dense_matrix(H))
+    _check_dense_size(H.dim)
+    w = np.linalg.eigvals(H.dense())
     return w[spectral_order(w)]
 
 
-def _steady_state_from_pair(
-    p: ChainParams, lam: complex, vec: np.ndarray, gap: float, method: str
+def _residual(matvec, lam: complex, vec: np.ndarray) -> float:
+    """Eigen-residual ``||H v - lambda v||`` of the pair, v at unit norm."""
+    vec = vec / np.linalg.norm(vec)
+    return float(np.linalg.norm(matvec(vec) - lam * vec))
+
+
+def _identified(
+    p: ChainParams,
+    lam: complex,
+    vec: np.ndarray,
+    ref: tuple[complex, float],
+    method: str,
+    matvec,
 ) -> SteadyState:
+    """The candidate pair as the steady state, if it lies within half the gap
+    of ``lambda_0``; ``ref = (lambda_0, gap)`` (:class:`SteadyState`)."""
+    lam0, gap = ref
+    if not abs(lam - lam0) < 0.5 * gap:
+        raise ConvergenceError(
+            f"{method} pair {lam:.6g} is not the steady state {lam0:.6g}: "
+            f"they differ by at least half the gap {gap:.3g}",
+            residual=_residual(matvec, lam, vec),
+        )
     return SteadyState(
         params=p, eigenvalue=lam, vector=phase_gauge(vec), gap=gap, method=method
     )
 
 
-def _steady_state(
-    p: ChainParams, w: np.ndarray, v: np.ndarray, method: str
-) -> SteadyState:
-    """Steady state from eigenpairs (columns of ``v``); raises at an EP."""
-    tol_gap = default_tol_gap(p.gamma)
-    order = spectral_order(w)
-    # read off the sorted parts: within a tie, order[0] need not have the
-    # largest Im, and the gap stays >= 0
-    im = np.sort(w.imag)
-    gap = float(im[-1] - im[-2])
-    if gap <= tol_gap:
-        raise EPProximityError(gap, tol_gap)
-    return _steady_state_from_pair(
-        p, complex(w[order[0]]), v[:, order[0]], gap, method
-    )
+def _eig_steady_state(p: ChainParams, H: SparseOperator | None = None) -> SteadyState:
+    """The steady state from ``eig`` of H, or of ``build_dense(p)`` without one.
 
-
-def _eig_steady_state(A: np.ndarray, p: ChainParams) -> SteadyState:
+    The free-fermion reference comes first, so a closed gap is refused
+    before the generator is built or diagonalized.
+    """
+    ref = _steady_reference(p)
+    A = build_dense(p) if H is None else H.dense()
     w, v = np.linalg.eig(A)
-    return _steady_state(p, w, v, "dense")
+    k = int(np.argmin(np.abs(w - ref[0])))
+    return _identified(p, complex(w[k]), v[:, k], ref, "dense", A.dot)
 
 
 def _check_operator_size(H: SparseOperator, p: ChainParams) -> None:
@@ -268,10 +283,13 @@ def _check_operator_size(H: SparseOperator, p: ChainParams) -> None:
 def steady_state_dense(H: SparseOperator, p: ChainParams) -> SteadyState:
     """Slowest-decaying eigenpair from a dense eigendecomposition.
 
-    An operator whose dimension is not ``p.dim`` raises ValueError.
+    An operator whose dimension is not ``p.dim`` raises ValueError, and
+    one above ``DENSE_MAX_DIM`` raises ``DenseSizeError``, before anything
+    is solved.  The pair is identified as :class:`SteadyState` states.
     """
     _check_operator_size(H, p)
-    return _eig_steady_state(_dense_matrix(H), p)
+    _check_dense_size(H.dim)
+    return _eig_steady_state(p, H)
 
 
 def _arnoldi_step(H, psi, dt, tol, m_max, min_dt):
@@ -412,29 +430,24 @@ def _arpack_steady_state(
 ) -> SteadyState:
     """The steady state as one ARPACK pair from ``v0``, identified exactly.
 
-    The free-fermion modes (one symmetric eigensolve of size N) give the gap
-    ``Im eps_0``, refused at or below ``default_tol_gap(gamma)`` before
-    ARPACK runs, and the steady-state eigenvalue
-    ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  Every other eigenvalue
-    is at least the gap from lambda_0, so a pair within half the gap of it
-    is the steady state and not a neighbour.  ARPACK restarts a Krylov
+    The free-fermion reference comes first, so a closed gap is refused
+    before ARPACK runs (:class:`SteadyState`).  ARPACK restarts a Krylov
     subspace of ``ncv = min(ARPACK_NCV, dim)`` vectors, not scipy's
     ``min(20, dim)``: it takes more matvecs and less time.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-    tol_gap = default_tol_gap(p.gamma)
-    eps = majorana_modes(p)
-    if (gap := float(eps[0].imag)) <= tol_gap:
-        raise EPProximityError(gap, tol_gap)
-    lam0 = -0.25j * p.gamma * p.N + 0.5 * eps.sum()
+    ref = _steady_reference(p)
     dim = H.dim
-    A = LinearOperator((dim, dim), matvec=H.matvec, dtype=np.complex128)
-
-    def residual(lam, vec):
-        vec = vec / np.linalg.norm(vec)
-        return float(np.linalg.norm(H.matvec(vec) - lam * vec))
-
+    # ARPACK's stopping test is relative to the Ritz value, and where the
+    # steady eigenvalue is zero to rounding (J = h = 0 at N >= 4, J below
+    # ~1e-7 at N = 8) it returned the second pair.  So it runs on the
+    # traceless H + i gamma N / 4, whose steady eigenvalue 1/2 sum_k eps_k
+    # is at least N gap / 2 in modulus.
+    shift = 0.25j * p.gamma * p.N
+    A = LinearOperator(
+        (dim, dim), matvec=lambda v: H.matvec(v) + shift * v, dtype=np.complex128
+    )
     try:
         w, v = eigs(
             A,
@@ -447,27 +460,21 @@ def _arpack_steady_state(
         )
     except ArpackNoConvergence as exc:
         partial = [
-            residual(lam, exc.eigenvectors[:, j])
+            _residual(H.matvec, lam - shift, exc.eigenvectors[:, j])
             for j, lam in enumerate(exc.eigenvalues)
         ]
         raise ConvergenceError(
             f"ARPACK did not converge in {max_iters} restarts",
             residual=min(partial, default=np.inf),
         ) from None
-    lam, vec = complex(w[0]), v[:, 0]
-    r = residual(lam, vec)
+    lam, vec = complex(w[0]) - shift, v[:, 0]
+    r = _residual(H.matvec, lam, vec)
     if not r <= tol * max(1.0, abs(lam)):
         raise ConvergenceError(
             f"ARPACK steady state fails the residual gate at tol={tol:.1e}",
             residual=r,
         )
-    if not abs(lam - lam0) < 0.5 * gap:
-        raise ConvergenceError(
-            f"ARPACK pair {lam:.6g} is not the steady state {lam0:.6g}: "
-            f"they differ by at least half the gap {gap:.3g}",
-            residual=r,
-        )
-    return _steady_state_from_pair(p, lam, vec, gap, "krylov")
+    return _identified(p, lam, vec, ref, "krylov", H.matvec)
 
 
 def _warm_krylov_solver(
@@ -507,26 +514,18 @@ def steady_state_krylov(
 
     A ``tol`` that is not finite and > 0, a ``max_iters`` that is not an
     integer >= 1, or an operator whose dimension is not ``p.dim``, raises
-    ValueError before anything is built or solved.  The free-fermion modes
-    (``majorana_modes(p)``, one symmetric eigensolve of size N) give the gap
-    ``Im eps_0`` and the steady-state eigenvalue
-    ``lambda_0 = -i gamma N / 4 + 1/2 sum_k eps_k``.  A gap at or below the
-    threshold ``majorana.default_tol_gap(gamma)`` raises
-    ``EPProximityError`` before ARPACK runs: there many eigenvalues share
-    the top imaginary part, and ARPACK can spend its restart budget failing
-    to choose among them.
-    Otherwise ``eigs(k=1, which="LI", ncv=min(ARPACK_NCV, dim))`` computes
-    the one eigenpair of largest imaginary part, matrix-free through
-    ``H.matvec``, from a start vector drawn from ``default_rng(seed)``,
-    within at most ``max_iters`` implicit restarts of its ``ncv``-vector
-    Krylov subspace.  The pair is accepted only if its eigen-residual
-    ``||H v - lambda v||`` is at most ``tol * max(1, |lambda|)`` and
-    ``|lambda - lambda_0|`` is below half the gap: every other eigenvalue
-    lies at least the gap from lambda_0, so that proves the pair is the
-    steady state and not a neighbour.  A failed gate, or a restart budget
-    that runs out, raises ``ConvergenceError`` with the residual (``inf``
-    when no pair converged at all).  The eigenvalue and vector are ARPACK's;
-    ``gap`` is the free-fermion gap.
+    ValueError before anything is built or solved.  A closed gap is refused
+    before ARPACK runs, where many eigenvalues share the top imaginary part
+    and ARPACK could spend its restart budget failing to choose among them;
+    the gap, lambda_0 and the identification follow :class:`SteadyState`.
+    ``eigs(k=1, which="LI", ncv=min(ARPACK_NCV, dim))`` computes the one
+    eigenpair of largest imaginary part, matrix-free through ``H.matvec``,
+    from a start vector drawn from ``default_rng(seed)``, within at most
+    ``max_iters`` implicit restarts of its ``ncv``-vector Krylov subspace.
+    The pair must also pass a residual gate: its eigen-residual
+    ``||H v - lambda v||`` at most ``tol * max(1, |lambda|)``.  A failed
+    gate, or a restart budget that runs out, raises ``ConvergenceError``
+    with the residual (``inf`` when no pair converged at all).
     """
     _check_solver_args(tol, max_iters)
     _check_operator_size(H, p)
@@ -552,13 +551,12 @@ def solve_steady_state(
     ``DenseSizeError`` before anything is allocated.  ``tol``, ``max_iters``
     (the ARPACK restart budget) and ``seed`` (of ARPACK's start vector; a
     Krylov QFI estimate draws it for its first solve only) reach only the
-    Krylov path, one eigenpair identified by its free-fermion eigenvalue
-    (see :func:`steady_state_krylov`).  A ``tol`` that is not
+    Krylov path (:func:`steady_state_krylov`).  A ``tol`` that is not
     finite and > 0 or a ``max_iters`` that is not an integer >= 1 raises
     ValueError on either path, as does an ``H`` whose dimension is not
-    ``p.dim``, before anything is built or solved.  Both paths raise
-    ``EPProximityError`` when the gap is at or below
-    ``default_tol_gap(gamma)``.
+    ``p.dim``, before anything is built or solved.  Both paths identify
+    the steady state, and refuse an exceptional point before any 2^N
+    eigensolve, as :class:`SteadyState` states.
     """
     _check_solver_args(tol, max_iters)
     if method == "auto":
@@ -567,7 +565,7 @@ def solve_steady_state(
         if H is not None:
             return steady_state_dense(H, p)
         _check_dense_size(p.dim)
-        return _eig_steady_state(build_dense(p), p)
+        return _eig_steady_state(p)
     if method == "krylov":
         if H is None:
             H = build_total(p)

@@ -395,12 +395,17 @@ def test_csv_nan_rendering():
 
 
 def test_provenance_comments_echo_spec():
+    # gap reads no seed, so its settings line leaves the seed out; evolve
+    # reads one and echoes it
     spec = SweepSpec(subcommand="gap", n=3, j=0.1, h=0.05, seed=11)
     comments, _, _ = parse_csv(run_gap_sweep(spec).to_string())
     joined = "\n".join(comments)
     assert "subcommand=gap" in joined
-    assert "seed=11" in joined
+    assert "n=3 j=0.10000000000000001 gamma=1 h=0.050000000000000003" in comments
+    assert "seed" not in joined
     assert any(c.startswith("nhchain ") for c in comments)
+    evolve = cli._provenance(SweepSpec(subcommand="evolve", seed=11))
+    assert "seed=11" in evolve[2].split()
 
 
 def test_byte_identical_reruns():
@@ -606,50 +611,39 @@ def test_main_help_shows_spec_defaults(capsys):
         assert shown in text
 
 
-# The comment block of one invocation per subcommand, as written before the
-# parser and the provenance line were generated from the SweepSpec fields.
+# The comment block of one invocation per subcommand: the settings line
+# echoes only the SweepSpec fields whose flags the subcommand reads.
 GOLDEN_COMMENTS = [
     (
         "spectrum --n 3 --j 0.1 --h 0.05 --gamma 1.2",
-        [
-            "# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003 "
-            "theta=0 target=h axis=y "
-            "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
-            "t_range=0:50:101",
-        ],
+        ["# n=3 j=0.10000000000000001 gamma=1.2 h=0.050000000000000003"],
     ),
     (
         "gap --n 2 --j-range 0:0.4:5 --h-range 0:0.2:3",
         [
-            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y "
-            "tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
-            "t_range=0:50:101",
+            "# n=2 j=0 gamma=1 h=0",
             "# sweep j=0:0.40000000000000002:5 h=0:0.20000000000000001:3",
         ],
     ),
     (
         "qfi --n 2 --j 0.3 --h 0.1 --target theta --n-range 2:3:2",
         [
-            "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=theta axis=y tol=1.0000000000000001e-09 seed=7 tol_j=0.0001 "
-            "t_range=0:50:101",
+            "# n=2 j=0.29999999999999999 gamma=1 h=0.10000000000000001 "
+            "target=theta",
             "# sweep n=2:3:2",
         ],
     ),
     (
         "ep --n 2 --h-range 0:0.2:3 --tol-j 1e-3",
         [
-            "# n=2 j=0 gamma=1 h=0 theta=0 target=h axis=y "
-            "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 "
-            "t_range=0:50:101",
+            "# n=2 gamma=1 h=0 tol_j=0.001",
             "# sweep h=0:0.20000000000000001:3",
         ],
     ),
     (
         "scaling --h 0.05 --tol-j 1e-3 --n-range 2:5:4",
         [
-            "# n=2 j=0 gamma=1 h=0.050000000000000003 theta=0 target=h axis=y "
-            "tol=1.0000000000000001e-09 seed=7 tol_j=0.001 t_range=0:50:101",
+            "# gamma=1 h=0.050000000000000003 tol_j=0.001",
             "# sweep n=2:5:4",
             "# points N=2:0.49013671874999992 N=3:0.35009765625 "
             "N=4:0.30732421874999999 N=5:0.28740234375000001",
@@ -660,15 +654,14 @@ GOLDEN_COMMENTS = [
         "correlations --n 3 --j 0.2 --h 0.1 --axis x --tol 1e-10",
         [
             "# n=3 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=h axis=x tol=1e-10 seed=7 tol_j=0.0001 t_range=0:50:101",
+            "axis=x tol=1e-10",
         ],
     ),
     (
         "evolve --n 2 --j 0.2 --h 0.1 --t-range 0:5:3 --seed 5 --tol 1e-8",
         [
             "# n=2 j=0.20000000000000001 gamma=1 h=0.10000000000000001 theta=0 "
-            "target=h axis=y tol=1e-08 "
-            "seed=5 tol_j=0.0001 t_range=0:5:3",
+            "tol=1e-08 seed=5 t_range=0:5:3",
         ],
     ),
 ]

@@ -384,7 +384,7 @@ def test_an_operator_for_another_chain_is_refused_before_any_eigensolve(monkeypa
     def no_eigensolve(*args, **kw):
         raise AssertionError("eigensolve on a mismatched operator")
 
-    monkeypatch.setattr(spectral, "majorana_modes", no_eigensolve)
+    monkeypatch.setattr(spectral, "_steady_reference", no_eigensolve)
     monkeypatch.setattr(spectral, "_eig_steady_state", no_eigensolve)
     p = ChainParams(N=3, J=0.23, h=0.2)
     H = build_total(ChainParams(N=4, J=0.23, h=0.2))
@@ -499,22 +499,36 @@ def test_krylov_paths_size_arpacks_subspace_by_arpack_ncv(monkeypatch, N):
 
 
 def test_krylov_refuses_a_converged_pair_that_is_not_the_steady_state(monkeypatch):
-    # ARPACK handing back the exact second eigenpair passes the residual gate,
-    # but lies a whole gap from the free-fermion steady-state eigenvalue
+    # ARPACK handing back the exact second eigenpair of the operator it is
+    # given passes the residual gate, but lies a whole gap from the
+    # free-fermion steady-state eigenvalue
     import scipy.sparse.linalg as sla
 
     p = ChainParams(N=6, J=0.23, h=0.2, theta=0.4)
     H = build_total(p)
-    w, v = np.linalg.eig(H.dense())
-    second = spectral.spectral_order(w)[1]
 
-    def second_pair(*args, **kwargs):
+    def second_pair(A, *args, **kwargs):
+        w, v = np.linalg.eig(np.column_stack([A.matvec(e) for e in np.eye(p.dim)]))
+        second = spectral.spectral_order(w)[1]
         return w[second : second + 1], v[:, second : second + 1]
 
     monkeypatch.setattr(sla, "eigs", second_pair)
     with pytest.raises(ConvergenceError, match="not the steady state") as err:
         steady_state_krylov(H, p, tol=1e-9)
     assert err.value.residual < 1e-12
+
+
+@pytest.mark.parametrize("N,J,h", [(4, 0.0, 0.0), (8, 0.0, 0.0), (8, 1e-9, 0.0), (8, 0.0, 1e-9)])
+def test_krylov_finds_a_steady_eigenvalue_at_zero(N, J, h):
+    # the decoupled chain's steady state, all spins down, has eigenvalue 0,
+    # and at couplings this weak it is 0 to rounding; ARPACK on H itself
+    # returned the second pair there
+    p = ChainParams(N=N, J=J, h=h)
+    H = build_total(p)
+    kry = steady_state_krylov(H, p, tol=1e-10)
+    dense = steady_state_dense(H, p)
+    assert abs(kry.eigenvalue - dense.eigenvalue) < 1e-9
+    assert 1.0 - fidelity(dense.vector, kry.vector) < 1e-9
 
 
 def test_krylov_and_dense_refuse_and_agree_on_random_points():
@@ -536,13 +550,85 @@ def test_krylov_and_dense_refuse_and_agree_on_random_points():
                 steady_state_krylov(H, p)
             continue
         kry = steady_state_krylov(H, p)
+        # both gaps are the free-fermion one; test_majorana.py checks it
+        # against the dense spectrum
+        assert dense.gap == kry.gap == majorana_gap(p), p
         # below a gap of ~1e-4 the dense eigenvalues are themselves
         # ill-conditioned, so the tight bounds do not apply
         if dense.gap > 1e-4:
             assert abs(dense.eigenvalue - kry.eigenvalue) <= 1e-9, p
-            assert abs(dense.gap - kry.gap) <= 1e-9, p
             assert 1.0 - fidelity(dense.vector, kry.vector) ** 2 <= 1e-9, p
     assert 0 < refused < 100
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    J=_zero_or(st.floats(0.0, 0.5)),
+    gamma=_zero_or(st.floats(0.0, 2.0)),
+    h=_zero_or(st.floats(0.0, 0.5)),
+    theta=st.floats(-7.0, 7.0),
+)
+def test_both_paths_report_the_free_fermion_gap_or_refuse_with_it(N, J, gamma, h, theta):
+    # one reference for both solvers: the same gap bit for bit, or the same
+    # refusal carrying it
+    p = ChainParams(N=N, J=J, gamma=gamma, h=h, theta=theta)
+    gap = majorana_gap(p)
+    for method in ("dense", "krylov"):
+        try:
+            ss = solve_steady_state(p, method)
+        except EPProximityError as err:
+            assert gap <= majorana.default_tol_gap(gamma)
+            assert err.gap == gap
+        else:
+            assert gap > majorana.default_tol_gap(gamma)
+            assert ss.gap == gap
+
+
+def test_dense_refuses_an_eig_pair_that_is_not_the_steady_state(monkeypatch):
+    # eig handing back the steady pair 0.6 gaps from lambda_0 passes no
+    # residual test the dense path could make, but lies beyond half the gap
+    p = ChainParams(N=4, J=0.23, h=0.2, theta=0.4)
+    gap = majorana_gap(p)
+    exact_eig = np.linalg.eig
+
+    def shifted_eig(A):
+        w, v = exact_eig(A)
+        w[spectral.spectral_order(w)[0]] += 0.6j * gap
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", shifted_eig)
+    for solve in (
+        lambda: solve_steady_state(p, "dense"),
+        lambda: steady_state_dense(build_total(p), p),
+    ):
+        with pytest.raises(ConvergenceError, match="not the steady state") as err:
+            solve()
+        # the refused pair's eigen-residual: the shift itself
+        assert err.value.residual == pytest.approx(0.6 * gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [2, 5])
+def test_dense_refuses_an_exceptional_point_before_building_or_diagonalizing(
+    monkeypatch, N
+):
+    # J = 0.3, h = 0.2 is the exact two-site EP and gapless at N = 5
+    def nothing_solved(*args, **kw):
+        raise AssertionError("generator built or diagonalized at an EP")
+
+    p = ChainParams(N=N, J=0.3, h=0.2)
+    H = build_total(p)
+    monkeypatch.setattr(spectral, "build_dense", nothing_solved)
+    monkeypatch.setattr(np.linalg, "eig", nothing_solved)
+    for solve in (
+        lambda: solve_steady_state(p),
+        lambda: solve_steady_state(p, "dense"),
+        lambda: solve_steady_state(p, "dense", H=H),
+        lambda: steady_state_dense(H, p),
+    ):
+        with pytest.raises(EPProximityError) as err:
+            solve()
+        assert err.value.gap == majorana_gap(p)
 
 
 def test_krylov_gauge_convention():
